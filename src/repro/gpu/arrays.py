@@ -111,7 +111,7 @@ class DeviceArray:
     def free(self) -> None:
         """Release the simulated device memory held by this handle."""
         if self._handle is not None and self._executor is not None:
-            self._executor.memory.free_handle(self._handle)
+            self._executor.memory.free_handle(self._handle, self.nbytes)
             self._handle = None
         self.data = None
 

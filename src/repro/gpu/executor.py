@@ -45,9 +45,10 @@ class GPUExecutor:
     seed:
         Seed for the executor's host-side RNG (used by the cuRAND stand-in).
     track_memory:
-        If False, the memory tracker is given effectively unlimited capacity.
-        Useful for unit tests that exercise numerics at shapes unrelated to
-        any real device.
+        If False, the memory tracker is given effectively unlimited capacity
+        and keeps byte counters only, no per-allocation records.  Useful for
+        unit tests that exercise numerics at shapes unrelated to any real
+        device, and for long-lived serving executors.
     """
 
     def __init__(
@@ -62,7 +63,7 @@ class GPUExecutor:
         self.numeric = bool(numeric)
         self.cost_model = KernelCostModel(device)
         capacity = device.memory_capacity if track_memory else 1.0e18
-        self.memory = DeviceMemoryTracker(capacity)
+        self.memory = DeviceMemoryTracker(capacity, record_allocations=track_memory)
         self.clock = SimClock()
         self.rng = np.random.Generator(np.random.Philox(seed))
         self._blas = None

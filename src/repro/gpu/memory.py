@@ -54,9 +54,20 @@ class DeviceMemoryTracker:
         workspaces and fragmentation.  Real devices never deliver 100% of
         their nominal capacity to the user; cuSOLVER/cuBLAS workspaces in the
         paper's least-squares pipeline are also charged to this reserve.
+    record_allocations:
+        Keep one :class:`Allocation` per live handle (diagnostics and
+        double-free detection).  Without them the tracker keeps only its
+        byte counters, so a long-lived executor whose arrays are never freed
+        holds no per-allocation state; frees must then pass the size.
     """
 
-    def __init__(self, capacity: float, reserve_fraction: float = 0.06) -> None:
+    def __init__(
+        self,
+        capacity: float,
+        reserve_fraction: float = 0.06,
+        *,
+        record_allocations: bool = True,
+    ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if not 0.0 <= reserve_fraction < 1.0:
@@ -66,6 +77,7 @@ class DeviceMemoryTracker:
         self._in_use = 0.0
         self._peak = 0.0
         self._next_handle = 1
+        self._record = bool(record_allocations)
         self._allocations: Dict[int, Allocation] = {}
 
     # -- properties -----------------------------------------------------
@@ -116,7 +128,8 @@ class DeviceMemoryTracker:
             raise DeviceOutOfMemoryError(nbytes, self._in_use, self._usable, label)
         handle = self._next_handle
         self._next_handle += 1
-        self._allocations[handle] = Allocation(handle, nbytes, label)
+        if self._record:
+            self._allocations[handle] = Allocation(handle, nbytes, label)
         self._in_use += nbytes
         self._peak = max(self._peak, self._in_use)
         return handle
@@ -126,10 +139,18 @@ class DeviceMemoryTracker:
         nbytes = float(np.prod(shape, dtype=np.float64)) * np.dtype(dtype).itemsize
         return self.alloc(nbytes, label=label or f"array{tuple(shape)}")
 
-    def free_handle(self, handle: int) -> None:
-        """Release an allocation by handle.  Freeing twice raises KeyError."""
-        alloc = self._allocations.pop(handle)
-        self._in_use -= alloc.nbytes
+    def free_handle(self, handle: int, nbytes: Optional[float] = None) -> None:
+        """Release an allocation by handle.  Freeing twice raises KeyError.
+
+        ``nbytes`` (the allocation's size) is required when the tracker keeps
+        no per-allocation records and ignored otherwise.
+        """
+        if self._record:
+            self._in_use -= self._allocations.pop(handle).nbytes
+        elif nbytes is None:
+            raise ValueError("a tracker without allocation records needs the size to free")
+        else:
+            self._in_use -= float(nbytes)
 
     def would_fit(self, nbytes: float) -> bool:
         """Whether an allocation of ``nbytes`` would currently succeed."""
@@ -162,7 +183,7 @@ class _ScopedAllocation:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._handle is not None:
-            self._tracker.free_handle(self._handle)
+            self._tracker.free_handle(self._handle, self._nbytes)
             self._handle = None
 
 

@@ -145,6 +145,111 @@ class TimeBreakdown:
         return len(self.records)
 
 
+class _RetainedBreakdown(TimeBreakdown):
+    """A clock's own breakdown: exact totals over a bounded list of records.
+
+    A long-lived executor (a serving shard) launches kernels forever, so
+    keeping every record would grow without bound.  ``records`` keeps the
+    most recent ``retain`` to ``2 * retain`` launches verbatim; older ones
+    fold into one aggregate per ``(kernel, phase)`` at the front of the
+    list.  Folding also carries the launch-order running sums (totals, per
+    phase, per kernel) up to the cut, and the queries continue them over the
+    verbatim tail, so every total is the same left-to-right sum over every
+    launch whether or not anything was folded (and equals a plain
+    :class:`TimeBreakdown`'s wherever builtin ``sum`` adds left to right,
+    as on CPython <= 3.11).  ``len()`` counts every launch ever added, so
+    marks stay absolute.
+    """
+
+    def __init__(self, retain: int) -> None:
+        super().__init__()
+        self.retain = retain
+        self._folded = 0  # leading entries of ``records`` that are aggregates
+        self._launches = 0  # every record ever added
+        # Running sums over the folded records, in launch order.
+        self._seconds = self._bytes = self._flops = 0.0
+        self._phases: Dict[str, float] = {}
+        self._kernels: Dict[str, float] = {}
+
+    def add(self, timing: KernelTiming) -> None:
+        self.records.append(timing)
+        self._launches += 1
+        if len(self.records) - self._folded > 2 * self.retain:
+            self._fold()
+
+    def _fold(self) -> None:
+        cut = len(self.records) - self.retain
+        gone = self.records[self._folded:cut]
+        for r in gone:
+            self._seconds += r.seconds
+            self._bytes += r.bytes_moved
+            self._flops += r.flops
+            self._phases[r.phase] = self._phases.get(r.phase, 0.0) + r.seconds
+            self._kernels[r.name] = self._kernels.get(r.name, 0.0) + r.seconds
+        sums: Dict[tuple, list] = {}
+        for r in self.records[:cut]:
+            acc = sums.setdefault((r.name, r.phase), [0.0, 0.0, 0.0, 0])
+            acc[0] += r.seconds
+            acc[1] += r.bytes_moved
+            acc[2] += r.flops
+            acc[3] += r.launches
+        folded = [
+            KernelTiming(name, seconds, moved, flops, phase, launches)
+            for (name, phase), (seconds, moved, flops, launches) in sums.items()
+        ]
+        self.records = folded + self.records[cut:]
+        self._folded = len(folded)
+
+    def _tail(self) -> List[KernelTiming]:
+        return self.records[self._folded:]
+
+    def since(self, mark: int) -> List[KernelTiming]:
+        """Records added after the first ``mark`` (which must still be verbatim)."""
+        start = len(self.records) - (self._launches - mark)
+        if start < self._folded:
+            raise ValueError(
+                f"records after mark {mark} were folded into aggregates; a mark "
+                f"is honoured for the {self.retain} most recent launches"
+            )
+        return self.records[start:]
+
+    def total(self) -> float:
+        out = self._seconds
+        for r in self._tail():
+            out += r.seconds
+        return float(out)
+
+    def total_bytes(self) -> float:
+        out = self._bytes
+        for r in self._tail():
+            out += r.bytes_moved
+        return float(out)
+
+    def total_flops(self) -> float:
+        out = self._flops
+        for r in self._tail():
+            out += r.flops
+        return float(out)
+
+    def by_phase(self) -> Dict[str, float]:
+        out = dict(self._phases)
+        for r in self._tail():
+            out[r.phase] = out.get(r.phase, 0.0) + r.seconds
+        return out
+
+    def by_kernel(self) -> Dict[str, float]:
+        out = dict(self._kernels)
+        for r in self._tail():
+            out[r.name] = out.get(r.name, 0.0) + r.seconds
+        return out
+
+    def phase_seconds(self, phase: str) -> float:
+        return float(self.by_phase().get(phase, 0.0))
+
+    def __len__(self) -> int:
+        return self._launches
+
+
 class SimClock:
     """Monotonically accumulating simulated clock.
 
@@ -152,11 +257,18 @@ class SimClock:
     also keeps a running :class:`TimeBreakdown` and supports *regions*, which
     the harness uses to attribute everything launched inside a ``with`` block
     to a phase label regardless of the kernels' own defaults.
+
+    The breakdown's totals are exact over every launch, but only the most
+    recent :attr:`RETAIN_RECORDS` (up to twice that) launches are kept
+    verbatim; :meth:`breakdown_since` honours any mark inside that window.
     """
+
+    #: Launches always kept verbatim; older ones fold into per-(kernel, phase) aggregates.
+    RETAIN_RECORDS = 4096
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._breakdown = TimeBreakdown()
+        self._breakdown = _RetainedBreakdown(self.RETAIN_RECORDS)
         self._phase_stack: List[str] = []
         # `_now += seconds` is a read-modify-write; the concurrent serving
         # runtime can charge kernels to one shard clock from two threads
@@ -211,13 +323,14 @@ class SimClock:
     def breakdown_since(self, n_records: int) -> TimeBreakdown:
         """Breakdown of the records added after the first ``n_records``."""
         snap = TimeBreakdown()
-        snap.records = list(self._breakdown.records[n_records:])
+        with self._record_lock:  # a concurrent launch may fold the records
+            snap.records = self._breakdown.since(n_records)
         return snap
 
     def reset(self) -> None:
         """Reset the clock to zero and clear the breakdown."""
         self._now = 0.0
-        self._breakdown = TimeBreakdown()
+        self._breakdown = _RetainedBreakdown(self.RETAIN_RECORDS)
         self._phase_stack.clear()
 
 

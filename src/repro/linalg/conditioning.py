@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Literal, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def _random_orthonormal(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -100,8 +101,8 @@ def estimate_condition(
     By the subspace-embedding property (Definition 1.1), every singular value
     of ``S A`` lies within ``(1 +/- eps)`` of the corresponding singular value
     of ``A``, so ``kappa(S A)`` estimates ``kappa(A)`` up to a constant
-    factor -- at the cost of one pass over ``A`` plus an SVD of the tiny
-    ``k x n`` sketch, instead of an SVD of the full matrix.  This is the
+    factor -- at the cost of one pass over ``A`` plus the singular values of
+    the small ``k x n`` sketch, instead of an SVD of the full matrix.  This is the
     condition probe :func:`repro.linalg.planner.plan` uses to route a problem
     to the cheapest solver that is still stable for it.
 
@@ -134,6 +135,14 @@ def estimate_spectrum_bounds(
     deciding whether the lambda-augmented system is benign requires knowing
     where the spectrum sits, not just how wide it is
     (:func:`repro.linalg.registry.ridge_effective_condition`).
+
+    The sketch is one sparse product ``S @ A`` with ``S`` the explicit
+    ``k x d`` CSR CountSketch (one signed entry per column), so every row of
+    ``A`` is read once and added to its bucket in source-row order -- the
+    same sums, bit for bit, as a scatter-add, without a signed copy of ``A``.
+    Its singular values come from :func:`_singular_values`: a blocked R
+    reduction when the sketch is taller than one block, a direct SVD when
+    it fits one.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
@@ -145,14 +154,36 @@ def estimate_spectrum_bounds(
     k = min(d, max(int(np.ceil(2.0 * oversampling * n * n)), n + 4))
     if k >= d:
         svals = np.linalg.svd(a, compute_uv=False)
-        return float(svals.max()), float(svals.min())
+    else:
+        svals = _singular_values(_countsketch(a, k, seed))
+    return float(svals.max()), float(svals.min())
+
+
+def _countsketch(a: np.ndarray, k: int, seed: Optional[int]) -> np.ndarray:
+    """``S A`` for a ``k x d`` CountSketch drawn from ``seed`` (rows, then signs)."""
+    d = a.shape[0]
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, k, size=d)
     signs = rng.integers(0, 2, size=d).astype(np.float64) * 2.0 - 1.0
-    sa = np.zeros((k, n))
-    np.add.at(sa, rows, a * signs[:, None])
-    svals = np.linalg.svd(sa, compute_uv=False)
-    return float(svals.max()), float(svals.min())
+    return sp.csr_matrix((signs, (rows, np.arange(d))), shape=(k, d)) @ a
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of a tall ``k x n`` matrix via a blocked R reduction.
+
+    Each block of ``max(16 n, 1024)`` rows is reduced to its ``n x n`` QR
+    factor ``R``; one more QR of the stacked factors gives an ``R`` with the
+    singular values of ``m`` (``m = Q R`` with orthonormal ``Q``), and the
+    SVD runs on that ``n x n`` matrix only.  Blocks of at least ``16 n``
+    rows shrink the stack 16x; a matrix that fits one block (below 1024
+    rows the direct SVD is already cheap) is SVD'd directly.
+    """
+    k, n = m.shape
+    block = max(16 * n, 1024)
+    if k > block:
+        factors = [np.linalg.qr(m[i:i + block], mode="r") for i in range(0, k, block)]
+        m = np.linalg.qr(np.vstack(factors), mode="r")
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def well_conditioned_matrix(

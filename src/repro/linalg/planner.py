@@ -6,7 +6,7 @@ this module decides what each request *should* use:
 1. probe the spectrum with one cheap sketched estimate
    (:func:`repro.linalg.conditioning.estimate_condition` /
    :func:`~repro.linalg.conditioning.estimate_spectrum_bounds` -- one pass
-   over ``A`` plus a tiny SVD, off the simulated clock like every other
+   over ``A`` plus an ``n x n`` SVD, off the simulated clock like every other
    planning step);
 2. keep the solvers of the spec's *problem class* (plain least squares, or
    ridge when ``spec.regularization > 0``) whose declared stability floor

@@ -22,13 +22,15 @@ replicating operator state) is charged with the same alpha-beta model the
 distributed layer uses (:class:`repro.distributed.comm.CommCostModel`) and
 recorded as :class:`repro.distributed.comm.CommRecord` entries, so serving
 experiments report communication with the exact accounting of Section 7.
+Totals are kept exactly; only the most recent records are kept verbatim.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.distributed.comm import CommCostModel, CommRecord
 from repro.gpu.pool import ExecutorPool
@@ -176,6 +178,9 @@ class ShardScheduler:
         (cache affinity to state that already lives there).
     """
 
+    #: Transfer records kept verbatim in :attr:`records`.
+    RETAIN_RECORDS = 4096
+
     def __init__(
         self,
         pool: ExecutorPool,
@@ -185,7 +190,11 @@ class ShardScheduler:
     ) -> None:
         self.pool = pool
         self.cost_model = cost_model if cost_model is not None else CommCostModel()
-        self.records: List[CommRecord] = []
+        #: The most recent transfers; totals cover every transfer ever charged.
+        self.records: Deque[CommRecord] = deque(maxlen=self.RETAIN_RECORDS)
+        self._comm_seconds = 0.0
+        self._comm_bytes = 0.0
+        self._comm_by_name: Dict[str, float] = {}
         self.scale_events: List[ScaleEvent] = []
         self._batches_per_shard: List[int] = [0] * pool.size
         # Estimated seconds of work placed but not yet executed, per shard.
@@ -337,38 +346,38 @@ class ShardScheduler:
         Returns the simulated seconds charged.
         """
         seconds = self.cost_model.latency + float(nbytes) / self.cost_model.bandwidth
-        with self._lock:
-            self.records.append(CommRecord(name=name, bytes_moved=float(nbytes), seconds=seconds))
+        self._record(CommRecord(name=name, bytes_moved=float(nbytes), seconds=seconds))
         return seconds
 
     def charge_replication(self, state_bytes: float, n_replicas: int) -> float:
         """Charge broadcasting operator state to ``n_replicas`` shards."""
         seconds = self.cost_model.broadcast_time(float(state_bytes), max(n_replicas, 1) + 1)
-        with self._lock:
-            self.records.append(
-                CommRecord(
-                    name="operator_replication", bytes_moved=float(state_bytes), seconds=seconds
-                )
-            )
+        self._record(
+            CommRecord(name="operator_replication", bytes_moved=float(state_bytes), seconds=seconds)
+        )
         return seconds
+
+    def _record(self, record: CommRecord) -> None:
+        with self._lock:
+            self.records.append(record)
+            self._comm_seconds += record.seconds
+            self._comm_bytes += record.bytes_moved
+            self._comm_by_name[record.name] = self._comm_by_name.get(record.name, 0.0) + record.seconds
 
     def comm_seconds(self) -> float:
         """Total cross-shard communication seconds charged so far."""
         with self._lock:
-            return float(sum(r.seconds for r in self.records))
+            return float(self._comm_seconds)
 
     def comm_bytes(self) -> float:
         """Total cross-shard bytes moved so far."""
         with self._lock:
-            return float(sum(r.bytes_moved for r in self.records))
+            return float(self._comm_bytes)
 
     def comm_by_name(self) -> Dict[str, float]:
         """Seconds per transfer name."""
-        out: Dict[str, float] = {}
         with self._lock:
-            for r in self.records:
-                out[r.name] = out.get(r.name, 0.0) + r.seconds
-        return out
+            return dict(self._comm_by_name)
 
     # ------------------------------------------------------------------
     def loads(self) -> List[float]:

@@ -559,9 +559,12 @@ class SketchServer:
         are reused by the allocator once a matrix dies, so a hit counts only
         when the stored reference still points at *this* array -- a fresh
         matrix that happens to inherit a dead one's id is re-probed, never
-        served a stale estimate.  ``sigma_max`` rides along for free (the
-        probe is one sketched SVD) and is what ridge routing uses to place
-        the lambda on the spectrum's scale.
+        served a stale estimate.  The reference's callback drops the entry
+        when its array dies, so the memo holds live matrices only and a hot
+        shared matrix is never evicted by one-shot traffic.  ``sigma_max``
+        rides along for free (the probe yields both spectrum extremes) and
+        is what ridge routing uses to place the lambda on the spectrum's
+        scale.
         """
         if not self.config.numeric:
             return None, None  # analytic traffic carries no numeric state to probe
@@ -577,9 +580,16 @@ class SketchServer:
             a, oversampling=self.config.oversampling, seed=self.config.seed
         )
         value = (float("inf") if smin == 0.0 else smax / smin, smax)
-        if len(self._cond_cache) >= 256:
-            self._cond_cache.clear()
-        self._cond_cache[key] = (weakref.ref(a), value)
+        cache = self._cond_cache
+
+        def forget(ref, key=key):
+            # The array died: drop its entry, unless a newer array that
+            # inherited the id has already replaced it.  Losing a race with
+            # such a replacement only costs a re-probe: lookups check the ref.
+            if cache.get(key, (None,))[0] is ref:
+                cache.pop(key, None)
+
+        cache[key] = (weakref.ref(a, forget), value)
         return value
 
     def _cond_estimate(self, a: np.ndarray) -> Optional[float]:

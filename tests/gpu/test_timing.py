@@ -121,3 +121,48 @@ class TestSimClock:
         clock.record(_timing(seconds=1.0))
         assert snap.total() == pytest.approx(1.0)
         assert clock.breakdown.total() == pytest.approx(2.0)
+
+
+class TestRetention:
+    """Past the retention cap old records fold into per-(kernel, phase) aggregates."""
+
+    def _launches(self, count):
+        return [
+            _timing(name=f"k{i % 3}", seconds=0.1 * (i % 7 + 1), nbytes=float(i), flops=i / 3.0,
+                    phase=f"p{i % 2}")
+            for i in range(count)
+        ]
+
+    def test_totals_are_exact_and_records_bounded(self, monkeypatch):
+        monkeypatch.setattr(SimClock, "RETAIN_RECORDS", 10)
+        clock = SimClock()
+        plain = TimeBreakdown()
+        seconds = moved = flops = 0.0  # launch-order sums over every record
+        for t in self._launches(1000):
+            clock.record(t)
+            plain.add(t)
+            seconds += t.seconds
+            moved += t.bytes_moved
+            flops += t.flops
+        b = clock.breakdown
+        assert len(b) == 1000
+        assert len(b.records) <= 2 * 10 + 6  # verbatim tail + one aggregate per (kernel, phase)
+        assert (b.total(), b.total_bytes(), b.total_flops()) == (seconds, moved, flops)
+        assert b.by_phase() == plain.by_phase()
+        assert b.by_kernel() == plain.by_kernel()
+        assert b.phase_seconds("p1") == plain.by_phase()["p1"]
+        # the folded records still carry every launch
+        assert sum(r.launches for r in b.records) == 1000
+
+    def test_recent_marks_are_honoured_and_folded_ones_refused(self, monkeypatch):
+        monkeypatch.setattr(SimClock, "RETAIN_RECORDS", 10)
+        clock = SimClock()
+        launches = self._launches(100)
+        for t in launches[:95]:
+            clock.record(t)
+        mark = len(clock.breakdown)
+        for t in launches[95:]:
+            clock.record(t)
+        assert clock.breakdown_since(mark).records == launches[95:]
+        with pytest.raises(ValueError, match="folded"):
+            clock.breakdown_since(10)

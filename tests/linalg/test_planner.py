@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.linalg.conditioning import (
+    _countsketch,
+    _singular_values,
     condition_number,
     estimate_condition,
+    estimate_spectrum_bounds,
     matrix_with_condition,
 )
 from repro.linalg.planner import (
@@ -37,6 +40,60 @@ class TestConditionEstimate:
     def test_rejects_wide_input(self, rng):
         with pytest.raises(ValueError):
             estimate_condition(rng.standard_normal((8, 64)))
+
+
+def _scatter_sketch(a, k, seed=0):
+    """Reference probe sketch: the same draws, summed with ``np.add.at``."""
+    d, n = a.shape
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, k, size=d)
+    signs = rng.integers(0, 2, size=d).astype(np.float64) * 2.0 - 1.0
+    sa = np.zeros((k, n))
+    np.add.at(sa, rows, a * signs[:, None])
+    return sa
+
+
+class TestSpectrumProbe:
+    """The probe's sparse product and blocked R reduction against the dense reference."""
+
+    def test_sparse_sketch_is_bit_identical_to_scatter(self):
+        a = matrix_with_condition(16384, 32, 1e6, seed=4)
+        k = 4 * 32 * 32  # the probe's k at oversampling 2: four blocks of 1024 rows
+        assert np.array_equal(_countsketch(a, k, 0), _scatter_sketch(a, k))
+
+    @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+    def test_blocked_extremes_match_full_svd(self, cond):
+        a = matrix_with_condition(16384, 32, cond, seed=4)
+        reference = np.linalg.svd(_scatter_sketch(a, 4096), compute_uv=False)
+        smax, smin = estimate_spectrum_bounds(a)
+        assert smax == pytest.approx(reference.max(), rel=1e-6)
+        assert smin == pytest.approx(reference.min(), rel=1e-6)
+
+    def test_blocked_reduction_keeps_every_singular_value(self, rng):
+        m = rng.standard_normal((5000, 40)) * np.geomspace(1.0, 1e-4, 40)
+        np.testing.assert_allclose(
+            _singular_values(m), np.linalg.svd(m, compute_uv=False), rtol=1e-10
+        )
+
+    def test_single_block_sketch_is_bit_identical(self):
+        a = matrix_with_condition(2048, 16, 1e4, seed=4)  # k = 1024 fits one block
+        svals = np.linalg.svd(_scatter_sketch(a, 1024), compute_uv=False)
+        assert estimate_spectrum_bounds(a) == (float(svals.max()), float(svals.min()))
+
+    @pytest.mark.parametrize(
+        "cond, solver, chain",
+        [
+            (1e2, "normal_equations", ("normal_equations", "rand_cholqr", "qr", "sketch_precond_lsqr")),
+            (1e4, "normal_equations", ("normal_equations", "rand_cholqr", "qr", "sketch_precond_lsqr")),
+            (1e6, "sketch_and_solve", ("sketch_and_solve", "rand_cholqr", "qr", "sketch_precond_lsqr")),
+            (1e8, "sketch_and_solve", ("sketch_and_solve", "rand_cholqr", "qr", "sketch_precond_lsqr")),
+            (1e12, "rand_cholqr", ("rand_cholqr", "qr", "sketch_precond_lsqr")),
+        ],
+    )
+    def test_adaptive_routing_golden(self, cond, solver, chain):
+        """Routes recorded with the dense scatter-and-SVD probe at 65536 x 64."""
+        p = plan(matrix_with_condition(65536, 64, cond, seed=5), policy="adaptive")
+        assert (p.solver, p.chain) == (solver, chain)
 
 
 class TestPolicies:

@@ -96,6 +96,28 @@ class TestAdaptiveRouting:
         server.solve(a, 2.0 * b)
         assert len(server._cond_cache) == 1
 
+    def test_one_shot_traffic_does_not_evict_a_live_matrix(self, easy, rng, monkeypatch):
+        """Dead one-shot entries leave the memo; the shared matrix is probed once."""
+        import repro.linalg.conditioning as conditioning
+
+        shared, b = easy
+        probed = []
+        real = conditioning.estimate_spectrum_bounds
+
+        def counting(a, **kwargs):
+            probed.append(a is shared)
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(conditioning, "estimate_spectrum_bounds", counting)
+        server = SketchServer(policy="cheapest_accurate", shards=1, seed=0)
+        for _ in range(300):
+            one_shot = rng.standard_normal((64, 4))
+            server.solve(one_shot, one_shot @ np.ones(4))
+            server.solve(shared, b)
+        assert probed.count(True) == 1
+        assert probed.count(False) == 300
+        assert len(server._cond_cache) <= 2  # the shared matrix, maybe the last one-shot
+
     def test_per_request_accuracy_target_routes_independently(self, hard):
         a, b = hard
         server = SketchServer(policy="cheapest_accurate", shards=1, seed=0,

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.distributed.comm import CommRecord
 from repro.gpu.executor import GPUExecutor
+from repro.gpu.memory import Allocation
+from repro.gpu.timing import KernelTiming, SimClock
 from repro.linalg.lstsq import sketch_and_solve
 from repro.serving import ServerConfig, SketchServer, naive_solve_loop
 from repro.serving.cache import build_operator
+from repro.serving.scheduler import ShardScheduler
 
 D, N = 2048, 8
 
@@ -209,3 +215,45 @@ class TestConfig:
         assert out["requests"] == 4
         assert out["simulated_seconds"] > 0
         assert all(r.relative_residual < 1e-6 for r in out["results"])
+
+
+class TestBoundedLogs:
+    """A long-running server keeps bounded kernel/allocation/transfer logs, exact totals."""
+
+    CAP = 256
+
+    def _live(self, cls):
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if type(o) is cls)
+
+    def _serve(self, rng, solves):
+        a = rng.standard_normal((256, 4))
+        server = SketchServer(kind="countsketch", shards=2, seed=0)
+        for i in range(solves):
+            server.solve(a, a @ np.ones(4) + i)
+        pool = server.pool
+        return server, (
+            [ex.elapsed for ex in pool],
+            sum(ex.breakdown().total_flops() for ex in pool),
+            sum(ex.breakdown().total_bytes() for ex in pool),
+            [ex.breakdown().by_kernel() for ex in pool],
+            server.scheduler.comm_seconds(),
+            server.scheduler.comm_bytes(),
+        )
+
+    def test_logs_stay_under_the_cap_with_uncapped_totals(self, monkeypatch):
+        monkeypatch.setattr(SimClock, "RETAIN_RECORDS", 10**9)
+        monkeypatch.setattr(ShardScheduler, "RETAIN_RECORDS", 10**9)
+        uncapped, expected = self._serve(np.random.default_rng(3), 2000)
+        del uncapped
+
+        monkeypatch.setattr(SimClock, "RETAIN_RECORDS", self.CAP)
+        monkeypatch.setattr(ShardScheduler, "RETAIN_RECORDS", self.CAP)
+        before = {cls: self._live(cls) for cls in (KernelTiming, Allocation, CommRecord)}
+        server, totals = self._serve(np.random.default_rng(3), 2000)
+        assert totals == expected
+        # per shard: at most 2 * CAP verbatim records plus one aggregate per (kernel, phase)
+        assert self._live(KernelTiming) - before[KernelTiming] <= 2 * (2 * self.CAP + 32)
+        assert self._live(Allocation) - before[Allocation] == 0  # untracked: counters only
+        assert self._live(CommRecord) - before[CommRecord] <= self.CAP
+        assert len(server.scheduler.records) == self.CAP
