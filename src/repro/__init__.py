@@ -39,8 +39,8 @@ The package is organised as:
   (or a Frequent Directions spectral summary, ``mode="fd"``), detects
   drift from residual energy and condition probes, and lazily re-solves
   the window through the planner; ``SketchServer.open_stream`` serves it.
-* :mod:`repro.durability` -- checkpoint/WAL durability for streaming
-  sessions: one versioned+checksummed record format with typed errors
+* :mod:`repro.durability` -- checkpoint/WAL durability for streaming and
+  frequency sessions: one versioned+checksummed record format with typed errors
   (:class:`~repro.durability.codec.DurabilityError`), a pluggable
   :class:`~repro.durability.store.CheckpointStore` (in-memory or fsync'd
   directory-backed), write-ahead-logged appends with exactly-once

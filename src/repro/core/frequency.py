@@ -75,7 +75,7 @@ _ROW_SEED_SALT = 0x9E3779B9
 _LEVEL_SEED_SALT = 0x85EBCA6B
 
 
-def _as_index_array(ids, domain: int) -> np.ndarray:
+def as_index_array(ids, domain: int) -> np.ndarray:
     """Validate and normalise item ids to a flat int64 array in ``[0, domain)``."""
     if isinstance(ids, np.ndarray):
         idx = ids.astype(np.int64, copy=False).ravel()
@@ -205,7 +205,7 @@ class FrequencySketch:
         (deletions) are legal: the CountSketch is a turnstile sketch.  An
         empty batch is a clean no-op.
         """
-        idx = _as_index_array(ids, self._domain)
+        idx = as_index_array(ids, self._domain)
         batch = idx.shape[0]
         if batch == 0:
             return
@@ -250,7 +250,7 @@ class FrequencySketch:
         ``1 - delta`` (:func:`repro.theory.frequency.point_query_error`).
         """
         self._require_numeric("point_query()")
-        idx = _as_index_array(ids, self._domain)
+        idx = as_index_array(ids, self._domain)
         batch = idx.shape[0]
         if batch == 0:
             return np.zeros(0, dtype=self._dtype)
@@ -516,7 +516,7 @@ class HierarchicalFrequencySketch:
     # ------------------------------------------------------------------
     def update(self, ids, weights=None) -> None:
         """Feed each item to every level under its level-``l`` prefix id."""
-        idx = _as_index_array(ids, self.domain)
+        idx = as_index_array(ids, self.domain)
         if idx.size == 0:
             return
         for lvl, sketch in enumerate(self._levels):

@@ -1,7 +1,7 @@
-"""repro.durability: checkpoint/WAL persistence for streaming sessions.
+"""repro.durability: checkpoint/WAL persistence for serving sessions.
 
-The durability subsystem (ROADMAP item 4) keeps streaming window state
-alive across process death:
+The durability subsystem (ROADMAP item 4) keeps streaming-solver window
+state and frequency sketches alive across process death:
 
 * :mod:`repro.durability.codec` -- one versioned, checksummed binary record
   format for every durable artifact, with a typed error hierarchy
@@ -13,12 +13,13 @@ alive across process death:
 * :mod:`repro.durability.store` -- the pluggable :class:`CheckpointStore`
   (in-memory for tests, fsync'd directory-backed for real use) and the
   :class:`DurabilityConfig` a serving config carries.
-* :mod:`repro.durability.session` -- serializers mapping a live
-  :class:`~repro.streaming.solver.StreamingSolver` (all window modes,
-  drift-detector state, cached solution) and WAL batch entries onto the
+* :mod:`repro.durability.session` -- every durable session format:
+  serializers mapping a live :class:`~repro.streaming.solver.StreamingSolver`
+  (all window modes, drift-detector state, cached solution) or a frequency
+  sketch (plan, seed, counter tables) and their WAL batch entries onto the
   record format.
 
-The serving layer (:mod:`repro.serving.streaming`) drives these: WAL-append
+The serving layer (:mod:`repro.serving.sessions`) drives these: WAL-append
 before fold, periodic snapshots, and checkpoint + tail replay on restore.
 """
 
@@ -34,11 +35,17 @@ from repro.durability.codec import (
     encode_record,
 )
 from repro.durability.session import (
+    FREQUENCY_SESSION_KIND,
+    FREQUENCY_WAL_KIND,
     SESSION_KIND,
     WAL_BATCH_KIND,
+    decode_frequency_wal,
     decode_wal_batch,
+    deserialize_frequency_session,
     deserialize_session,
+    encode_frequency_wal,
     encode_wal_batch,
+    serialize_frequency_session,
     serialize_session,
 )
 from repro.durability.store import (
@@ -56,6 +63,8 @@ __all__ = [
     "DirectoryCheckpointStore",
     "DurabilityConfig",
     "DurabilityError",
+    "FREQUENCY_SESSION_KIND",
+    "FREQUENCY_WAL_KIND",
     "MAGIC",
     "MemoryCheckpointStore",
     "SCHEMA_VERSION",
@@ -64,12 +73,16 @@ __all__ = [
     "TruncatedRecordError",
     "WAL_BATCH_KIND",
     "WalReplay",
+    "decode_frequency_wal",
     "decode_record",
     "decode_wal_batch",
+    "deserialize_frequency_session",
     "deserialize_session",
+    "encode_frequency_wal",
     "encode_record",
     "encode_wal_batch",
     "frame",
     "replay_wal",
+    "serialize_frequency_session",
     "serialize_session",
 ]

@@ -36,20 +36,23 @@ sketch operators and solvers into such a service:
   (``SketchServer.open_stream`` / ``append_rows`` / ``query_solution`` /
   ``close_stream``): a :class:`~repro.streaming.solver.StreamingSolver` per
   session, pinned to a shard, its window-sketch operator session-keyed in
-  the operator cache, with per-session ingest/staleness/re-solve telemetry --
-  and, when the config carries a
-  :class:`~repro.durability.store.DurabilityConfig`, crash-safe: appends are
-  write-ahead-logged before folding, sessions checkpoint periodically,
-  ``SketchServer.save()``/``restore()`` round-trip the whole session set
-  through the store, and TTL / ``max_sessions`` eviction policies bound
-  live-session memory (durable sessions passivate and resurrect on touch).
+  the operator cache, with per-session ingest/staleness/re-solve telemetry.
 * :mod:`repro.serving.frequency` -- frequency-analytics sessions
   (``SketchServer.open_frequency_stream`` / ``append_items`` /
   ``query_heavy_hitters`` / ``query_norm`` / ``query_range`` /
   ``query_point``): a planned flat or hierarchical frequency sketch
   (:mod:`repro.core.frequency`) per session, served bit-for-bit identical
-  to direct library calls, WAL-before-fold durable like solver sessions,
-  with ``frequency_*`` telemetry and the same async stream lane.
+  to direct library calls, with ``frequency_*`` telemetry and the same
+  async stream lane.
+* :mod:`repro.serving.sessions` -- the lifecycle both session kinds share:
+  one :class:`~repro.serving.sessions.SessionTable` per server, so TTL and
+  ``max_sessions`` eviction bound the live sessions of both kinds together;
+  and, when the config carries a
+  :class:`~repro.durability.store.DurabilityConfig`, crash safety: appends
+  are validated and write-ahead-logged before folding, sessions checkpoint
+  periodically, ``SketchServer.save()``/``restore()`` round-trip the whole
+  session set through the store, and evicted sessions passivate and
+  resurrect on their next touch (through the same admission as an open).
 
 Every batch dispatches through the solver registry
 (:mod:`repro.linalg.registry`): ``ServerConfig(policy=...)`` selects
@@ -105,9 +108,9 @@ from repro.serving.frequency import (
 from repro.serving.runtime import AsyncSketchServer, RuntimeConfig, RuntimeFuture
 from repro.serving.scheduler import ElasticShardPolicy, ScaleEvent, ShardScheduler
 from repro.serving.server import PlacedBatch, ServerConfig, SketchServer, naive_solve_loop
+from repro.serving.sessions import DurableSessionManager, RestoreReport, SessionTable
 from repro.serving.streaming import (
     IngestReport,
-    RestoreReport,
     StreamSession,
     StreamSolutionResponse,
     StreamingSessionManager,
@@ -153,8 +156,10 @@ __all__ = [
     "FrequencyQueryResponse",
     "FrequencySession",
     "FrequencySessionManager",
+    "DurableSessionManager",
     "IngestReport",
     "RestoreReport",
+    "SessionTable",
     "StreamSession",
     "StreamSolutionResponse",
     "StreamingSessionManager",

@@ -15,15 +15,12 @@ library call (:meth:`~repro.core.frequency.FrequencySketch.heavy_hitters`,
 an identically-seeded, identically-fed sketch.  The acceptance benchmark
 asserts this equality through the whole session path.
 
-**Durability.**  With a :class:`~repro.durability.store.DurabilityConfig`
-on the server, sessions are durable objects exactly like streaming-solver
-sessions: every append is framed into a WAL *before* it is folded, every
-``checkpoint_interval_batches`` appends the engine's ``state_dict`` is
-snapshotted (one :func:`~repro.durability.codec.encode_record` per
-session, level tables as raw arrays) and the WAL truncated, and
-:meth:`restore_all` replays checkpoints + WAL tails exactly-once after a
-crash.  Restored sketches are bit-identical, so answers served after a
-restore match answers served before it.
+**Lifecycle and durability** are shared with streaming-solver sessions
+(:mod:`repro.serving.sessions`): the same table, TTL, ``max_sessions`` cap,
+passivation and WAL-before-fold discipline, with the snapshot and WAL
+codec in :mod:`repro.durability.session`.  Restored sketches are
+bit-identical, so answers served after a restore or a passivation match
+answers served before it.
 
 Telemetry lands in the ``frequency_*`` series of
 :class:`~repro.serving.telemetry.ServingTelemetry`; traces nest ingest and
@@ -33,24 +30,24 @@ query spans under runtime-provided roots like the streaming lane does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.frequency import FrequencySketch, HierarchicalFrequencySketch
-from repro.durability.codec import (
-    DurabilityError,
-    SchemaError,
-    decode_record,
-    encode_record,
+from repro.core.frequency import HierarchicalFrequencySketch, as_index_array
+from repro.durability.session import (
+    FrequencyEngine,
+    decode_frequency_wal,
+    deserialize_frequency_session,
+    encode_frequency_wal,
+    serialize_frequency_session,
 )
-from repro.durability.wal import frame, replay_wal
 from repro.problems.frequency import (
     FrequencyPlan,
     build_frequency_sketch,
     plan_frequency_sketch,
 )
-from repro.serving.streaming import RestoreReport
+from repro.serving.sessions import DurableSessionManager
 
 __all__ = [
     "FrequencyIngestReport",
@@ -58,12 +55,6 @@ __all__ = [
     "FrequencySession",
     "FrequencySessionManager",
 ]
-
-#: Record kinds of the frequency durability payloads.
-_CHECKPOINT_KIND = "frequency-session"
-_WAL_KIND = "frequency-wal"
-
-FrequencyEngine = Union[FrequencySketch, HierarchicalFrequencySketch]
 
 
 @dataclass
@@ -128,41 +119,12 @@ class FrequencySession:
         }
 
 
-class FrequencySessionManager:
-    """Owns every live :class:`FrequencySession` of one server."""
+class FrequencySessionManager(DurableSessionManager):
+    """Frequency-analytics sessions: one planned frequency sketch each."""
 
-    def __init__(self, server) -> None:
-        self._server = server
-        self._sessions: Dict[int, FrequencySession] = {}
+    label = "frequency"
+    key_prefix = "freq-session-"
 
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    def __contains__(self, session_id: int) -> bool:
-        return session_id in self._sessions
-
-    def _get(self, session_id: int) -> FrequencySession:
-        session = self._sessions.get(session_id)
-        if session is None:
-            raise KeyError(f"unknown or closed frequency session {session_id}")
-        return session
-
-    def session(self, session_id: int) -> FrequencySession:
-        """The live session object (for the runtime and tests)."""
-        return self._get(session_id)
-
-    @property
-    def _durability(self):
-        return self._server.config.durability
-
-    @staticmethod
-    def _key(session_id: int) -> str:
-        return f"freq-session-{session_id}"
-
-    def _touch(self, session: FrequencySession) -> None:
-        session.last_used = self._server.pool[session.shard].elapsed
-
-    # ------------------------------------------------------------------
     def open(
         self,
         domain: int,
@@ -190,24 +152,20 @@ class FrequencySessionManager:
             need_ranges=need_ranges,
             max_width=max_width,
         )
+        self._table.admit()
         shard = server.scheduler.place()
         use_seed = int(seed if seed is not None else server.config.seed)
         engine = build_frequency_sketch(
             plan, executor=server.pool[shard], seed=use_seed
         )
-        session_id = server._next_id
-        server._next_id += 1
         session = FrequencySession(
-            session_id=session_id, engine=engine, plan=plan, shard=shard, seed=use_seed
+            session_id=self._next_id(), engine=engine, plan=plan, shard=shard, seed=use_seed
         )
-        self._sessions[session_id] = session
-        self._touch(session)
         server.telemetry.record_frequency_open()
-        if self._durability is not None:
-            # Baseline checkpoint: the plan and seed live in the snapshot,
-            # so WAL-only batches are recoverable from the very first append.
-            self.checkpoint(session_id)
-        return session_id
+        return self._add(session)
+
+    def _on_close(self) -> None:
+        self._server.telemetry.record_frequency_close()
 
     # ------------------------------------------------------------------
     def append(
@@ -217,45 +175,20 @@ class FrequencySessionManager:
 
         ``root`` is an optional trace root (the runtime passes the one it
         opened at admission); without one a standalone ``frequency_ingest``
-        trace is started here.  With durability, the batch is framed into
-        the session's WAL before it is folded.
+        trace is started here.  The batch is validated before anything
+        else; with durability it is then framed into the session's WAL
+        before it is folded.
         """
-        session = self._get(session_id)
+        session = self._resolve(session_id)
         server = self._server
         tracer = server.tracer
         own_root = root is None and tracer.enabled
-        ids_arr = np.atleast_1d(np.asarray(ids, dtype=np.int64)).ravel()
-        w_arr = (
-            None
-            if weights is None
-            else np.asarray(weights, dtype=np.float64).ravel()
-        )
-        durability = self._durability
-        if durability is not None and ids_arr.size:
-            payload = encode_record(
-                _WAL_KIND,
-                {"seq": session.durable_seq},
-                {
-                    "ids": ids_arr,
-                    "weights": w_arr if w_arr is not None else np.zeros(0),
-                },
-            )
-            durability.store.append_wal(self._key(session_id), frame(payload))
-            session.durable_seq += 1
-            session.wal_batches += 1
-            server.telemetry.record_wal_append(len(payload))
-
+        ids_arr, w_arr = self._write_ahead(session, ids, weights)
         shard_clock = server.pool[session.shard]
         start = shard_clock.elapsed
-        session.engine.update(ids_arr, w_arr)
+        self._fold(session, ids_arr, w_arr)
         end = shard_clock.elapsed
-        session.batches += 1
-        self._touch(session)
-        if (
-            durability is not None
-            and session.wal_batches >= durability.checkpoint_interval_batches
-        ):
-            self.checkpoint(session_id)
+        self._folded(session)
         server.telemetry.record_frequency_ingest(int(ids_arr.size), end - start)
         if tracer.enabled:
             if own_root:
@@ -275,21 +208,32 @@ class FrequencySessionManager:
             shard=session.shard,
         )
 
+    @staticmethod
+    def _validate(session: FrequencySession, ids, weights) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        ids = as_index_array(ids, session.plan.domain)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64).ravel()
+            if weights.shape[0] != ids.shape[0]:
+                raise ValueError(f"expected {ids.shape[0]} weights, got {weights.shape[0]}")
+        return ids, weights
+
+    _encode_batch = staticmethod(encode_frequency_wal)
+
     # ------------------------------------------------------------------
-    def _respond(
-        self,
-        session: FrequencySession,
-        kind: str,
-        value,
-        start: float,
-        end: float,
-        answer_bytes: float,
-        root,
-        own_root: bool,
-        **extra,
-    ) -> FrequencyQueryResponse:
-        """Shared query epilogue: comm charge, telemetry, tracing, response."""
+    def _serve(self, session_id: int, kind: str, root, ask) -> FrequencyQueryResponse:
+        """Run one query on the session's shard clock and respond.
+
+        ``ask(session)`` computes the library-exact answer and returns
+        ``(value, answer_bytes, extra)``; the epilogue charges the answer's
+        transfer, records telemetry and spans, and builds the response.
+        """
+        session = self._resolve(session_id)
         server = self._server
+        own_root = root is None and server.tracer.enabled
+        shard_clock = server.pool[session.shard]
+        start = shard_clock.elapsed
+        value, answer_bytes, extra = ask(session)
+        end = shard_clock.elapsed
         comm_seconds = server.scheduler.charge_transfer(
             f"frequency_{kind}", answer_bytes
         )
@@ -338,36 +282,25 @@ class FrequencySessionManager:
         with an optional top-``k`` truncation.  ``value`` is the engine's
         ``(id, estimate)`` list, bit-for-bit.
         """
-        session = self._get(session_id)
-        use_phi = float(phi if phi is not None else session.plan.phi)
-        engine = session.engine
-        shard_clock = self._server.pool[session.shard]
-        start = shard_clock.elapsed
-        if isinstance(engine, HierarchicalFrequencySketch):
-            use_k = int(k if k is not None else int(np.ceil(1.0 / use_phi)))
-            value: List[Tuple[int, float]] = engine.top_k(use_k, use_phi)
-        else:
-            value = engine.heavy_hitters(use_phi)
-            if k is not None:
-                value = value[: int(k)]
-        end = shard_clock.elapsed
-        answer_bytes = 16.0 * max(1, len(value))
-        return self._respond(
-            session, "heavy_hitters", value, start, end, answer_bytes,
-            root, root is None and self._server.tracer.enabled,
-            phi=use_phi, hits=len(value),
-        )
+
+        def ask(session: FrequencySession):
+            use_phi = float(phi if phi is not None else session.plan.phi)
+            engine = session.engine
+            if isinstance(engine, HierarchicalFrequencySketch):
+                use_k = int(k if k is not None else int(np.ceil(1.0 / use_phi)))
+                value: List[Tuple[int, float]] = engine.top_k(use_k, use_phi)
+            else:
+                value = engine.heavy_hitters(use_phi)
+                if k is not None:
+                    value = value[: int(k)]
+            return value, 16.0 * max(1, len(value)), {"phi": use_phi, "hits": len(value)}
+
+        return self._serve(session_id, "heavy_hitters", root, ask)
 
     def query_norm(self, session_id: int, *, root=None) -> FrequencyQueryResponse:
         """Serve the session's l2-norm estimate (``value`` is a float)."""
-        session = self._get(session_id)
-        shard_clock = self._server.pool[session.shard]
-        start = shard_clock.elapsed
-        value = session.engine.l2_estimate()
-        end = shard_clock.elapsed
-        return self._respond(
-            session, "norm", value, start, end, 8.0,
-            root, root is None and self._server.tracer.enabled,
+        return self._serve(
+            session_id, "norm", root, lambda session: (session.engine.l2_estimate(), 8.0, {})
         )
 
     def query_range(
@@ -379,240 +312,55 @@ class FrequencySessionManager:
         ``need_ranges=True`` or an address-space domain); a flat session
         raises ``RuntimeError`` -- a typed refusal, not a silent scan.
         """
-        session = self._get(session_id)
-        if not isinstance(session.engine, HierarchicalFrequencySketch):
-            raise RuntimeError(
-                f"frequency session {session_id} was opened without range "
-                f"support; open with need_ranges=True for dyadic range queries"
-            )
-        shard_clock = self._server.pool[session.shard]
-        start = shard_clock.elapsed
-        value = session.engine.range_query(lo, hi)
-        end = shard_clock.elapsed
-        return self._respond(
-            session, "range", value, start, end, 8.0,
-            root, root is None and self._server.tracer.enabled,
-            lo=int(lo), hi=int(hi),
-        )
+
+        def ask(session: FrequencySession):
+            if not isinstance(session.engine, HierarchicalFrequencySketch):
+                raise RuntimeError(
+                    f"frequency session {session_id} was opened without range "
+                    f"support; open with need_ranges=True for dyadic range queries"
+                )
+            return session.engine.range_query(lo, hi), 8.0, {"lo": int(lo), "hi": int(hi)}
+
+        return self._serve(session_id, "range", root, ask)
 
     def query_point(
         self, session_id: int, ids, *, root=None
     ) -> FrequencyQueryResponse:
         """Serve point estimates for the given ids (``value`` is an array)."""
-        session = self._get(session_id)
-        shard_clock = self._server.pool[session.shard]
-        start = shard_clock.elapsed
-        value = session.engine.point_query(ids)
-        end = shard_clock.elapsed
-        return self._respond(
-            session, "point", value, start, end, 8.0 * max(1, value.size),
-            root, root is None and self._server.tracer.enabled,
-            count=int(value.size),
-        )
+
+        def ask(session: FrequencySession):
+            value = session.engine.point_query(ids)
+            return value, 8.0 * max(1, value.size), {"count": int(value.size)}
+
+        return self._serve(session_id, "point", root, ask)
 
     # ------------------------------------------------------------------
-    def close(self, session_id: int) -> Dict[str, float]:
-        """Close a session and return its final stats (durable state deleted)."""
-        session = self._sessions.pop(session_id, None)
-        if session is None:
-            raise KeyError(f"unknown or closed frequency session {session_id}")
-        stats = session.stats()
-        if self._durability is not None:
-            self._durability.store.delete(self._key(session_id))
-        self._server.telemetry.record_frequency_close()
-        return stats
-
+    # durability: the frequency codec (repro.durability.session)
     # ------------------------------------------------------------------
-    # durability: checkpoint / restore
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _encode_engine_state(engine: FrequencyEngine) -> Tuple[dict, Dict[str, np.ndarray]]:
-        """Split an engine's ``state_dict`` into JSON meta + raw arrays."""
-        state = engine.state_dict()
-        if isinstance(engine, HierarchicalFrequencySketch):
-            arrays: Dict[str, np.ndarray] = {}
-            levels_meta = []
-            for i, sub in enumerate(state["levels"]):
-                sub = dict(sub)
-                table = sub.pop("table")
-                if table is not None:
-                    arrays[f"level_{i}"] = table
-                levels_meta.append(sub)
-            return {"hierarchical": True, "branch": state["branch"], "levels": levels_meta}, arrays
-        state = dict(state)
-        table = state.pop("table")
-        arrays = {"table": table} if table is not None else {}
-        state["hierarchical"] = False
-        return state, arrays
-
-    @staticmethod
-    def _decode_engine_state(engine: FrequencyEngine, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
-        """Rebuild and load the ``state_dict`` the encoder split apart."""
-        if meta.get("hierarchical"):
-            if not isinstance(engine, HierarchicalFrequencySketch):
-                raise SchemaError("hierarchical snapshot for a flat frequency engine")
-            levels = []
-            for i, sub in enumerate(meta["levels"]):
-                sub = dict(sub)
-                sub["table"] = arrays.get(f"level_{i}")
-                levels.append(sub)
-            engine.load_state({"branch": meta["branch"], "levels": levels})
-        else:
-            if isinstance(engine, HierarchicalFrequencySketch):
-                raise SchemaError("flat snapshot for a hierarchical frequency engine")
-            state = dict(meta)
-            state.pop("hierarchical", None)
-            state["table"] = arrays.get("table")
-            engine.load_state(state)
-
     def checkpoint(self, session_id: int) -> int:
-        """Snapshot one session and truncate its WAL; returns blob size."""
-        if self._durability is None:
-            raise RuntimeError("server has no durability config; nothing to checkpoint to")
+        """Snapshot one live session and truncate its WAL; returns blob size."""
         session = self._get(session_id)
-        state_meta, arrays = self._encode_engine_state(session.engine)
-        plan = session.plan
-        blob = encode_record(
-            _CHECKPOINT_KIND,
-            {
-                "session_id": session.session_id,
-                "durable_seq": session.durable_seq,
-                "queries": session.queries,
-                "batches": session.batches,
-                "seed": session.seed,
-                "plan": {
-                    "domain": plan.domain,
-                    "phi": plan.phi,
-                    "delta": plan.delta,
-                    "branch": plan.branch,
-                    "need_ranges": plan.hierarchical,
-                    "max_width": plan.width,
-                },
-                "state": state_meta,
-            },
-            arrays,
+        meta = dict(self._session_meta(session), batches=session.batches)
+        blob = serialize_frequency_session(session.engine, session.plan, session.seed, meta)
+        return self._write_checkpoint(session, blob)
+
+    def _decode_checkpoint(self, session_id: int, blob: bytes, shard: int):
+        engine, plan, seed, meta = deserialize_frequency_session(
+            blob, executor=self._server.pool[shard]
         )
-        store = self._durability.store
-        key = self._key(session_id)
-        store.write_checkpoint(key, blob)
-        store.reset_wal(key)
-        session.wal_batches = 0
-        self._server.telemetry.record_checkpoint(len(blob))
-        return len(blob)
-
-    def save(self) -> Dict[int, int]:
-        """Checkpoint every live session; maps session id -> snapshot bytes."""
-        return {sid: self.checkpoint(sid) for sid in sorted(self._sessions)}
-
-    def _restore_one(self, session_id: int) -> Tuple[FrequencySession, int]:
-        """Rebuild one session from checkpoint + WAL tail; returns replay count."""
-        durability = self._durability
-        if durability is None:
-            raise RuntimeError("server has no durability config; nothing to restore from")
-        server = self._server
-        store = durability.store
-        key = self._key(session_id)
-        blob = store.read_checkpoint(key)
-        if blob is None:
-            raise KeyError(f"no checkpoint stored for frequency session {session_id}")
-        try:
-            record = decode_record(blob, expect_kind=_CHECKPOINT_KIND)
-        except DurabilityError:
-            server.telemetry.record_corrupt_checkpoint()
-            raise
-        meta = record.meta
-        try:
-            base_seq = int(meta["durable_seq"])
-            plan_meta = dict(meta["plan"])
-            seed = int(meta["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            server.telemetry.record_corrupt_checkpoint()
-            raise SchemaError("frequency checkpoint is missing required metadata") from exc
-
-        plan = plan_frequency_sketch(
-            int(plan_meta["domain"]),
-            float(plan_meta["phi"]),
-            float(plan_meta["delta"]),
-            branch=int(plan_meta["branch"]),
-            need_ranges=bool(plan_meta["need_ranges"]),
-            max_width=int(plan_meta["max_width"]),
-        )
-        shard = server.scheduler.place()
-        engine = build_frequency_sketch(plan, executor=server.pool[shard], seed=seed)
-        self._decode_engine_state(engine, dict(meta["state"]), record.arrays)
-
-        replay = replay_wal(store.read_wal(key))
-        if not replay.clean:
-            server.telemetry.record_wal_truncation()
-        replayed = 0
-        next_seq = base_seq
-        for payload in replay.payloads:
-            try:
-                wal = decode_record(payload, expect_kind=_WAL_KIND)
-                seq = int(wal.meta["seq"])
-            except (DurabilityError, KeyError, TypeError, ValueError):
-                server.telemetry.record_wal_truncation()
-                break
-            if seq < base_seq:
-                continue  # already inside the checkpoint: exactly-once replay
-            ids = wal.arrays["ids"]
-            weights = wal.arrays.get("weights")
-            if weights is not None and weights.size == 0:
-                weights = None
-            engine.update(ids, weights)
-            replayed += 1
-            next_seq = seq + 1
-
         session = FrequencySession(
             session_id=session_id,
             engine=engine,
             plan=plan,
             shard=shard,
             seed=seed,
-            batches=int(meta.get("batches", 0)) + replayed,
-            queries=int(meta.get("queries", 0)),
-            durable_seq=next_seq,
+            batches=int(meta.get("batches", 0)),
         )
-        self._sessions[session_id] = session
-        self._touch(session)
-        server._next_id = max(server._next_id, session_id + 1)
-        server.telemetry.record_restore(replayed)
-        self.checkpoint(session_id)
-        return session, replayed
+        return session, meta
 
-    def restore(self, session_id: int) -> FrequencySession:
-        """Restore one session from its durable state (checkpoint + WAL)."""
-        if session_id in self._sessions:
-            return self._sessions[session_id]
-        session, _replayed = self._restore_one(session_id)
-        return session
+    _decode_batch = staticmethod(decode_frequency_wal)
 
-    def restore_all(self) -> RestoreReport:
-        """Restore every durable frequency session from checkpoint + WAL.
-
-        Returns a :class:`~repro.serving.streaming.RestoreReport`:
-        ``restored`` maps session ids to replayed WAL batches,
-        unrecoverable sessions land in ``failed`` with their typed error
-        string -- the fallback is a running server without that session,
-        never a wrong answer.
-        """
-        if self._durability is None:
-            raise RuntimeError("server has no durability config; nothing to restore from")
-        report = RestoreReport()
-        prefix = "freq-session-"
-        for key in self._durability.store.keys():
-            if not key.startswith(prefix):
-                continue
-            try:
-                session_id = int(key[len(prefix):])
-            except ValueError:
-                continue
-            if session_id in self._sessions:
-                continue
-            try:
-                _session, replayed = self._restore_one(session_id)
-            except (DurabilityError, KeyError) as exc:
-                report.failed[session_id] = f"{type(exc).__name__}: {exc}"
-                continue
-            report.restored[session_id] = replayed
-        return report
+    @staticmethod
+    def _fold(session: FrequencySession, ids: np.ndarray, weights: Optional[np.ndarray]) -> None:
+        session.engine.update(ids, weights)
+        session.batches += 1

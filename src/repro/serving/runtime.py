@@ -55,7 +55,9 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -189,7 +191,7 @@ class RuntimeFuture:
 class _LaneItem:
     """One non-batchable work item (ridge solve, stream append/query)."""
 
-    kind: str  # "ridge" | "append" | "query"
+    kind: str  # "ridge" or a stream-lane op ("append", "query", "freq_hh", ...)
     priority: int
     seq: int
     admitted_at: float
@@ -627,9 +629,22 @@ class AsyncSketchServer:
     # ------------------------------------------------------------------
     # streaming through the queue
     # ------------------------------------------------------------------
+    def _quiesced(self) -> ExitStack:
+        """Hold the dispatch lock and every shard lock: no shard work in flight.
+
+        Session admission may evict (checkpoint) any live session, and a
+        resurrection or a passivated close replays onto a shard clock, so
+        each runs only while no worker is folding into a session.
+        """
+        stack = ExitStack()
+        stack.enter_context(self._lock)
+        for lock in self._shard_locks:
+            stack.enter_context(lock)
+        return stack
+
     def open_stream(self, n: int, **options) -> int:
         """Open a streaming session (control plane: immediate, not queued)."""
-        with self._lock:
+        with self._quiesced():
             return self.server.open_stream(n, **options)
 
     def append_rows(
@@ -643,18 +658,20 @@ class AsyncSketchServer:
         The future resolves to the session's
         :class:`~repro.streaming.solver.IngestReport`.
         """
-        return self._submit_stream("append", session_id, (np.asarray(rows), np.asarray(targets)))
+        return self._submit_stream(
+            "append", self.server.append_rows, session_id, np.asarray(rows), np.asarray(targets)
+        )
 
     def query_solution(self, session_id: int) -> RuntimeFuture:
         """Admit one solution query for a session (``stream`` lane)."""
-        return self._submit_stream("query", session_id, ())
+        return self._submit_stream("query", self.server.query_solution, session_id)
 
     # ------------------------------------------------------------------
     # frequency sessions through the queue (same lane as streaming)
     # ------------------------------------------------------------------
     def open_frequency_stream(self, domain: int, **options) -> int:
         """Open a frequency session (control plane: immediate, not queued)."""
-        with self._lock:
+        with self._quiesced():
             return self.server.open_frequency_stream(domain, **options)
 
     def append_items(self, session_id: int, ids, weights=None) -> RuntimeFuture:
@@ -665,43 +682,37 @@ class AsyncSketchServer:
         order, different sessions interleave freely.  The future resolves to
         a :class:`~repro.serving.frequency.FrequencyIngestReport`.
         """
-        return self._submit_stream("freq_append", session_id, (ids, weights))
+        return self._submit_stream("freq_append", self.server.append_items, session_id, ids, weights)
 
     def query_heavy_hitters(
         self, session_id: int, *, k: Optional[int] = None, phi: Optional[float] = None
     ) -> RuntimeFuture:
         """Admit one heavy-hitter query (``stream`` lane); resolves to the
         session's :class:`~repro.serving.frequency.FrequencyQueryResponse`."""
-        return self._submit_stream("freq_hh", session_id, (k, phi))
+        return self._submit_stream(
+            "freq_hh", self.server.query_heavy_hitters, session_id, k=k, phi=phi
+        )
 
     def query_norm(self, session_id: int) -> RuntimeFuture:
         """Admit one l2-norm query for a frequency session (``stream`` lane)."""
-        return self._submit_stream("freq_norm", session_id, ())
+        return self._submit_stream("freq_norm", self.server.query_norm, session_id)
 
     def query_range(self, session_id: int, lo: int, hi: int) -> RuntimeFuture:
         """Admit one dyadic range query for a frequency session."""
-        return self._submit_stream("freq_range", session_id, (int(lo), int(hi)))
+        return self._submit_stream("freq_range", self.server.query_range, session_id, int(lo), int(hi))
 
     def query_point(self, session_id: int, ids) -> RuntimeFuture:
         """Admit one point-frequency query for a frequency session."""
-        return self._submit_stream("freq_point", session_id, (ids,))
+        return self._submit_stream("freq_point", self.server.query_point, session_id, ids)
 
     def close_frequency_stream(self, session_id: int) -> Dict[str, float]:
         """Close a frequency session after its queued work drains."""
-        with self._work:
-            self._work.wait_for(
-                lambda: not self._stream_queues.get(session_id)
-                and session_id not in self._stream_busy
-            )
-            self._stream_queues.pop(session_id, None)
-            return self.server.close_frequency_stream(session_id)
+        return self._close_session(self.server.close_frequency_stream, session_id)
 
-    def _submit_stream(self, kind: str, session_id: int, payload: Tuple) -> RuntimeFuture:
+    def _submit_stream(self, kind: str, endpoint, session_id: int, *args, **kwargs) -> RuntimeFuture:
+        """Queue one session call; the lane item carries it, bound but for ``root``."""
         with self._work:
-            if (
-                session_id not in self.server.streams
-                and session_id not in self.server.frequencies
-            ):
+            if session_id not in self.server.sessions.owner:  # live or passivated
                 raise KeyError(f"unknown or closed streaming session {session_id}")
             admitted_at = self._admit_locked("stream")
             future = RuntimeFuture("stream", session_id)
@@ -711,7 +722,7 @@ class AsyncSketchServer:
                 seq=self._seq,
                 admitted_at=admitted_at,
                 future=future,
-                payload=(session_id,) + payload,
+                payload=(session_id, partial(endpoint, session_id, *args, **kwargs)),
                 root=self._start_root_locked(
                     "stream", admitted_at, session_id, op=kind
                 ),
@@ -726,13 +737,17 @@ class AsyncSketchServer:
 
     def close_stream(self, session_id: int) -> Dict[str, float]:
         """Close a session after its queued work drains; returns final stats."""
+        return self._close_session(self.server.close_stream, session_id)
+
+    def _close_session(self, close, session_id: int) -> Dict[str, float]:
         with self._work:
             self._work.wait_for(
                 lambda: not self._stream_queues.get(session_id)
                 and session_id not in self._stream_busy
             )
             self._stream_queues.pop(session_id, None)
-            return self.server.close_stream(session_id)
+            with self._quiesced():
+                return close(session_id)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -941,40 +956,21 @@ class AsyncSketchServer:
 
     # -- stream lane ----------------------------------------------------
     def _dispatch_stream(self, item: _LaneItem) -> None:
-        session_id = item.payload[0]
+        session_id, call = item.payload
+        sessions = self.server.sessions
         try:
-            if item.kind.startswith("freq_"):
-                session = self.server.frequencies.session(session_id)
-            else:
-                session = self.server.streams.session(session_id)
-            with self._shard_locks[session.shard]:
-                if item.kind == "append":
-                    _, rows, targets = item.payload
-                    result: object = self.server.append_rows(
-                        session_id, rows, targets, root=item.root
-                    )
-                elif item.kind == "query":
-                    result = self.server.query_solution(session_id, root=item.root)
-                elif item.kind == "freq_append":
-                    _, ids, weights = item.payload
-                    result = self.server.append_items(
-                        session_id, ids, weights, root=item.root
-                    )
-                elif item.kind == "freq_hh":
-                    _, k, phi = item.payload
-                    result = self.server.query_heavy_hitters(
-                        session_id, k=k, phi=phi, root=item.root
-                    )
-                elif item.kind == "freq_norm":
-                    result = self.server.query_norm(session_id, root=item.root)
-                elif item.kind == "freq_range":
-                    _, lo, hi = item.payload
-                    result = self.server.query_range(session_id, lo, hi, root=item.root)
-                elif item.kind == "freq_point":
-                    _, ids = item.payload
-                    result = self.server.query_point(session_id, ids, root=item.root)
-                else:  # pragma: no cover - submit() only produces the kinds above
-                    raise RuntimeError(f"unknown stream-lane kind {item.kind!r}")
+            while True:
+                session = sessions.live.get(session_id)
+                if session is None:
+                    # Resurrection goes through admission like an open.
+                    with self._quiesced():
+                        session = sessions.resolve(session_id)
+                with self._shard_locks[session.shard]:
+                    # Evictions run quiesced, so a session still live here
+                    # stays live until the call returns.
+                    if sessions.live.get(session_id) is session:
+                        result = call(root=item.root)
+                        break
             done_at = self.server.pool[session.shard].elapsed
             self.telemetry.record_lane_latency(
                 "stream", max(0.0, done_at - item.admitted_at)

@@ -71,9 +71,9 @@ from repro.serving.frequency import (
     FrequencyQueryResponse,
     FrequencySessionManager,
 )
+from repro.serving.sessions import RestoreReport, SessionTable
 from repro.serving.streaming import (
     IngestReport,
-    RestoreReport,
     StreamingSessionManager,
     StreamSolutionResponse,
 )
@@ -156,20 +156,23 @@ class ServerConfig:
         deadline-shedding projections and reservation estimates all use
         calibrated costs).
     durability:
-        A :class:`~repro.durability.store.DurabilityConfig` to make
-        streaming sessions crash-safe: every append is WAL'd before it is
-        folded, sessions are snapshotted every
-        ``checkpoint_interval_batches`` appends, and
+        A :class:`~repro.durability.store.DurabilityConfig` to make every
+        session -- streaming-solver and frequency alike -- crash-safe:
+        every append is validated and WAL'd before it is folded, sessions
+        are snapshotted every ``checkpoint_interval_batches`` appends, and
         :meth:`SketchServer.restore` rebuilds them after a process death.
         ``None`` (default) keeps sessions purely in-memory.
     max_sessions:
-        Cap on simultaneously *live* streaming sessions; opening past it
-        evicts the least-recently-used one (passivated when durable,
-        terminal otherwise).  ``None`` means unbounded.
+        Cap on simultaneously *live* sessions of both kinds together (one
+        table, :attr:`SketchServer.sessions`); opening a session, or
+        resurrecting a passivated one, past it evicts the
+        least-recently-used session of either kind (passivated when
+        durable, terminal otherwise).  ``None`` means unbounded.
     session_ttl_seconds:
-        Idle lifetime of a streaming session on its shard's simulated
-        clock; sessions idle longer are evicted on the next ``open`` (or
-        an explicit ``streams.sweep_expired()``).  ``None`` disables TTL.
+        Idle lifetime of a session of either kind on its shard's simulated
+        clock; sessions idle longer are evicted on the next open or
+        resurrection of any session (or an explicit
+        ``sessions.sweep_expired()``).  ``None`` disables TTL.
     """
 
     kind: str = "multisketch"
@@ -288,6 +291,8 @@ class SketchServer:
         self._batcher = MicroBatcher(max_batch=config.max_batch)
         self.streams = StreamingSessionManager(self)
         self.frequencies = FrequencySessionManager(self)
+        #: Every live or passivated session of both kinds (one LRU/TTL/cap).
+        self.sessions = SessionTable(self, (self.streams, self.frequencies))
         self._next_id = 0
         self._batch_seq = 0
         # Conditioning probes are pure functions of the matrix; memoise them
@@ -933,7 +938,7 @@ class SketchServer:
         return self.frequencies.close(session_id)
 
     # ------------------------------------------------------------------
-    # durability (see repro.durability / repro.serving.streaming)
+    # durability (see repro.durability / repro.serving.sessions)
     # ------------------------------------------------------------------
     def save(self) -> Dict[int, int]:
         """Checkpoint every live session to the durability store.
@@ -944,9 +949,7 @@ class SketchServer:
         stream).  Each session's WAL is truncated after its snapshot, so a
         ``save()`` is a clean recovery point with nothing to replay.
         """
-        saved = self.streams.save()
-        saved.update(self.frequencies.save())
-        return saved
+        return self.sessions.save()
 
     def restore(self) -> RestoreReport:
         """Rebuild every durable session from checkpoint + WAL-tail replay.
@@ -960,11 +963,7 @@ class SketchServer:
         ``server.streams.restore(session_id)`` /
         ``server.frequencies.restore(session_id)``.
         """
-        report = self.streams.restore_all()
-        freq_report = self.frequencies.restore_all()
-        report.restored.update(freq_report.restored)
-        report.failed.update(freq_report.failed)
-        return report
+        return self.sessions.restore_all()
 
     # ------------------------------------------------------------------
     # problem-class endpoints (see repro.problems)

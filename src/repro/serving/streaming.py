@@ -19,38 +19,30 @@ Per-session telemetry (rows/sec ingest, re-solve counts, staleness at query
 time, drift events) lands both on the session's own stats and in the
 server-wide :class:`~repro.serving.telemetry.ServingTelemetry` snapshot.
 
-**Durability.**  When the server's config carries a
-:class:`~repro.durability.store.DurabilityConfig`, every session is also a
-durable object: each appended batch is framed into the session's write-ahead
-log *before* it is folded into the window sketch, and every
-``checkpoint_interval_batches`` appends the whole engine state is
-snapshotted (:func:`~repro.durability.session.serialize_session`) and the
-WAL truncated.  :meth:`StreamingSessionManager.restore` rebuilds a session
-from its last checkpoint and replays the WAL tail -- sequence numbers make
-the replay exactly-once even if the process died between "write checkpoint"
-and "truncate WAL".  TTL/eviction policies bound live-session memory:
-evicted durable sessions are *passivated* (final checkpoint, cache pin
-released) and transparently resurrected on their next append or query;
-without durability an evicted session simply behaves as closed.
+**Lifecycle and durability** are shared with frequency sessions
+(:mod:`repro.serving.sessions`): one session table bounds both kinds, and
+with a durability config every batch is write-ahead-logged before it is
+folded and the engine is snapshotted with
+:func:`~repro.durability.session.serialize_session`.  This module keeps
+what is specific to the kind: the engine, its fold and query, and the
+session's operator-cache pin (released while a session is passivated).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.durability.codec import DurabilityError, SchemaError
 from repro.durability.session import (
     decode_wal_batch,
     deserialize_session,
     encode_wal_batch,
     serialize_session,
 )
-from repro.durability.wal import frame, replay_wal
 from repro.serving.cache import CacheEntry, operator_cache_key
-from repro.streaming.drift import DriftEvent
+from repro.serving.sessions import DurableSessionManager, RestoreReport
 from repro.streaming.solver import IngestReport, StreamingSolver
 from repro.streaming.state import STREAM_CAPACITY
 
@@ -112,26 +104,6 @@ class StreamSession:
 
 
 @dataclass
-class RestoreReport:
-    """Outcome of a :meth:`StreamingSessionManager.restore_all` sweep.
-
-    ``restored`` maps recovered session ids to the number of WAL batches
-    replayed on top of their checkpoints; ``failed`` maps unrecoverable ids
-    to ``"ErrorType: message"`` strings (typed durability errors -- a corrupt
-    checkpoint lands here and the server keeps running, it never serves from
-    damaged state).
-    """
-
-    restored: Dict[int, int] = field(default_factory=dict)
-    failed: Dict[int, str] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every durable session came back."""
-        return not self.failed
-
-
-@dataclass
 class StreamSolutionResponse:
     """Answer to one ``query_solution`` request.
 
@@ -161,49 +133,12 @@ class StreamSolutionResponse:
     extra: Dict[str, object] = field(default_factory=dict)
 
 
-class StreamingSessionManager:
-    """Owns every live :class:`StreamSession` of one server."""
+class StreamingSessionManager(DurableSessionManager):
+    """Streaming least-squares sessions: one :class:`StreamingSolver` each."""
 
-    def __init__(self, server) -> None:
-        self._server = server
-        self._sessions: Dict[int, StreamSession] = {}
-        #: Evicted-but-durable session ids: resurrectable on next touch.
-        self._passivated: Set[int] = set()
+    label = "streaming"
+    key_prefix = "session-"
 
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    def __contains__(self, session_id: int) -> bool:
-        return session_id in self._sessions
-
-    def _get(self, session_id: int) -> StreamSession:
-        session = self._sessions.get(session_id)
-        if session is None:
-            raise KeyError(f"unknown or closed streaming session {session_id}")
-        return session
-
-    @property
-    def _durability(self):
-        return self._server.config.durability
-
-    @staticmethod
-    def _key(session_id: int) -> str:
-        return f"session-{session_id}"
-
-    def _touch(self, session: StreamSession) -> None:
-        session.last_used = self._server.pool[session.shard].elapsed
-
-    def _resolve(self, session_id: int) -> StreamSession:
-        """A live session, resurrecting a passivated one transparently."""
-        session = self._sessions.get(session_id)
-        if session is not None:
-            return session
-        if self._durability is not None and session_id in self._passivated:
-            session, _replayed = self._restore_one(session_id)
-            return session
-        raise KeyError(f"unknown or closed streaming session {session_id}")
-
-    # ------------------------------------------------------------------
     def open(
         self,
         n: int,
@@ -222,14 +157,7 @@ class StreamingSessionManager:
         """Open a session; returns its id (the server's request-id stream)."""
         server = self._server
         config = server.config
-        # Admission-side housekeeping: expire idle sessions first, then make
-        # room under the max_sessions cap (LRU passivation/eviction) so
-        # unbounded session churn can never exhaust memory.
-        self.sweep_expired()
-        if config.max_sessions is not None:
-            while len(self._sessions) >= config.max_sessions:
-                lru = min(self._sessions.values(), key=lambda s: s.last_used)
-                self.evict(lru.session_id, reason="capacity")
+        self._table.admit()
         if policy is None:
             # A fixed-policy server still streams adaptively: streaming
             # exists to re-route when windows drift.
@@ -254,25 +182,47 @@ class StreamingSessionManager:
             detector=detector,
             executor=server.pool[shard],
         )
-        session_id = server._next_id
-        server._next_id += 1
-        key: Optional[Tuple] = None
-        if solver.state.operator is not None:
-            # Operator-less window summaries (mode="fd" is deterministic)
-            # have no sketch state to pin; everything else lives in the
-            # cache under the session key for its lifetime.
-            key = stream_session_cache_key(session_id, n + 1, solver.k, solver.seed)
-            server.cache.put(key, CacheEntry(operator=solver.state.operator, shard=shard))
-        session = StreamSession(session_id=session_id, solver=solver, shard=shard, cache_key=key)
-        self._sessions[session_id] = session
-        self._touch(session)
+        session = StreamSession(
+            session_id=self._next_id(), solver=solver, shard=shard, cache_key=None
+        )
         server.telemetry.record_stream_open()
-        if self._durability is not None:
-            # An immediate baseline checkpoint: the session's *configuration*
-            # lives in the snapshot, so WAL-only batches appended before the
-            # first interval checkpoint are already recoverable.
-            self.checkpoint(session_id)
-        return session_id
+        return self._add(session)
+
+    def _pin(self, session: StreamSession) -> None:
+        """Pin the session's window sketch in the operator cache, or re-pin it.
+
+        Called at open and restore, and again on every ingest, because two
+        things can go stale in between: LRU pressure from batch traffic can
+        evict the session key (it is never ``get()``'d on the request
+        path), and a sliding ring's rotation or a drift reset can retire
+        the sketch object the entry was built from.  The entry is re-pointed
+        at the state's current live sketch (same hashed identity, so the
+        entry's ``state_key`` contract is untouched).  Operator-less window
+        summaries (``mode="fd"`` is deterministic) have nothing to pin.
+        """
+        solver = session.solver
+        if solver.state.operator is None:
+            return
+        if session.cache_key is None:
+            session.cache_key = stream_session_cache_key(
+                session.session_id, solver.n + 1, solver.k, solver.seed
+            )
+        cache = self._server.cache
+        entry = cache.peek(session.cache_key)
+        if entry is None:
+            cache.put(
+                session.cache_key, CacheEntry(operator=solver.state.operator, shard=session.shard)
+            )
+        else:
+            entry.operator = solver.state.operator
+            cache.touch(session.cache_key)
+
+    def _unpin(self, session: StreamSession) -> None:
+        if session.cache_key is not None:
+            self._server.cache.discard(session.cache_key)
+
+    def _on_close(self) -> None:
+        self._server.telemetry.record_stream_close()
 
     # ------------------------------------------------------------------
     def append(
@@ -292,30 +242,9 @@ class StreamingSessionManager:
         server = self._server
         tracer = server.tracer
         own_root = root is None and tracer.enabled
-        durability = self._durability
-        if durability is not None:
-            # Write-ahead: the batch is validated, framed, and durable
-            # *before* it is folded, so a crash at any later point can only
-            # lose work the caller was never told succeeded.
-            rows_arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-            targets_arr = np.asarray(targets, dtype=np.float64).ravel()
-            if rows_arr.shape[1] != session.solver.n:
-                raise ValueError(
-                    f"expected rows with {session.solver.n} columns, got {rows_arr.shape}"
-                )
-            if targets_arr.shape[0] != rows_arr.shape[0]:
-                raise ValueError("need one target per row")
-            if rows_arr.shape[0] > 0:
-                payload = encode_wal_batch(session.durable_seq, rows_arr, targets_arr)
-                durability.store.append_wal(self._key(session_id), frame(payload))
-                session.durable_seq += 1
-                session.wal_batches += 1
-                server.telemetry.record_wal_append(len(payload))
-        report = session.solver.ingest(rows, targets)
-        self._refresh_cache_entry(session)
-        self._touch(session)
-        if durability is not None and session.wal_batches >= durability.checkpoint_interval_batches:
-            self.checkpoint(session_id)
+        rows, targets = self._write_ahead(session, rows, targets)
+        report = self._fold(session, rows, targets)
+        self._folded(session)
         telemetry = server.telemetry
         telemetry.record_stream_ingest(report.rows, report.simulated_seconds)
         if report.drift is not None:
@@ -349,29 +278,17 @@ class StreamingSessionManager:
                 tracer.end_trace(root, end)
         return report
 
-    def _refresh_cache_entry(self, session: StreamSession) -> None:
-        """Keep the session's cache entry warm and pointing at a live sketch.
+    @staticmethod
+    def _validate(session: StreamSession, rows, targets) -> Tuple[np.ndarray, np.ndarray]:
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        targets = np.asarray(targets, dtype=np.float64).ravel()
+        if rows.shape[1] != session.solver.n:
+            raise ValueError(f"expected rows with {session.solver.n} columns, got {rows.shape}")
+        if targets.shape[0] != rows.shape[0]:
+            raise ValueError("need one target per row")
+        return rows, targets
 
-        Two things can go stale between ingests: LRU pressure from batch
-        traffic can evict the session key (it is never ``get()``'d on the
-        request path), and a sliding ring's rotation or a drift reset can
-        retire the sketch object the entry was built from.  Every ingest
-        therefore re-pins the key and re-points the entry at the state's
-        current live sketch (same hashed identity, so the entry's
-        ``state_key`` contract is untouched).
-        """
-        if session.cache_key is None:
-            return  # operator-less summary (fd mode): nothing pinned
-        cache = self._server.cache
-        entry = cache.peek(session.cache_key)
-        if entry is None:
-            cache.put(
-                session.cache_key,
-                CacheEntry(operator=session.solver.state.operator, shard=session.shard),
-            )
-            return
-        entry.operator = session.solver.state.operator
-        cache.touch(session.cache_key)
+    _encode_batch = staticmethod(encode_wal_batch)
 
     # ------------------------------------------------------------------
     def query(self, session_id: int, *, root=None) -> StreamSolutionResponse:
@@ -442,212 +359,20 @@ class StreamingSessionManager:
         )
 
     # ------------------------------------------------------------------
-    def close(self, session_id: int) -> Dict[str, float]:
-        """Close a session, unpin its cache entry, return its final stats.
-
-        Closing is deliberate: the session's durable state (checkpoint +
-        WAL) is deleted too -- unlike eviction, there is nothing to come
-        back to.
-        """
-        session = self._sessions.pop(session_id, None)
-        if session is None:
-            if self._durability is not None and session_id in self._passivated:
-                # Resurrect just long enough to report final stats cleanly.
-                session, _ = self._restore_one(session_id)
-                self._sessions.pop(session_id, None)
-            else:
-                raise KeyError(f"unknown or closed streaming session {session_id}")
-        stats = session.stats()
-        if session.cache_key is not None:
-            self._server.cache.discard(session.cache_key)
-        if self._durability is not None:
-            self._durability.store.delete(self._key(session_id))
-            self._passivated.discard(session_id)
-            self._server.telemetry.set_passivated_sessions(len(self._passivated))
-        self._server.telemetry.record_stream_close()
-        return stats
-
-    # ------------------------------------------------------------------
-    # durability: checkpoint / restore
+    # durability: the stream codec (repro.durability.session)
     # ------------------------------------------------------------------
     def checkpoint(self, session_id: int) -> int:
-        """Snapshot one live session and truncate its WAL; returns blob size.
-
-        The snapshot records ``durable_seq``, so WAL entries written before
-        it (``seq < durable_seq``) are skipped at replay even when the
-        process dies between writing the checkpoint and truncating the log.
-        """
-        if self._durability is None:
-            raise RuntimeError("server has no durability config; nothing to checkpoint to")
+        """Snapshot one live session and truncate its WAL; returns blob size."""
         session = self._get(session_id)
-        blob = serialize_session(
-            session.solver,
-            {
-                "session_id": session.session_id,
-                "durable_seq": session.durable_seq,
-                "queries": session.queries,
-            },
-        )
-        store = self._durability.store
-        key = self._key(session_id)
-        store.write_checkpoint(key, blob)
-        store.reset_wal(key)
-        session.wal_batches = 0
-        self._server.telemetry.record_checkpoint(len(blob))
-        return len(blob)
+        blob = serialize_session(session.solver, self._session_meta(session))
+        return self._write_checkpoint(session, blob)
 
-    def save(self) -> Dict[int, int]:
-        """Checkpoint every live session; maps session id -> snapshot bytes."""
-        return {sid: self.checkpoint(sid) for sid in sorted(self._sessions)}
+    def _decode_checkpoint(self, session_id: int, blob: bytes, shard: int):
+        solver, meta = deserialize_session(blob, executor=self._server.pool[shard])
+        return StreamSession(session_id=session_id, solver=solver, shard=shard, cache_key=None), meta
 
-    def _restore_one(self, session_id: int) -> Tuple[StreamSession, int]:
-        """Rebuild one session from checkpoint + WAL tail; returns replay count."""
-        durability = self._durability
-        if durability is None:
-            raise RuntimeError("server has no durability config; nothing to restore from")
-        server = self._server
-        store = durability.store
-        key = self._key(session_id)
-        blob = store.read_checkpoint(key)
-        if blob is None:
-            raise KeyError(f"no checkpoint stored for streaming session {session_id}")
-        shard = server.scheduler.place()
-        try:
-            solver, session_meta = deserialize_session(blob, executor=server.pool[shard])
-        except DurabilityError:
-            server.telemetry.record_corrupt_checkpoint()
-            raise
-        try:
-            base_seq = int(session_meta["durable_seq"])
-        except (KeyError, TypeError, ValueError) as exc:
-            server.telemetry.record_corrupt_checkpoint()
-            raise SchemaError("session checkpoint is missing its durable_seq") from exc
+    _decode_batch = staticmethod(decode_wal_batch)
 
-        replay = replay_wal(store.read_wal(key))
-        if not replay.clean:
-            # A torn or corrupt tail is the expected shape of a crash: note
-            # it, replay the valid prefix, and move on.
-            server.telemetry.record_wal_truncation()
-        replayed = 0
-        next_seq = base_seq
-        for payload in replay.payloads:
-            try:
-                seq, rows, targets = decode_wal_batch(payload)
-            except DurabilityError:
-                server.telemetry.record_wal_truncation()
-                break
-            if seq < base_seq:
-                continue  # already inside the checkpoint: exactly-once replay
-            solver.ingest(rows, targets)
-            replayed += 1
-            next_seq = seq + 1
-
-        cache_key: Optional[Tuple] = None
-        if solver.state.operator is not None:
-            cache_key = stream_session_cache_key(session_id, solver.n + 1, solver.k, solver.seed)
-            server.cache.put(cache_key, CacheEntry(operator=solver.state.operator, shard=shard))
-        session = StreamSession(
-            session_id=session_id,
-            solver=solver,
-            shard=shard,
-            cache_key=cache_key,
-            queries=int(session_meta.get("queries", 0)),
-            durable_seq=next_seq,
-        )
-        self._sessions[session_id] = session
-        self._touch(session)
-        self._passivated.discard(session_id)
-        server.telemetry.set_passivated_sessions(len(self._passivated))
-        server._next_id = max(server._next_id, session_id + 1)
-        server.telemetry.record_restore(replayed)
-        # Re-checkpoint immediately: the restored state becomes the new
-        # baseline and any torn tail is cleared from the store.
-        self.checkpoint(session_id)
-        return session, replayed
-
-    def restore(self, session_id: int) -> StreamSession:
-        """Restore one session from its durable state (checkpoint + WAL)."""
-        if session_id in self._sessions:
-            return self._sessions[session_id]
-        session, _replayed = self._restore_one(session_id)
-        return session
-
-    def restore_all(self) -> RestoreReport:
-        """Restore every durable session the store knows; never raises.
-
-        Unrecoverable sessions (corrupt checkpoint, foreign record) land in
-        ``RestoreReport.failed`` with their typed error -- the fallback is a
-        running server without that session, not a wrong answer.
-        """
-        if self._durability is None:
-            raise RuntimeError("server has no durability config; nothing to restore from")
-        report = RestoreReport()
-        prefix = "session-"
-        for key in self._durability.store.keys():
-            if not key.startswith(prefix):
-                continue
-            try:
-                session_id = int(key[len(prefix):])
-            except ValueError:
-                continue
-            if session_id in self._sessions:
-                continue
-            try:
-                _session, replayed = self._restore_one(session_id)
-            except DurabilityError as exc:
-                report.failed[session_id] = f"{type(exc).__name__}: {exc}"
-            except KeyError as exc:
-                report.failed[session_id] = f"KeyError: {exc}"
-            else:
-                report.restored[session_id] = replayed
-        return report
-
-    # ------------------------------------------------------------------
-    # durability: TTL / eviction
-    # ------------------------------------------------------------------
-    def evict(self, session_id: int, *, reason: str = "manual") -> None:
-        """Evict a live session, releasing its memory and cache pin.
-
-        With durability the session is *passivated* -- final checkpoint,
-        then resurrect-on-touch; without it the eviction is terminal and a
-        later touch raises ``KeyError`` exactly like a closed session.
-        """
-        session = self._get(session_id)
-        if self._durability is not None:
-            self.checkpoint(session_id)
-            self._passivated.add(session_id)
-        self._sessions.pop(session_id, None)
-        if session.cache_key is not None:
-            self._server.cache.discard(session.cache_key)
-        telemetry = self._server.telemetry
-        telemetry.record_session_evicted(reason)
-        telemetry.set_passivated_sessions(len(self._passivated))
-
-    def sweep_expired(self) -> int:
-        """Evict every session idle past the server's TTL; returns the count.
-
-        Idleness is measured on the session's own shard clock (the simulated
-        timeline all serving latencies live on), from its last open, append
-        or query.
-        """
-        ttl = self._server.config.session_ttl_seconds
-        if ttl is None:
-            return 0
-        expired = [
-            s.session_id
-            for s in self._sessions.values()
-            if self._server.pool[s.shard].elapsed - s.last_used > ttl
-        ]
-        for session_id in expired:
-            self.evict(session_id, reason="ttl")
-        return len(expired)
-
-    @property
-    def passivated(self) -> Tuple[int, ...]:
-        """Ids of evicted-but-durable sessions (resurrectable on touch)."""
-        return tuple(sorted(self._passivated))
-
-    # ------------------------------------------------------------------
-    def session(self, session_id: int) -> StreamSession:
-        """The live session object (for tests and introspection)."""
-        return self._get(session_id)
+    @staticmethod
+    def _fold(session: StreamSession, rows: np.ndarray, targets: np.ndarray) -> IngestReport:
+        return session.solver.ingest(rows, targets)
