@@ -15,9 +15,17 @@ from repro.core.fwht import fwht_matrix
 from repro.core.gaussian import GaussianSketch
 from repro.core.multisketch import count_gauss
 from repro.core.srht import SRHT
+from repro.durability.codec import decode_record
+from repro.durability.session import FREQUENCY_SESSION_KIND, serialize_frequency_session
 from repro.gpu.executor import GPUExecutor
+from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
+from repro.workloads.streams import zipf_stream
 
 D, N = 1 << 15, 64
+
+#: A hierarchical frequency sketch over a 2^20-id domain at phi = 0.05
+#: (5 levels of 42 x 4800 counters), fed 4096-item Zipf batches.
+FREQ_DOMAIN, FREQ_PHI, FREQ_BATCH = 1 << 20, 0.05, 4096
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +82,27 @@ def test_wallclock_fwht(benchmark, matrix):
 def test_wallclock_gram_matrix(benchmark, matrix):
     result = benchmark(lambda: matrix.T @ matrix)
     assert result.shape == (N, N)
+
+
+@pytest.fixture(scope="module")
+def item_batch():
+    stream = zipf_stream(FREQ_DOMAIN, total_items=FREQ_BATCH, batch_size=FREQ_BATCH, seed=0)
+    return next(iter(stream)).ids
+
+
+def _frequency_sketch(executor):
+    plan = plan_frequency_sketch(FREQ_DOMAIN, FREQ_PHI, need_ranges=True)
+    return plan, build_frequency_sketch(plan, executor=executor, seed=5)
+
+
+def test_wallclock_hierarchical_frequency_update(benchmark, item_batch, executor):
+    _, sketch = _frequency_sketch(executor)
+    benchmark(sketch.update, item_batch)
+    assert sketch.items_seen >= FREQ_BATCH
+
+
+def test_wallclock_frequency_checkpoint_encode(benchmark, item_batch, executor):
+    plan, sketch = _frequency_sketch(executor)
+    sketch.update(item_batch)
+    blob = benchmark(serialize_frequency_session, sketch, plan, 5, {"durable_seq": 1})
+    assert decode_record(blob).kind == FREQUENCY_SESSION_KIND

@@ -55,7 +55,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.countsketch import DENSIFY_LIMIT, SketchMaterializationError
-from repro.core.sampling import hashed_row_map_and_signs
+from repro.core.sampling import (
+    hash_offsets,
+    hashed_row_map_and_signs,
+    hashed_table_map_and_signs,
+)
 from repro.gpu.device import H100_SXM5
 from repro.gpu.executor import GPUExecutor
 from repro.gpu.kernels import KernelClass, KernelRequest
@@ -76,11 +80,18 @@ _LEVEL_SEED_SALT = 0x85EBCA6B
 
 
 def as_index_array(ids, domain: int) -> np.ndarray:
-    """Validate and normalise item ids to a flat int64 array in ``[0, domain)``."""
-    if isinstance(ids, np.ndarray):
-        idx = ids.astype(np.int64, copy=False).ravel()
-    else:
-        idx = np.atleast_1d(np.asarray(ids, dtype=np.int64)).ravel()
+    """Validate and normalise item ids to a flat int64 array in ``[0, domain)``.
+
+    Float ids are accepted only when every one is a finite integer value;
+    a fractional, infinite or NaN id raises ``ValueError`` naming it rather
+    than being truncated onto a neighbouring id.
+    """
+    arr = ids if isinstance(ids, np.ndarray) else np.asarray(ids)
+    if arr.dtype.kind == "f":
+        bad = ~np.isfinite(arr) | (arr != np.trunc(arr))
+        if bad.any():
+            raise ValueError(f"item ids must be integers, got {float(arr[bad][0])!r}")
+    idx = arr.astype(np.int64, copy=False).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= domain):
         raise ValueError(f"item ids must lie in [0, {domain}), got range "
                          f"[{idx.min()}, {idx.max()}]")
@@ -132,6 +143,13 @@ class FrequencySketch:
             (self._depth, self._width), dtype=self._dtype, label="freq_table"
         )
         self._items_seen = 0
+        # Every counter is an integer of magnitude <= items_seen: true for a
+        # fresh table, kept by unweighted updates, ANDed by merges, cleared
+        # by weighted updates and scale(), recomputed by load_state().
+        self._integral = True
+        self._exact_items = 2 ** (np.finfo(self._dtype).nmant + 1) if self._dtype.kind == "f" else 0
+        self._offsets = hash_offsets(self._row_seed(r) for r in range(self._depth))
+        self._row_base = (np.arange(self._depth, dtype=np.int64) * self._width)[:, None]
         self._ex.launch(
             KernelRequest(
                 name="frequency_hash_setup",
@@ -195,6 +213,16 @@ class FrequencySketch:
             np.asarray(ids), self._width, self._row_seed(row)
         )
 
+    def _cells_and_signs(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(depth, len(idx))`` flat cell indices ``r * width + bucket`` and signs.
+
+        Row ``r`` matches :meth:`buckets_and_signs` for row ``r``; all rows
+        come from one broadcast hash.
+        """
+        buckets, signs = hashed_table_map_and_signs(idx, self._width, self._offsets)
+        buckets += self._row_base
+        return buckets, signs
+
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
@@ -204,6 +232,22 @@ class FrequencySketch:
         ``weights`` defaults to all-ones (pure counting).  Negative weights
         (deletions) are legal: the CountSketch is a turnstile sketch.  An
         empty batch is a clean no-op.
+
+        The batch is folded in one scatter pass, the way the paper's GPU
+        CountSketch does it: each *distinct* id is hashed once for all
+        ``depth`` rows by one broadcast hash, its row folded into a flat cell
+        index ``r * width + bucket``, and one ``np.add.at`` adds every
+        ``(cell, +-weight)`` pair in stream order -- so each counter receives
+        exactly the additions, in exactly the order, of a per-row loop, and
+        the table is bit-identical to it for any weights.
+
+        Pure counting (no ``weights``) scatters ``+-count`` once per distinct
+        id instead of ``+-1`` per item when that is exact: every counter is
+        an integer bounded by ``items_seen`` (no weighted update or
+        ``scale()`` since the table was zero, or a restored table that
+        satisfies it), and ``items_seen`` stays below ``2**(nmant + 1)`` of
+        the dtype, so every partial sum is an exactly representable integer
+        whatever the order of the additions.
         """
         idx = as_index_array(ids, self._domain)
         batch = idx.shape[0]
@@ -216,11 +260,19 @@ class FrequencySketch:
             if w.shape[0] != batch:
                 raise ValueError(f"expected {batch} weights, got {w.shape[0]}")
         self._items_seen += batch
+        self._integral = self._integral and weights is None
 
         if self.numeric:
-            for r in range(self._depth):
-                buckets, signs = self.buckets_and_signs(idx, r)
-                np.add.at(self._table.data[r], buckets, np.where(signs, w, -w))
+            uniq, inv = np.unique(idx, return_inverse=True)
+            cells, signs = self._cells_and_signs(uniq)
+            if self._integral and self._items_seen < self._exact_items:
+                counts = np.bincount(inv, minlength=uniq.size).astype(self._dtype)
+                values = np.where(signs, counts, -counts)
+            else:
+                cells, signs = cells[:, inv], signs[:, inv]
+                values = np.where(signs, w, -w)
+            # 1-D index and value arrays take numpy's fast add.at path.
+            np.add.at(self._table.data.reshape(-1), cells.ravel(), values.ravel())
 
         itemsize = self._dtype.itemsize
         self._ex.launch(
@@ -254,10 +306,9 @@ class FrequencySketch:
         batch = idx.shape[0]
         if batch == 0:
             return np.zeros(0, dtype=self._dtype)
-        est = np.empty((self._depth, batch), dtype=self._dtype)
-        for r in range(self._depth):
-            buckets, signs = self.buckets_and_signs(idx, r)
-            est[r] = np.where(signs, 1.0, -1.0) * self._table.data[r, buckets]
+        cells, signs = self._cells_and_signs(idx)
+        counters = self._table.data.reshape(-1)[cells]
+        est = np.where(signs, counters, -counters)
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(
@@ -280,7 +331,7 @@ class FrequencySketch:
         independent signs); the median over rows tames the variance.
         """
         self._require_numeric("l2_estimate()")
-        energies = np.sum(self._table.data.astype(np.float64) ** 2, axis=1)
+        energies = np.sum(self._table.data.astype(np.float64, copy=False) ** 2, axis=1)
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(
@@ -336,6 +387,7 @@ class FrequencySketch:
         if self.numeric:
             self._table.data += other._table.data
         self._items_seen += other._items_seen
+        self._integral = self._integral and other._integral
         itemsize = self._dtype.itemsize
         cells = float(self._depth) * self._width
         self._ex.launch(
@@ -354,6 +406,7 @@ class FrequencySketch:
         """Scale every counter in place (exponential-decay hook)."""
         if self.numeric:
             self._table.data *= float(alpha)
+        self._integral = False
         itemsize = self._dtype.itemsize
         cells = float(self._depth) * self._width
         self._ex.launch(
@@ -377,13 +430,24 @@ class FrequencySketch:
         The bucket maps are pure functions of the seed, so (like the
         streaming CountSketch) the payload is just the counters.
         """
+        state = self._live_state()
+        if state["table"] is not None:
+            state["table"] = state["table"].copy()
+        return state
+
+    def _live_state(self) -> dict:
+        """:meth:`state_dict` holding the live counter table, not a copy.
+
+        For encoders that serialize the table before the next write; the
+        caller must neither keep nor mutate it.
+        """
         return {
             "domain": self._domain,
             "width": self._width,
             "depth": self._depth,
             "items_seen": int(self._items_seen),
             "numeric": self.numeric,
-            "table": self._table.to_host() if self.numeric else None,
+            "table": self._table.data if self.numeric else None,
         }
 
     def load_state(self, state: dict) -> None:
@@ -411,6 +475,12 @@ class FrequencySketch:
         elif state.get("numeric") and self.numeric:
             raise ValueError("numeric snapshot is missing its table payload")
         self._items_seen = int(state["items_seen"])
+        if self.numeric:
+            table = self._table.data
+            self._integral = bool(
+                np.abs(table).max(initial=0) <= self._items_seen
+                and np.array_equal(table, np.trunc(table))
+            )
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(
@@ -619,6 +689,13 @@ class HierarchicalFrequencySketch:
         return {
             "branch": self._branch,
             "levels": [s.state_dict() for s in self._levels],
+        }
+
+    def _live_state(self) -> dict:
+        """:meth:`state_dict` holding each level's live table (see the flat one)."""
+        return {
+            "branch": self._branch,
+            "levels": [s._live_state() for s in self._levels],
         }
 
     def load_state(self, state: dict) -> None:

@@ -60,7 +60,7 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(values, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (z + _SPLITMIX64_INC).astype(np.uint64)
+        z = (z + _SPLITMIX64_INC).astype(np.uint64, copy=False)
         z = (z ^ (z >> np.uint64(30))) * _SPLITMIX64_C1
         z = (z ^ (z >> np.uint64(27))) * _SPLITMIX64_C2
         z = z ^ (z >> np.uint64(31))
@@ -87,9 +87,41 @@ def hashed_row_map_and_signs(
     if k <= 0:
         raise ValueError("k must be positive")
     idx = np.asarray(indices, dtype=np.uint64)
-    offset = np.uint64((int(seed) * 0x632BE59BD9B4E019) % (1 << 64))
+    return _split_hash(idx, np.uint64(_hash_offset(seed)), k)
+
+
+def hash_offsets(seeds) -> np.ndarray:
+    """The additive hash offsets of several seeds, as a ``(len(seeds), 1)`` column.
+
+    Precompute once per table and pass to :func:`hashed_table_map_and_signs`.
+    """
+    return np.array([_hash_offset(seed) for seed in seeds], dtype=np.uint64).reshape(-1, 1)
+
+
+def hashed_table_map_and_signs(
+    indices: np.ndarray, k: int, offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`hashed_row_map_and_signs` for many seeds in one broadcast pass.
+
+    ``offsets`` comes from :func:`hash_offsets`.  Row ``r`` of the returned
+    ``(len(offsets), len(indices))`` arrays is bit for bit
+    ``hashed_row_map_and_signs(indices, k, seeds[r])``: the whole table of
+    buckets is hashed by one 2-D splitmix64 instead of one call per seed.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    idx = np.asarray(indices, dtype=np.uint64).reshape(1, -1)
+    return _split_hash(idx, offsets, k)
+
+
+def _hash_offset(seed: int) -> int:
+    return (int(seed) * 0x632BE59BD9B4E019) % (1 << 64)
+
+
+def _split_hash(idx: np.ndarray, offsets, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Mix ``idx + offsets`` and split each hash into (row in ``[0, k)``, sign bit)."""
     with np.errstate(over="ignore"):
-        mixed = splitmix64(idx + offset)
+        mixed = splitmix64(idx + offsets)
     rows = (mixed >> np.uint64(1)) % np.uint64(k)
     signs = (mixed & np.uint64(1)).astype(np.bool_)
     return rows.astype(np.int64), signs

@@ -98,14 +98,20 @@ def encode_record(
     for name, value in (arrays or {}).items():
         arr = np.ascontiguousarray(np.asarray(value))
         manifest.append({"name": str(name), "dtype": arr.dtype.str, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+        blobs.append(arr.reshape(-1).view(np.uint8))  # zero-copy byte view
     header = json.dumps(
         {"kind": str(kind), "meta": meta, "arrays": manifest},
         separators=(",", ":"),
         sort_keys=True,
     ).encode("utf-8")
-    body = b"".join([_PREFIX.pack(MAGIC, SCHEMA_VERSION, len(header)), header, *blobs])
-    return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
+    # One copy of the payload: CRC32 runs incrementally over the parts and
+    # the record is assembled by a single join.
+    parts = [_PREFIX.pack(MAGIC, SCHEMA_VERSION, len(header)), header, *blobs]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(_CRC.pack(crc & 0xFFFFFFFF))
+    return b"".join(parts)
 
 
 def decode_record(blob: bytes, *, expect_kind: Optional[str] = None) -> DecodedRecord:

@@ -125,9 +125,11 @@ def _encode_engine_state(engine: FrequencyEngine) -> Tuple[dict, Dict[str, np.nd
     """Split an engine's ``state_dict`` into JSON meta + raw counter tables.
 
     A flat engine is one level whose table is stored as ``table``; level
-    ``i`` of a hierarchical engine is stored as ``level_<i>``.
+    ``i`` of a hierarchical engine is stored as ``level_<i>``.  The tables
+    are the engine's live counters, not copies: the caller encodes them
+    before the engine is written again.
     """
-    state = engine.state_dict()
+    state = engine._live_state()
     hierarchical = isinstance(engine, HierarchicalFrequencySketch)
     arrays: Dict[str, np.ndarray] = {}
     levels = []

@@ -94,7 +94,9 @@ class MemoryCheckpointStore(CheckpointStore):
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._checkpoints: Dict[str, bytes] = {}
-        self._wals: Dict[str, bytes] = {}
+        # Each WAL is a list of appended chunks, joined when read: appends
+        # stay O(len(data)) instead of copying the whole log every time.
+        self._wals: Dict[str, List[bytes]] = {}
 
     def write_checkpoint(self, key: str, blob: bytes) -> None:
         key = _check_key(key)
@@ -108,16 +110,21 @@ class MemoryCheckpointStore(CheckpointStore):
     def append_wal(self, key: str, data: bytes) -> None:
         key = _check_key(key)
         with self._lock:
-            self._wals[key] = self._wals.get(key, b"") + bytes(data)
+            self._wals.setdefault(key, []).append(bytes(data))
 
     def read_wal(self, key: str) -> bytes:
         with self._lock:
-            return self._wals.get(_check_key(key), b"")
+            chunks = self._wals.get(_check_key(key))
+            if not chunks:
+                return b""
+            if len(chunks) > 1:
+                chunks[:] = [b"".join(chunks)]
+            return chunks[0]
 
     def write_wal(self, key: str, blob: bytes) -> None:
         key = _check_key(key)
         with self._lock:
-            self._wals[key] = bytes(blob)
+            self._wals[key] = [bytes(blob)]
 
     def delete(self, key: str) -> None:
         key = _check_key(key)

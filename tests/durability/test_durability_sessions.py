@@ -188,6 +188,26 @@ def test_rejected_frequency_appends_never_reach_the_wal():
     np.testing.assert_array_equal(recovered.query_point(fid, [1, 2, 3, 4, 5]).value, expected)
 
 
+def test_fractional_item_ids_are_refused_before_the_wal():
+    store = MemoryCheckpointStore()
+    server = _durable(store)
+    fid = server.open_frequency_stream(DOMAIN, phi=0.05)
+    server.append_items(fid, [3, 5])
+    wal = store.read_wal(f"freq-session-{fid}")
+    for bad in ([3.7, 3.2, 5.9], [np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="item ids must be integers"):
+            server.append_items(fid, np.array(bad))
+    assert store.read_wal(f"freq-session-{fid}") == wal
+    server.append_items(fid, np.array([3.0, 5.0]))  # integral floats are ids
+    expected = server.query_point(fid, [3, 5]).value
+    np.testing.assert_array_equal(expected, [2.0, 2.0])
+
+    recovered = _durable(store)
+    report = recovered.restore()
+    assert report.ok and report.restored == {fid: 2}
+    np.testing.assert_array_equal(recovered.query_point(fid, [3, 5]).value, expected)
+
+
 # ---------------------------------------------------------------------------
 # the concurrent runtime serves passivated sessions
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ contract, so the whole module is parametrized over them.
 
 from __future__ import annotations
 
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from faults import (
@@ -82,6 +86,31 @@ def test_store_checkpoint_wal_delete_roundtrip(store):
     assert store.keys() == []
 
 
+def test_memory_wal_append_does_not_copy_the_log():
+    store = MemoryCheckpointStore()
+    head = b"x" * (8 << 20)
+    store.append_wal("s", head)
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            store.append_wal("s", b"y" * 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # an 8 MiB log is never rebuilt per append
+    assert store.read_wal("s") == head + b"y" * 64
+    assert store.read_wal("s") == head + b"y" * 64
+    store.append_wal("s", b"z")
+    assert store.read_wal("s") == head + b"y" * 64 + b"z"
+    store.reset_wal("s")
+    assert store.read_wal("s") == b"" and store.keys() == ["s"]
+    store.append_wal("s", b"a")
+    store.append_wal("s", b"b")
+    assert store.read_wal("s") == b"ab"
+    store.delete("s")
+    assert store.read_wal("s") == b"" and store.keys() == []
+
+
 def test_store_rejects_unsafe_keys(store):
     for bad in ("", "a/b", "..", "a b", "a\x00b"):
         with pytest.raises(ValueError):
@@ -108,6 +137,26 @@ def test_durability_config_validation(store):
 # ---------------------------------------------------------------------------
 # codec typed errors: every corruption is classified, never mis-decoded
 # ---------------------------------------------------------------------------
+def test_one_pass_encoding_matches_the_concatenated_layout():
+    # The record is prefix + header + each array's C-order bytes + CRC32 of
+    # all of it; the incremental CRC over zero-copy views must equal it.
+    arrays = {
+        "f64": np.arange(12.0).reshape(3, 4),
+        "strided": np.arange(12, dtype=np.int16).reshape(3, 4).T,
+        "flags": np.array([True, False, True]),
+        "scalar": np.float32(2.5),
+        "empty": np.zeros((0, 3)),
+    }
+    blob = encode_record("test.kind", {"n": 1}, arrays)
+    body = blob[:-4]
+    assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(body)
+    payload = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays.values())
+    assert body.endswith(payload)
+    decoded = decode_record(blob, expect_kind="test.kind")
+    for name, value in arrays.items():
+        np.testing.assert_array_equal(decoded.arrays[name], np.ascontiguousarray(value))
+
+
 def test_truncated_record_is_typed():
     blob = _record()
     for keep in (0, 3, len(blob) // 2, len(blob) - 1):
