@@ -18,7 +18,9 @@ from repro.core.srht import SRHT
 from repro.durability.codec import decode_record
 from repro.durability.session import FREQUENCY_SESSION_KIND, serialize_frequency_session
 from repro.gpu.executor import GPUExecutor
+from repro.linalg.conditioning import estimate_spectrum_bounds
 from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
+from repro.serving import SketchServer
 from repro.workloads.streams import zipf_stream
 
 D, N = 1 << 15, 64
@@ -82,6 +84,28 @@ def test_wallclock_fwht(benchmark, matrix):
 def test_wallclock_gram_matrix(benchmark, matrix):
     result = benchmark(lambda: matrix.T @ matrix)
     assert result.shape == (N, N)
+
+
+def test_wallclock_spectrum_probe(benchmark):
+    """The planner's probe at the benchmark's tall shape: one first-stage
+    CountSketch to 2 n^2 = 8192 rows plus its blocked R reduction."""
+    a = np.random.default_rng(6).standard_normal((1 << 16, 64))
+    bounds = benchmark(estimate_spectrum_bounds, a, seed=0)
+    assert bounds.first_stage.y.shape == (8192, 64)
+    assert bounds[0] >= bounds[1] > 0
+
+
+def test_wallclock_adaptive_solve(benchmark):
+    """One adaptive solve end to end (probe, plan, solve) on a fresh 16384 x 32 matrix."""
+    rng = np.random.default_rng(7)
+    server = SketchServer(policy="adaptive", shards=1, seed=0)
+    b = rng.standard_normal(16384)
+
+    def fresh_request():
+        return (rng.standard_normal((16384, 32)), b), {}
+
+    response = benchmark.pedantic(server.solve, setup=fresh_request, rounds=5)
+    assert response.x.shape == (32,)
 
 
 @pytest.fixture(scope="module")

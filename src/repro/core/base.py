@@ -212,6 +212,18 @@ class SketchOperator(abc.ABC):
         """Subclass hook: extra configuration that changes the sketch state."""
         return ()
 
+    def with_first_stage(self, product) -> "SketchOperator":
+        """This operator, reusing an already computed first-stage product.
+
+        ``product`` is a :class:`~repro.core.countsketch.SketchProduct`.  When
+        the operator's first stage is the CountSketch the product was taken
+        with (equal ``cache_key()``), the result is a per-use copy whose
+        first stage returns the stored ``S @ A`` for that ``A`` instead of
+        recomputing it; it launches and charges the same kernels.  Otherwise
+        -- the base case -- the operator itself is returned.
+        """
+        return self
+
     # ------------------------------------------------------------------
     def generate(self) -> "SketchOperator":
         """Materialise the operator's random state (idempotent).

@@ -23,13 +23,17 @@ Three implementations are provided, mirroring the paper:
     be stored and rows can be consumed from a stream.
 
 Numerical note: in numeric mode both CountSketch variants evaluate the
-product through the same sparse representation, so their outputs are
-bit-identical; they differ only in the simulated kernels they charge, which
-is exactly the comparison the paper makes.
+product as a sparse multiply by the same matrix ``S`` (stored by column for
+the atomic variant, by row for SpMM), adding each output row's inputs in
+source-row order, so their outputs are bit-identical; they differ only in
+the simulated kernels they charge, which is exactly the comparison the
+paper makes.
 """
 
 from __future__ import annotations
 
+import copy
+from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -62,6 +66,32 @@ class SketchMaterializationError(RuntimeError):
     sketches being the motivating case).  Streaming callers should use
     :meth:`StreamingCountSketch.update` with explicit row indices instead.
     """
+
+
+@dataclass(frozen=True, eq=False)
+class SketchProduct:
+    """``y = S @ a`` for the CountSketch whose ``cache_key()`` is ``key``.
+
+    Made by :meth:`CountSketch.host_product`.  An operator whose first stage
+    has the same key can serve ``y`` instead of recomputing it
+    (:meth:`~repro.core.base.SketchOperator.with_first_stage`), but only for
+    ``a``'s own buffer: a product describes ``a`` as it was when it was
+    taken, so a holder must not outlive the one solve it was made for.
+    ``y`` is read-only.
+    """
+
+    key: tuple
+    a: np.ndarray
+    y: np.ndarray
+
+    def describes(self, data: np.ndarray) -> bool:
+        """Whether ``data`` is ``a`` itself or a view of ``a``'s exact buffer and layout."""
+        return (
+            data.shape == self.a.shape
+            and data.strides == self.a.strides
+            and data.dtype == self.a.dtype
+            and data.__array_interface__["data"][0] == self.a.__array_interface__["data"][0]
+        )
 
 
 class CountSketch(SketchOperator):
@@ -101,6 +131,7 @@ class CountSketch(SketchOperator):
         self._row_map: Optional[DeviceArray] = None
         self._signs: Optional[DeviceArray] = None
         self._csr = None  # DeviceCSR for the SpMM variant / numeric engine
+        self._first_product: Optional[SketchProduct] = None
 
     # ------------------------------------------------------------------
     # random state
@@ -134,9 +165,13 @@ class CountSketch(SketchOperator):
             # Numeric engine for the atomic variant: the arithmetic of
             # Algorithm 2 is identical to multiplying by the explicit sparse
             # S, so we evaluate it that way without charging SpMM kernels.
+            # Stored by column (one entry per input row), the product is
+            # Algorithm 2's own loop: input rows in order, each added into
+            # its bucket -- the same sums, bit for bit, as the row-wise CSR
+            # product, but with A read sequentially.
             vals = signs_to_values(self._signs.data, self._dtype)
-            self._numeric_matrix = sp.csr_matrix(
-                (vals, (self._row_map.data.astype(np.int64), np.arange(self._d))),
+            self._numeric_matrix = sp.csc_matrix(
+                (vals, self._row_map.data.astype(np.int64), np.arange(self._d + 1)),
                 shape=(self._k, self._d),
             )
         if ex.numeric and self.variant == "spmm":
@@ -144,6 +179,31 @@ class CountSketch(SketchOperator):
 
     def _cache_key_extra(self) -> tuple:
         return (self.variant,)
+
+    def host_product(self, a: np.ndarray) -> SketchProduct:
+        """``S @ a`` on the host, off the simulated clock.
+
+        The numeric half of :meth:`apply` without its kernel launch: the
+        same sparse product, so the result is bit-identical to what
+        ``apply`` computes for ``a``.
+        """
+        self.generate()
+        if not self._ex.numeric:
+            raise RuntimeError("host_product() requires a numeric executor")
+        y = self._multiply(a)
+        y.flags.writeable = False
+        return SketchProduct(self.cache_key(), a, y)
+
+    def with_first_stage(self, product: SketchProduct) -> "CountSketch":
+        if product.key != self.cache_key():
+            return self
+        self.generate()  # the copy must share, not redraw, the random state
+        twin = copy.copy(self)
+        twin._first_product = product
+        return twin
+
+    def _multiply(self, a: np.ndarray) -> np.ndarray:
+        return self._numeric_matrix @ a
 
     # ------------------------------------------------------------------
     @property
@@ -163,7 +223,7 @@ class CountSketch(SketchOperator):
         self.generate()
         if not self._ex.numeric:
             raise RuntimeError("sparse_matrix() requires a numeric executor")
-        return self._numeric_matrix.copy()
+        return self._numeric_matrix.tocsr(copy=True)
 
     def explicit_matrix(self) -> np.ndarray:
         """Dense ``k x d`` sketch matrix (testing helper)."""
@@ -198,7 +258,11 @@ class CountSketch(SketchOperator):
         n = a.shape[1]
         y = ex.empty((self._k, n), dtype=self._dtype, order="C", label="countsketch_out")
         if ex.numeric and a.is_numeric:
-            y.data[...] = self._numeric_matrix @ a.data
+            known = self._first_product
+            if known is not None and known.describes(a.data):
+                y.data[...] = known.y
+            else:
+                y.data[...] = self._multiply(a.data)
 
         itemsize = self._dtype.itemsize
         ex.launch(

@@ -20,6 +20,7 @@ ablation benchmark).
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,6 +75,14 @@ class MultiSketch(SketchOperator):
 
     def _cache_key_extra(self) -> tuple:
         return tuple(stage.cache_key() for stage in self.stages) + (self.transpose_trick,)
+
+    def with_first_stage(self, product) -> "MultiSketch":
+        first = self.stages[0].with_first_stage(product)
+        if first is self.stages[0]:
+            return self
+        twin = copy.copy(self)
+        twin.stages = [first] + self.stages[1:]
+        return twin
 
     # ------------------------------------------------------------------
     def _generate_impl(self) -> None:
@@ -150,6 +159,16 @@ class MultiSketch(SketchOperator):
         return mat
 
 
+def first_stage_dim(d: int, n: int, oversampling: float = 2.0) -> int:
+    """CountSketch height of the first stage: ``k1 = c n^2`` clipped to ``d``.
+
+    The multisketch constructors use the paper's ``c = 2``; the planner's
+    spectrum probe (:func:`repro.linalg.conditioning.estimate_spectrum_bounds`)
+    uses its own oversampling, so at ``c = 2`` the probe *is* this stage.
+    """
+    return min(default_embedding_dim("countsketch", n, oversampling), d)
+
+
 def count_gauss(
     d: int,
     n: int,
@@ -181,7 +200,7 @@ def count_gauss(
         Forwarded to the stage constructors (both stages share the executor).
     """
     if k1 is None:
-        k1 = min(default_embedding_dim("countsketch", n), d)
+        k1 = first_stage_dim(d, n)
     if k2 is None:
         k2 = default_embedding_dim("gaussian", n)
     if k2 > k1:
@@ -230,7 +249,7 @@ def count_srht(
     from repro.core.srht import SRHT
 
     if k1 is None:
-        k1 = min(default_embedding_dim("countsketch", n), d)
+        k1 = first_stage_dim(d, n)
     if k2 is None:
         k2 = default_embedding_dim("srht", n)
     if k2 > k1:

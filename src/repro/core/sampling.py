@@ -131,5 +131,5 @@ def signs_to_values(signs: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Convert a boolean/int8 sign representation to floating ``+/-1`` values."""
     signs = np.asarray(signs)
     if signs.dtype == np.bool_:
-        return np.where(signs, 1.0, -1.0).astype(dtype)
+        return np.where(signs, 1.0, -1.0).astype(dtype, copy=False)
     return np.sign(signs).astype(dtype)

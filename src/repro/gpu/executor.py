@@ -163,9 +163,7 @@ class GPUExecutor:
         device), so host-to-device transfer is not charged by default.
         """
         host = np.asarray(host)
-        handle = self.memory.alloc_array(host.shape, host.dtype, label=label)
-        data = np.array(host, copy=True) if self.numeric else None
-        arr = DeviceArray(host.shape, host.dtype, order, data, label, handle, self)
+        arr = self._adopt(host, np.array(host, copy=True) if self.numeric else None, order, label)
         if charge_transfer:
             from repro.gpu.kernels import KernelClass
 
@@ -180,6 +178,30 @@ class GPUExecutor:
                 )
             )
         return arr
+
+    def place_readonly(self, host: np.ndarray, order: str = "C", label: str = "") -> DeviceArray:
+        """Place a host array onto the simulated device, read-only.
+
+        Accounted exactly like :meth:`to_device` (one allocation of the
+        array's size, no transfer charged).  A contiguous array is not
+        copied: the handle's data is a non-writeable view of the caller's
+        buffer.  A strided array is packed into a contiguous copy, as
+        :meth:`to_device` does, because BLAS blocks (and so rounds) strided
+        operands differently.  Either way a write through the handle raises
+        instead of changing the caller's array.  The solvers place their
+        inputs this way.
+        """
+        host = np.asarray(host)
+        data = None
+        if self.numeric:
+            shared = host.flags.c_contiguous or host.flags.f_contiguous
+            data = host.view() if shared else np.array(host, copy=True)
+            data.flags.writeable = False
+        return self._adopt(host, data, order, label)
+
+    def _adopt(self, host: np.ndarray, data, order: str, label: str) -> DeviceArray:
+        handle = self.memory.alloc_array(host.shape, host.dtype, label=label)
+        return DeviceArray(host.shape, host.dtype, order, data, label, handle, self)
 
     def like(self, template: DeviceArray, shape=None, order=None, label: str = "") -> DeviceArray:
         """Allocate an array with the same dtype as ``template``."""

@@ -7,6 +7,12 @@ track each other up to ``kappa ~ u^{-1} ~ 1e16``.  Reproducing that figure
 requires matrices whose condition number is set exactly, which is what
 :func:`matrix_with_condition` provides: ``A = U diag(s) V^T`` with Haar-ish
 random orthonormal factors and a chosen singular-value profile.
+
+The module also holds the planner's spectrum probe,
+:func:`estimate_spectrum_bounds`: the multisketch's first-stage CountSketch
+(``k1 = 2 n^2`` rows at the default oversampling) evaluated on the host,
+whose product ``S1 A`` the serving layer hands on to the batch's sketch
+solver so that ``A`` is sketched once per solve.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from __future__ import annotations
 from typing import Literal, Optional
 
 import numpy as np
-import scipy.sparse as sp
+
+from repro.core.countsketch import CountSketch, SketchProduct
+from repro.core.multisketch import first_stage_dim
 
 
 def _random_orthonormal(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,12 +114,13 @@ def estimate_condition(
     condition probe :func:`repro.linalg.planner.plan` uses to route a problem
     to the cheapest solver that is still stable for it.
 
-    The sketch here is a host-side CountSketch (one pass, ``O(d n)`` work,
-    no simulated-device involvement): planning must stay off the accounted
-    clock, exactly like the residual checks in :mod:`repro.linalg.lstsq`.
-    Estimates saturate around ``u^{-1} ~ 1e16`` -- beyond that the sketch
-    itself is rank-deficient in floating point, which the planner treats as
-    "worse than every solver's stability limit" anyway.
+    The sketch is the multisketch's own first stage, evaluated on the host
+    (see :func:`estimate_spectrum_bounds`): planning must stay off the
+    accounted clock, exactly like the residual checks in
+    :mod:`repro.linalg.lstsq`.  Estimates saturate around ``u^{-1} ~ 1e16``
+    -- beyond that the sketch itself is rank-deficient in floating point,
+    which the planner treats as "worse than every solver's stability limit"
+    anyway.
     """
     smax, smin = estimate_spectrum_bounds(a, oversampling=oversampling, seed=seed)
     if smin == 0.0:
@@ -119,53 +128,71 @@ def estimate_condition(
     return smax / smin
 
 
+class SpectrumBounds(tuple):
+    """``(sigma_max, sigma_min)``, plus the first-stage sketch they were read from.
+
+    Compares, unpacks and indexes as the plain pair.  ``first_stage`` is the
+    :class:`~repro.core.countsketch.SketchProduct` ``S1 A`` of the probe's
+    CountSketch (``None`` when the probe took an exact SVD instead).  It
+    describes ``A`` at probe time and holds ``A`` alive, so keep it no
+    longer than the solve it was probed for.
+    """
+
+    first_stage: Optional[SketchProduct]
+
+    def __new__(cls, smax: float, smin: float, first_stage: Optional[SketchProduct] = None):
+        bounds = super().__new__(cls, (smax, smin))
+        bounds.first_stage = first_stage
+        return bounds
+
+    def __getnewargs__(self):  # copy / pickle rebuild through __new__
+        return (*self, self.first_stage)
+
+
 def estimate_spectrum_bounds(
     a: np.ndarray,
     *,
     oversampling: float = 2.0,
     seed: Optional[int] = 0,
-) -> tuple:
+) -> SpectrumBounds:
     """Sketched estimates ``(sigma_max, sigma_min)`` of a tall matrix.
 
-    The same one-pass CountSketch probe as :func:`estimate_condition` (the
-    singular values of ``S A`` track those of ``A`` within the embedding
-    distortion), but returning the spectrum *extremes* rather than their
-    ratio.  The planner needs the absolute scale for ridge routing: the
-    Tikhonov ``lam`` only regularizes relative to ``sigma_min(A)^2``, so
-    deciding whether the lambda-augmented system is benign requires knowing
-    where the spectrum sits, not just how wide it is
+    The same one-pass CountSketch probe as :func:`estimate_condition`, but
+    returning the spectrum *extremes* rather than their ratio.  The planner
+    needs the absolute scale for ridge routing: the Tikhonov ``lam`` only
+    regularizes relative to ``sigma_min(A)^2``, so deciding whether the
+    lambda-augmented system is benign requires knowing where the spectrum
+    sits, not just how wide it is
     (:func:`repro.linalg.registry.ridge_effective_condition`).
 
-    The sketch is one sparse product ``S @ A`` with ``S`` the explicit
-    ``k x d`` CSR CountSketch (one signed entry per column), so every row of
-    ``A`` is read once and added to its bucket in source-row order -- the
-    same sums, bit for bit, as a scatter-add, without a signed copy of ``A``.
-    Its singular values come from :func:`_singular_values`: a blocked R
-    reduction when the sketch is taller than one block, a direct SVD when
-    it fits one.
+    The sketch is the first stage of the paper's multisketch: a
+    ``CountSketch(d, k1, seed=seed)`` with ``k1 = oversampling * n^2``
+    rows (:func:`repro.core.multisketch.first_stage_dim`; at least
+    ``n + 4``, and an exact SVD when that reaches ``d``).  A CountSketch is
+    already a subspace embedding at ``k ~ n^2`` rows (Table 1), so its
+    singular values track ``A``'s; the multisketch's final ``2 n``-row
+    Gaussian stage is not accurate enough to probe with.  Because the draws
+    are the operator's own, at the default oversampling ``S1 A`` is
+    bit-identical to stage 0 of the Count-Gauss operator built with the
+    same seed, and the result carries it as ``first_stage`` so a solver can
+    reuse it instead of reading ``A`` again
+    (:meth:`~repro.core.base.SketchOperator.with_first_stage`).
+    The singular values of ``S1 A`` come from :func:`_singular_values`: a
+    blocked R reduction when the sketch is taller than one block, a direct
+    SVD when it fits one.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise ValueError("estimate_spectrum_bounds expects a tall d x n matrix")
     d, n = a.shape
-    # A CountSketch is an embedding at k ~ n^2 rows (Table 1), so the probe
-    # uses k = 2 * oversampling * n^2 clipped to d -- the same one-pass /
-    # O(d n + n^4)-work budget as the multisketch's first stage.
-    k = min(d, max(int(np.ceil(2.0 * oversampling * n * n)), n + 4))
+    k = min(d, max(first_stage_dim(d, n, oversampling), n + 4))
     if k >= d:
         svals = np.linalg.svd(a, compute_uv=False)
+        first_stage = None
     else:
-        svals = _singular_values(_countsketch(a, k, seed))
-    return float(svals.max()), float(svals.min())
-
-
-def _countsketch(a: np.ndarray, k: int, seed: Optional[int]) -> np.ndarray:
-    """``S A`` for a ``k x d`` CountSketch drawn from ``seed`` (rows, then signs)."""
-    d = a.shape[0]
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, k, size=d)
-    signs = rng.integers(0, 2, size=d).astype(np.float64) * 2.0 - 1.0
-    return sp.csr_matrix((signs, (rows, np.arange(d))), shape=(k, d)) @ a
+        first_stage = CountSketch(d, k, seed=seed).host_product(a)
+        svals = _singular_values(first_stage.y)
+    return SpectrumBounds(float(svals.max()), float(svals.min()), first_stage)
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:

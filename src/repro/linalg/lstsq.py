@@ -120,9 +120,16 @@ def relative_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
 
 
 def _to_device(executor: GPUExecutor, arr: ArrayLike, label: str, order: str = "C") -> DeviceArray:
+    """Place a solver input: device handles as they are, host arrays read-only.
+
+    A contiguous host array is wrapped as a read-only view of the caller's
+    buffer, not copied (:meth:`~repro.gpu.executor.GPUExecutor.place_readonly`):
+    solvers only read their inputs, and a stray write raises instead of
+    corrupting the caller's data.
+    """
     if isinstance(arr, DeviceArray):
         return arr
-    return executor.to_device(np.asarray(arr), order=order, label=label)
+    return executor.place_readonly(arr, order=order, label=label)
 
 
 def _residuals(

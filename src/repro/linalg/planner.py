@@ -5,9 +5,12 @@ this module decides what each request *should* use:
 
 1. probe the spectrum with one cheap sketched estimate
    (:func:`repro.linalg.conditioning.estimate_condition` /
-   :func:`~repro.linalg.conditioning.estimate_spectrum_bounds` -- one pass
-   over ``A`` plus an ``n x n`` SVD, off the simulated clock like every other
-   planning step);
+   :func:`~repro.linalg.conditioning.estimate_spectrum_bounds`): the
+   multisketch's own first-stage CountSketch to ``k1 = 2 n^2`` rows -- one
+   pass over ``A`` -- plus a blocked R reduction and an ``n x n`` SVD, off
+   the simulated clock like every other planning step.  The serving layer
+   hands the probed ``S1 A`` on to the batch's sketch solver
+   (:meth:`~repro.core.base.SketchOperator.with_first_stage`);
 2. keep the solvers of the spec's *problem class* (plain least squares, or
    ridge when ``spec.regularization > 0``) whose declared stability floor
    and distortion meet the spec's accuracy target at that conditioning --

@@ -40,6 +40,7 @@ from repro.core.gaussian import GaussianSketch
 from repro.gpu.arrays import DeviceArray
 from repro.gpu.executor import GPUExecutor
 from repro.gpu.kernels import KernelClass, KernelRequest
+from repro.linalg.lstsq import _to_device
 
 ArrayLike = Union[np.ndarray, DeviceArray]
 
@@ -130,7 +131,7 @@ def randomized_range_finder(
             if operator is not None
             else GPUExecutor(numeric=True, seed=seed, track_memory=False)
         )
-    a_dev = a if isinstance(a, DeviceArray) else executor.to_device(np.asarray(a), label="A")
+    a_dev = _to_device(executor, a, "A")
     d, n = a_dev.shape
     if not 0 < rank <= min(d, n):
         raise ValueError("rank must lie in [1, min(d, n)]")
@@ -190,7 +191,7 @@ def lowrank_approx(
     if method_l == "frequent_directions":
         return _fd_approx(a, rank, ell=ell, batch=batch, executor=executor)
 
-    a_dev = a if isinstance(a, DeviceArray) else executor.to_device(np.asarray(a), label="A")
+    a_dev = _to_device(executor, a, "A")
     d, n = a_dev.shape
     mark = executor.mark()
     q, operator = randomized_range_finder(

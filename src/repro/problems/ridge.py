@@ -49,7 +49,7 @@ from repro.gpu.arrays import DeviceArray
 from repro.gpu.executor import GPUExecutor
 from repro.gpu.kernels import KernelClass, KernelRequest
 from repro.linalg.iterative import sketch_preconditioned_lsqr
-from repro.linalg.lstsq import LeastSquaresResult, qr_solve
+from repro.linalg.lstsq import LeastSquaresResult, _to_device, qr_solve
 from repro.linalg.registry import (
     RegisteredSolver,
     SolveSpec,
@@ -177,8 +177,8 @@ def ridge_normal_equations(
             executor = a._executor
         else:
             executor = GPUExecutor(numeric=True, track_memory=False)
-    a_dev = a if isinstance(a, DeviceArray) else executor.to_device(np.asarray(a), order="F", label="A")
-    b_dev = b if isinstance(b, DeviceArray) else executor.to_device(np.asarray(b), label="b")
+    a_dev = _to_device(executor, a, "A", order="F")
+    b_dev = _to_device(executor, b, "b")
     blas, solver = executor.blas, executor.solver
     multi_rhs = b_dev.ndim == 2
     n = a_dev.shape[1]

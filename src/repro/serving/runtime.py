@@ -799,6 +799,9 @@ class AsyncSketchServer:
                 else:
                     self._dispatch_stream(work)
             finally:
+                # Drop the unit before waiting for the next one: it holds the
+                # request's matrix, which must not outlive its dispatch.
+                unit = work = None
                 with self._work:
                     self._in_flight -= 1
                     self.telemetry.record_queue_depth(self._queue_depth_locked())

@@ -39,6 +39,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.countsketch import SketchProduct
 from repro.distributed.comm import CommCostModel
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.gpu.executor import GPUExecutor
@@ -232,7 +233,8 @@ class PlacedBatch:
     :meth:`SketchServer._run_placed`.  The concurrent runtime holds one of
     these per in-flight dispatch: the plan's cost estimate
     (``plan.costs[plan.solver]``) is the service-time term of its
-    deadline-shedding projection.
+    deadline-shedding projection.  A placed batch holds the batch's
+    matrix (through ``first_stage``), so it is dropped once the batch ran.
     """
 
     plan: SolvePlan
@@ -240,6 +242,10 @@ class PlacedBatch:
     entry: Optional[CacheEntry]
     shard: int
     cache_hit: bool
+    #: The spectrum probe's first-stage product ``S1 A`` for this batch's
+    #: matrix, reused by every chain link whose operator starts with that
+    #: CountSketch.  It lives exactly as long as the batch.
+    first_stage: Optional[SketchProduct] = None
 
     @property
     def estimated_service_seconds(self) -> float:
@@ -296,7 +302,7 @@ class SketchServer:
         self._next_id = 0
         self._batch_seq = 0
         # Conditioning probes are pure functions of the matrix; memoise them
-        # per live matrix object (weakly referenced -- see _cond_estimate)
+        # per live matrix object (weakly referenced -- see _spectrum_estimate)
         # so hot same-matrix traffic plans for free.
         self._cond_cache: Dict[Tuple, Tuple] = {}
 
@@ -557,8 +563,10 @@ class SketchServer:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def _spectrum_estimate(self, a: np.ndarray) -> Tuple[Optional[float], Optional[float]]:
-        """Cached sketched ``(kappa, sigma_max)`` probe for a live request matrix.
+    def _spectrum_estimate(
+        self, a: np.ndarray
+    ) -> Tuple[Optional[float], Optional[float], Optional[SketchProduct]]:
+        """Cached sketched ``(kappa, sigma_max, first_stage)`` probe for a live request matrix.
 
         Entries hold a weak reference to the probed array: ``id()`` values
         are reused by the allocator once a matrix dies, so a hit counts only
@@ -570,20 +578,28 @@ class SketchServer:
         rides along for free (the probe yields both spectrum extremes) and
         is what ridge routing uses to place the lambda on the spectrum's
         scale.
+
+        ``first_stage`` is the probe's CountSketch product ``S1 A``
+        (:class:`~repro.linalg.conditioning.SpectrumBounds`) from a fresh
+        probe, ``None`` on a memo hit: the memo keeps the scalars only.  A
+        caller may change ``A`` in place between requests; a stale ``kappa``
+        only affects routing, but a stale product would corrupt answers, so
+        it is never kept past the batch that probed.
         """
         if not self.config.numeric:
-            return None, None  # analytic traffic carries no numeric state to probe
+            return None, None, None  # analytic traffic carries no numeric state to probe
         key = (id(a), a.shape)
         entry = self._cond_cache.get(key)
         if entry is not None:
             ref, value = entry
             if ref() is a:
-                return value
+                return value + (None,)
         from repro.linalg.conditioning import estimate_spectrum_bounds
 
-        smax, smin = estimate_spectrum_bounds(
+        bounds = estimate_spectrum_bounds(
             a, oversampling=self.config.oversampling, seed=self.config.seed
         )
+        smax, smin = bounds
         value = (float("inf") if smin == 0.0 else smax / smin, smax)
         cache = self._cond_cache
 
@@ -595,17 +611,21 @@ class SketchServer:
                 cache.pop(key, None)
 
         cache[key] = (weakref.ref(a, forget), value)
-        return value
+        return value + (getattr(bounds, "first_stage", None),)
 
-    def _cond_estimate(self, a: np.ndarray) -> Optional[float]:
-        """Cached conditioning probe (the ``kappa`` half of the spectrum probe)."""
-        return self._spectrum_estimate(a)[0]
+    def _plan_batch(
+        self, batch: MicroBatch
+    ) -> Tuple[SolvePlan, SolveSpec, Optional[SketchProduct]]:
+        """Build the batch's SolveSpec and route it per the server policy.
 
-    def _plan_batch(self, batch: MicroBatch) -> Tuple[SolvePlan, SolveSpec]:
-        """Build the batch's SolveSpec and route it per the server policy."""
+        Returns the plan, the spec and the spectrum probe's first-stage
+        product (``None`` when nothing was probed).
+        """
         d, n = batch.a.shape
         first = batch.requests[0]
-        cond = None if self.config.policy == "fixed" else self._cond_estimate(batch.a)
+        cond, first_stage = None, None
+        if self.config.policy != "fixed":
+            cond, _, first_stage = self._spectrum_estimate(batch.a)
         spec = SolveSpec(
             d=d,
             n=n,
@@ -637,6 +657,7 @@ class SketchServer:
                     cost_source=cost_source,
                 ),
                 spec,
+                None,
             )
         # An analytic server has no numeric state to probe (cond is None):
         # pass no matrix so the planner ranks optimistically on cost alone
@@ -651,6 +672,7 @@ class SketchServer:
                 cost_source=cost_source,
             ),
             spec,
+            first_stage,
         )
 
     def _shard_operator(
@@ -682,9 +704,7 @@ class SketchServer:
             self.cache.put(key, CacheEntry(operator=operator, shard=shard))
         return operator
 
-    def _plan_and_place(
-        self, batch: MicroBatch, planned: Optional[Tuple[SolvePlan, SolveSpec]] = None
-    ) -> "PlacedBatch":
+    def _plan_and_place(self, batch: MicroBatch, planned: Optional[Tuple] = None) -> "PlacedBatch":
         """Plan a micro-batch and bind it to a shard (no kernels run yet).
 
         The planned solver decides operator resolution (sketch-based
@@ -695,7 +715,7 @@ class SketchServer:
         is what lets the runtime hold its dispatch lock only for the cheap
         planning/placement step while the expensive solve runs outside it.
         """
-        plan_, spec = planned if planned is not None else self._plan_batch(batch)
+        plan_, spec, first_stage = planned if planned is not None else self._plan_batch(batch)
         needs_sketch = get_solver(plan_.solver).capabilities.needs_sketch
         entry: Optional[CacheEntry] = None
         cache_hit = False
@@ -710,7 +730,14 @@ class SketchServer:
                 shard = self._place_warm_batch(entry, batch.kind, batch.a, k=plan_.embedding_dim)
         else:
             shard = self.scheduler.place()
-        return PlacedBatch(plan=plan_, spec=spec, entry=entry, shard=shard, cache_hit=cache_hit)
+        return PlacedBatch(
+            plan=plan_,
+            spec=spec,
+            entry=entry,
+            shard=shard,
+            cache_hit=cache_hit,
+            first_stage=first_stage,
+        )
 
     def _run_placed(
         self,
@@ -743,7 +770,16 @@ class SketchServer:
         exec_start = executor.elapsed
 
         rhs = batch.rhs_block() if batch.size > 1 else batch.requests[0].b
-        operators = {plan_.solver: entry.operator_for(shard)} if entry is not None else None
+        first_stage = placed.first_stage
+
+        def reusing(operator: "SketchOperator") -> "SketchOperator":
+            # Every link whose operator starts with the probe's CountSketch
+            # serves the probed S1 A instead of sketching A again.
+            return operator if first_stage is None else operator.with_first_stage(first_stage)
+
+        operators = (
+            {plan_.solver: reusing(entry.operator_for(shard))} if entry is not None else None
+        )
         result = execute_plan(
             plan_,
             batch.a,
@@ -751,8 +787,8 @@ class SketchServer:
             spec,
             executor=executor,
             operators=operators,
-            operator_provider=lambda name: self._shard_operator(
-                name, batch.kind, batch.a, shard, plan_.embedding_dim
+            operator_provider=lambda name: reusing(
+                self._shard_operator(name, batch.kind, batch.a, shard, plan_.embedding_dim)
             ),
             span_log=span_log,
         )
@@ -1044,7 +1080,7 @@ class SketchServer:
         kind = normalize_kind(kind if kind is not None else self.config.kind)
         d, n = a.shape
         nrhs = b.shape[1] if b.ndim == 2 else 1
-        cond, smax = self._spectrum_estimate(a)
+        cond, smax, _ = self._spectrum_estimate(a)
         spec = SolveSpec(
             d=d,
             n=n,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.countsketch import CountSketch
 from repro.linalg.conditioning import (
-    _countsketch,
     _singular_values,
     condition_number,
     estimate_condition,
@@ -43,13 +43,12 @@ class TestConditionEstimate:
 
 
 def _scatter_sketch(a, k, seed=0):
-    """Reference probe sketch: the same draws, summed with ``np.add.at``."""
+    """Reference probe sketch: ``CountSketch(d, k, seed)``'s draws, summed with ``np.add.at``."""
     d, n = a.shape
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, k, size=d)
-    signs = rng.integers(0, 2, size=d).astype(np.float64) * 2.0 - 1.0
+    sketch = CountSketch(d, k, seed=seed)
+    signs = np.where(sketch.signs, 1.0, -1.0)
     sa = np.zeros((k, n))
-    np.add.at(sa, rows, a * signs[:, None])
+    np.add.at(sa, sketch.row_map, a * signs[:, None])
     return sa
 
 
@@ -58,13 +57,15 @@ class TestSpectrumProbe:
 
     def test_sparse_sketch_is_bit_identical_to_scatter(self):
         a = matrix_with_condition(16384, 32, 1e6, seed=4)
-        k = 4 * 32 * 32  # the probe's k at oversampling 2: four blocks of 1024 rows
-        assert np.array_equal(_countsketch(a, k, 0), _scatter_sketch(a, k))
+        k = 2 * 32 * 32  # the probe's k1 at oversampling 2: two blocks of 1024 rows
+        first_stage = estimate_spectrum_bounds(a).first_stage
+        assert first_stage.y.shape == (k, 32)
+        assert np.array_equal(first_stage.y, _scatter_sketch(a, k))
 
     @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
     def test_blocked_extremes_match_full_svd(self, cond):
         a = matrix_with_condition(16384, 32, cond, seed=4)
-        reference = np.linalg.svd(_scatter_sketch(a, 4096), compute_uv=False)
+        reference = np.linalg.svd(_scatter_sketch(a, 2048), compute_uv=False)
         smax, smin = estimate_spectrum_bounds(a)
         assert smax == pytest.approx(reference.max(), rel=1e-6)
         assert smin == pytest.approx(reference.min(), rel=1e-6)
@@ -76,8 +77,8 @@ class TestSpectrumProbe:
         )
 
     def test_single_block_sketch_is_bit_identical(self):
-        a = matrix_with_condition(2048, 16, 1e4, seed=4)  # k = 1024 fits one block
-        svals = np.linalg.svd(_scatter_sketch(a, 1024), compute_uv=False)
+        a = matrix_with_condition(2048, 16, 1e4, seed=4)  # k1 = 512 fits one block
+        svals = np.linalg.svd(_scatter_sketch(a, 512), compute_uv=False)
         assert estimate_spectrum_bounds(a) == (float(svals.max()), float(svals.min()))
 
     @pytest.mark.parametrize(
