@@ -9,8 +9,9 @@ ISSUE 8's acceptance bar, pinned as benchmarks:
   a budget that the requests *actually* meet sheds nothing and violates
   nothing -- while the analytic projection, which overestimates this shape
   by ~1.6x, sheds those same requests falsely.
-* The recorded perf trajectory (``BENCH_8.json``) exists, validates against
-  the bench schema, and passes the regression gate against ``BENCH_6.json``.
+* The committed perf record (``BENCH_17.json``) exists, validates against
+  the bench schema, and the exact gate accepts an identical copy but
+  rejects one whose simulated field moved by one ulp.
 
 The demonstration shape is 1024x16 under the fixed ``sketch_precond_lsqr``
 policy: the roofline model prices the LSQR iterations pessimistically there
@@ -128,11 +129,12 @@ def test_active_calibration_stops_false_shedding_with_zero_violations():
 
 
 def test_bench_record_exists_validates_and_passes_regression_gate():
-    current_path = REPO_ROOT / "BENCH_8.json"
-    previous_path = REPO_ROOT / "BENCH_6.json"
-    assert current_path.exists(), "BENCH_8.json missing -- run tools/record_bench.py"
-    current = load_bench(current_path)
-    validate_bench(current)
+    record_path = REPO_ROOT / "BENCH_17.json"
+    assert record_path.exists(), "BENCH_17.json missing -- run tools/record_bench.py"
+    record = load_bench(record_path)
+    assert validate_bench(record) == []
+    import copy
+    import math
     import sys
 
     sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -140,12 +142,16 @@ def test_bench_record_exists_validates_and_passes_regression_gate():
         from compare_bench import compare
     finally:
         sys.path.pop(0)
-    lines, regressions = compare(
-        current,
-        load_bench(previous_path),
-        max_throughput_drop=0.25,
-        max_p95_growth=1.0,
-        max_residual_growth=0.5,
-    )
+    lines, differences = compare(copy.deepcopy(record), record)
     assert lines, "comparison produced no report lines"
-    assert regressions == [], "\n".join(regressions)
+    assert differences == [], "\n".join(differences)
+
+    # One ulp on one simulated field is a difference the gate must report.
+    moved = copy.deepcopy(record)
+    rps = record["throughput"]["concurrent_requests_per_second"]
+    bumped = math.nextafter(rps, math.inf)
+    moved["throughput"]["concurrent_requests_per_second"] = bumped
+    _, differences = compare(moved, record)
+    assert differences == [
+        f"throughput.concurrent_requests_per_second: committed {rps!r}, fresh {bumped!r}"
+    ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving import AsyncSketchServer
+from repro.serving import AsyncSketchServer, ElasticShardPolicy
 from repro.serving.server import ServerConfig, SketchServer
 
 pytestmark = pytest.mark.serving
@@ -75,55 +75,77 @@ def test_mixed_load_span_trees_are_complete_for_admitted_requests():
         runtime.stop()
 
 
-def _drive_runtime_burst(tracing: bool, trace_sample: int = 1):
-    """One 12-request burst through a single-worker runtime; sorted latencies."""
+def _drive_runtime_burst(tracing: bool, trace_sample: int = 1, workers: int = 1):
+    """One paused mixed-lane burst (solve, ridge, stream) through an elastic runtime.
+
+    Returns everything the simulated clock decided: each request's
+    ``simulated_seconds`` in admission order, the queue-inclusive lane
+    percentiles, the per-shard batch counts and the scale-event timeline.
+    """
     rng = np.random.default_rng(5)
     runtime = AsyncSketchServer(
         config=ServerConfig(
             shards=2, seed=11, max_batch=4, tracing=tracing, trace_sample=trace_sample
         ),
-        workers=1,
+        workers=workers,
         queue_depth=64,
+        elastic=ElasticShardPolicy(
+            min_shards=1, max_shards=4, queue_high=2.0, cooldown_batches=1
+        ),
     )
     try:
+        session = runtime.open_stream(12)
         # Admit the whole burst before dispatching any of it (the
         # perf-trajectory idiom): the load itself is then deterministic, so
-        # the only thing left that could move the simulated latencies is the
-        # observability configuration under test.
+        # the only things left that could move the simulated outcome are the
+        # configuration knobs under test.
         runtime.pause()
         futures = []
-        for _ in range(12):
+        for i in range(12):
             a = rng.standard_normal((256, 12))
             futures.append(runtime.submit(a, rng.standard_normal(256)))
+            if i % 3 == 0:
+                a = rng.standard_normal((192, 12))
+                futures.append(runtime.submit_ridge(a, rng.standard_normal(192), 0.1))
+            if i % 4 == 0:
+                rows = rng.standard_normal((96, 12))
+                futures.append(runtime.append_rows(session, rows, rng.standard_normal(96)))
         runtime.resume()
         runtime.drain()
-        latencies = sorted(f.result().simulated_seconds for f in futures)
+        stats = runtime.stats()
+        return {
+            "simulated_seconds": [f.result().simulated_seconds for f in futures],
+            "lanes": {k: v for k, v in stats.items() if k.startswith("lane_")},
+            "batches_per_shard": runtime.scheduler.batches_per_shard,
+            "scale_events": runtime.scale_events(),
+        }
     finally:
         runtime.stop()
-    return latencies
 
 
 def test_runtime_tracing_leaves_simulated_latencies_unchanged():
-    """Same single-worker load with tracing on/off: identical lane latency."""
-    np.testing.assert_allclose(_drive_runtime_burst(True), _drive_runtime_burst(False))
+    """Same burst with tracing on/off: identical simulated outcome."""
+    assert _drive_runtime_burst(True) == _drive_runtime_burst(False)
 
 
 def test_runtime_latencies_invariant_across_tracing_and_sampling_configs():
-    """Admission stamps are epoch-based, so simulated latencies cannot depend
-    on how observability config shifts the wall-clock submitter/worker race.
+    """One dispatcher over a paused burst: the simulated outcome is a function
+    of the load and the seed, never of the wall-clock submitter/dispatcher
+    race that observability configuration could shift.
 
-    Regression test for the tracing-perturbs-scheduling bug: the admission
-    timestamp used to be a live ``pool.min_load()`` read whose value depended
-    on worker dispatch progress at the wall-clock instant of admission;
-    tracing (span construction under the runtime lock) biased that race and
-    produced systematically different latency patterns.  Every observability
-    configuration -- tracing off, unsampled tracing, and 1-in-N head
-    sampling -- must now yield bit-identical sorted latencies, and repeat
-    runs of the same configuration must be deterministic.
+    Every observability configuration -- tracing off, unsampled tracing,
+    and 1-in-N head sampling -- must yield bit-identical latencies, and
+    repeat runs of the same configuration must be deterministic.
     """
     baseline = _drive_runtime_burst(False)
     for tracing, sample in ((False, 1), (True, 1), (True, 3)):
         for _ in range(2):  # repeat: determinism within a config, too
-            np.testing.assert_array_equal(
-                _drive_runtime_burst(tracing, trace_sample=sample), baseline
-            )
+            assert _drive_runtime_burst(tracing, trace_sample=sample) == baseline
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_runtime_burst_is_independent_of_worker_count(tracing):
+    """``workers`` selects nothing: the runtime dispatches on one thread."""
+    one = _drive_runtime_burst(tracing, workers=1)
+    assert one["scale_events"], "the burst must exercise elastic scaling"
+    assert _drive_runtime_burst(tracing, workers=8) == one

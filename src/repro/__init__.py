@@ -30,7 +30,7 @@ The package is organised as:
   p50/p95/p99 latency and throughput -- plus the *concurrent runtime*
   (:class:`~repro.serving.runtime.AsyncSketchServer`): a bounded admission
   queue with per-problem-class priority lanes, deadline-aware load
-  shedding with typed errors, a worker pool overlapping sketches and
+  shedding with typed errors, one dispatcher thread placing sketches and
   solves across shards, and elastic shard scaling driven by queue-depth
   and p95-latency telemetry.
 * :mod:`repro.streaming` -- the online engine: a

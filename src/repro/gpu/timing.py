@@ -270,12 +270,11 @@ class SimClock:
         self._now = 0.0
         self._breakdown = _RetainedBreakdown(self.RETAIN_RECORDS)
         self._phase_stack: List[str] = []
-        # `_now += seconds` is a read-modify-write; the concurrent serving
-        # runtime can charge kernels to one shard clock from two threads
-        # (an operator build at plan time racing an in-flight solve), and an
-        # unlocked increment would silently lose simulated time.  Workers
-        # hold per-shard locks for the solve path, so this lock is
-        # uncontended there; it exists for the residual overlaps.
+        # `_now += seconds` is a read-modify-write; a synchronous server
+        # driven from several threads can charge kernels to one shard clock
+        # at once, and an unlocked increment would silently lose simulated
+        # time.  The concurrent runtime runs one unit at a time, so this
+        # lock is uncontended there.
         self._record_lock = threading.Lock()
 
     @property

@@ -802,7 +802,6 @@ def concurrent_load(
     stream_batch_rows: int = 256,
     shards: int = 2,
     max_shards: int = 8,
-    workers: int = 8,
     max_batch: int = 8,
     queue_depth: int = 512,
     shed_requests: int = 48,
@@ -897,14 +896,13 @@ def concurrent_load(
         shards=shards,
         max_batch=max_batch,
         seed=seed,
-        workers=workers,
         queue_depth=max(queue_depth, spike),
         elastic=elastic,
     )
     active_seen = [runtime.active_shards]
     # Admit the whole spike before dispatching any of it: the queue-depth
     # spike (and therefore the scale-up) is deterministic, not a race
-    # between the submitting thread and the workers.
+    # between the submitting thread and the dispatcher.
     runtime.pause()
     futures = [runtime.submit(a, b) for a, b in solve_traffic]
     futures += [runtime.submit_ridge(a, b, lam) for a, b, lam in ridge_traffic]
@@ -954,12 +952,12 @@ def concurrent_load(
 
     # -- deadline shedding under saturation ---------------------------------
     shed_runtime = AsyncSketchServer(
-        shards=1, max_batch=max_batch, seed=seed, workers=1,
+        shards=1, max_batch=max_batch, seed=seed,
         queue_depth=max(shed_requests // 2, 4),
     )
     # Distinct matrices (same shape, so the operator cache still amortises)
     # keep the requests unfusable: 48 separate batches queue behind one
-    # shard and one worker, so queueing delay grows linearly and requests
+    # shard and one dispatcher, so queueing delay grows linearly and requests
     # past the budget must shed.  All inputs are prepared *before* the
     # submission loop so admission outpaces dispatch.
     shed_problems = [

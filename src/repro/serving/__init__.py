@@ -28,8 +28,8 @@ sketch operators and solvers into such a service:
   (weighted round-robin, so streaming ingest cannot starve solves),
   deadline-aware load shedding (typed
   :class:`~repro.serving.requests.QueueFullError` /
-  :class:`~repro.serving.requests.DeadlineExceededError`), a worker pool
-  overlapping sketch application and planner-routed solves across shards,
+  :class:`~repro.serving.requests.DeadlineExceededError`), one dispatcher
+  thread placing sketch application and planner-routed solves across shards,
   and an :class:`~repro.serving.scheduler.ElasticShardPolicy` growing and
   shrinking the active shard set from queue-depth and p95 telemetry.
 * :mod:`repro.serving.streaming` -- streaming sessions

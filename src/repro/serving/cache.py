@@ -212,8 +212,8 @@ class OperatorCache:
         # in put() reads len() and pops in separate bytecodes, so two
         # unlocked concurrent puts could both evict for the same slot (lost
         # entries, double-counted evictions) and a get() racing a
-        # move_to_end() could corrupt the OrderedDict's internal list.  The
-        # runtime's worker threads all funnel through here.
+        # move_to_end() could corrupt the OrderedDict's internal list.  A
+        # synchronous server driven from several threads funnels through here.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------

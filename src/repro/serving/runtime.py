@@ -18,12 +18,13 @@ traffic the way the ROADMAP's "heavy traffic from millions of users" demands:
   no longer meet its ``latency_budget`` is *shed* with
   :class:`~repro.serving.requests.DeadlineExceededError` rather than solved
   late; the shed shows up in telemetry (`shed_deadline`, per-lane counters).
-* **Worker pool** -- ``workers`` threads dispatch concurrently over the
-  :class:`~repro.gpu.pool.ExecutorPool`: while one worker drives the
-  bandwidth-bound sketch application of a fresh batch, another runs the
-  compute-bound triangular solve of the previous one on a different shard.
-  Per-shard locks keep each simulated clock single-writer; planning and
-  placement happen under one dispatch lock, execution runs outside it.
+* **One dispatcher** -- a single thread takes units off the lanes and runs
+  each to completion under one execution lock, placing it on the
+  earliest-free active shard of the :class:`~repro.gpu.pool.ExecutorPool`.
+  Shards still overlap on the simulated clock, but the order in which their
+  clocks advance is fixed by admission order and the lane weights, so every
+  simulated number is a pure function of the load and the seed.  Admission
+  runs on the callers' threads and never waits for a unit to execute.
 * **Elastic shard scaling** -- an
   :class:`~repro.serving.scheduler.ElasticShardPolicy` grows the active
   shard set when queue depth or p95 latency breach their thresholds and
@@ -41,7 +42,7 @@ Quick start::
     from repro.serving import AsyncSketchServer, ElasticShardPolicy
 
     runtime = AsyncSketchServer(
-        shards=2, workers=4, queue_depth=64,
+        shards=2, queue_depth=64,
         elastic=ElasticShardPolicy(min_shards=1, max_shards=8),
     )
     futures = [runtime.submit(A, b, latency_budget=0.05) for b in batch]
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
@@ -90,9 +90,8 @@ class RuntimeConfig:
     Attributes
     ----------
     workers:
-        Dispatcher threads.  More workers than active shards is useless
-        (per-shard locks serialise same-shard work); the default sizes the
-        pool to the elastic maximum so scale-ups are immediately usable.
+        Accepted and validated positive, but selects nothing: the runtime
+        always dispatches on one thread (see the module docstring).
     queue_depth:
         Bound on requests waiting across all lanes.  Admission past the
         bound raises :class:`~repro.serving.requests.QueueFullError`.
@@ -210,7 +209,7 @@ class AsyncSketchServer:
     its keyword overrides) mixed with :class:`RuntimeConfig` keywords::
 
         AsyncSketchServer(shards=2, policy="cheapest_accurate",
-                          workers=4, queue_depth=32,
+                          queue_depth=32,
                           elastic=ElasticShardPolicy(max_shards=8))
 
     The wrapped server is exposed as :attr:`server` but must not be driven
@@ -243,20 +242,18 @@ class AsyncSketchServer:
         self.runtime_config = runtime
         self.server = SketchServer(config)
 
+        # _lock guards the queues (admission); _exec is held by whoever
+        # touches the wrapped server: the dispatcher around each unit and the
+        # control-plane calls (open/close session, checkpoint).  Order: _exec
+        # before _lock.
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
-        self._shard_locks = [threading.Lock() for _ in range(self.server.pool.size)]
+        self._exec = threading.Lock()
         self._stop = False
         self._paused = False
-        self._in_flight = 0
+        self._busy = False  # the dispatcher holds a unit
         self._seq = 0
         self._completed_since_scale = 0
-        # Epoch baseline for admission timestamps: refreshed from the pool
-        # clocks only when the runtime is observed idle, so every request of
-        # a burst is stamped with the same simulated arrival instant no
-        # matter how the submitter and worker threads interleave (see
-        # _admit_locked).
-        self._admission_base = 0.0
         # EWMA of recent per-dispatch service estimates (calibrated when the
         # server's calibration mode is "active"): the service-time term of
         # the proactive elastic policy's predicted queue-drain time.
@@ -265,9 +262,8 @@ class AsyncSketchServer:
         # Lanes: fused solve requests live in a MicroBatcher (so the
         # runtime keeps the multi-RHS amortisation); ridge and streaming
         # items are plain priority-FIFO deques.  Streaming additionally
-        # keeps per-session FIFOs with at most one item of a session in
-        # flight, so ingest order within a session is preserved even with
-        # many workers.
+        # keeps per-session FIFOs with one ready slot per session, so ingest
+        # order within a session is preserved.
         self._solve_lane = MicroBatcher(max_batch=config.max_batch)
         self._solve_admitted: Dict[int, float] = {}
         self._trace_roots: Dict[int, Span] = {}
@@ -283,7 +279,7 @@ class AsyncSketchServer:
         ]
         self._cycle_idx = 0
 
-        self._threads: List[threading.Thread] = []
+        self._thread: Optional[threading.Thread] = None
         self.start()
 
     # ------------------------------------------------------------------
@@ -334,22 +330,18 @@ class AsyncSketchServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the worker pool (idempotent)."""
+        """Start the dispatcher thread (idempotent)."""
         with self._lock:
-            if self._threads:
+            if self._thread is not None:
                 return
             self._stop = False
-            self._threads = [
-                threading.Thread(
-                    target=self._worker_loop, name=f"sketch-worker-{i}", daemon=True
-                )
-                for i in range(self.runtime_config.workers)
-            ]
-        for t in self._threads:
-            t.start()
+            self._thread = threading.Thread(
+                target=self._run_dispatcher, name="sketch-dispatcher", daemon=True
+            )
+        self._thread.start()
 
     def pause(self) -> None:
-        """Hold dispatching: admissions continue, workers idle.
+        """Hold dispatching: admissions continue, the dispatcher idles.
 
         Lets a burst be admitted atomically before any of it dispatches --
         the saturation benchmarks use this to make queue-depth behaviour
@@ -366,12 +358,12 @@ class AsyncSketchServer:
             self._work.notify_all()
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop the worker pool.
+        """Stop the dispatcher thread.
 
         ``drain=True`` (default) serves everything already admitted first;
         ``drain=False`` sheds the backlog with a typed ``shutdown`` error.
         A paused runtime stays paused until the backlog's fate is decided,
-        so ``drain=False`` sheds everything instead of racing the workers.
+        so ``drain=False`` sheds everything instead of racing the dispatcher.
         """
         if drain:
             self.resume()  # a paused runtime could never drain
@@ -382,9 +374,9 @@ class AsyncSketchServer:
             self._stop = True
             self._paused = False
             self._work.notify_all()
-        for t in self._threads:
-            t.join(timeout=timeout)
-        self._threads = []
+        if self._thread is not None:
+            self._thread.join(timeout=timeout)
+        self._thread = None
 
     def __enter__(self) -> "AsyncSketchServer":
         self.start()
@@ -402,7 +394,7 @@ class AsyncSketchServer:
         """
         with self._work:
             ok = self._work.wait_for(
-                lambda: self._queue_depth_locked() == 0 and self._in_flight == 0,
+                lambda: self._queue_depth_locked() == 0 and not self._busy,
                 timeout=timeout,
             )
             if not ok:
@@ -425,26 +417,24 @@ class AsyncSketchServer:
         """Drain-then-checkpoint: a consistent durable snapshot of every session.
 
         The lifecycle is drain (serve everything already admitted, so no
-        acknowledged append is missing from the snapshot), pause dispatch,
-        wait out any straggling in-flight work, checkpoint every live
-        session through :meth:`SketchServer.save`, then resume.  Returns
+        acknowledged append is missing from the snapshot), then checkpoint
+        every live session through :meth:`SketchServer.save` under the
+        execution lock, so no unit runs mid-snapshot.  Returns
         ``{session_id: snapshot bytes}``.  With ``drain=False`` the backlog
-        is left queued and only already-applied state is snapshotted --
-        still consistent (the WAL already holds every acknowledged append),
-        just with more tail to replay after a crash.
+        is left queued (and a paused runtime stays paused) and only
+        already-applied state is snapshotted -- still consistent (the WAL
+        already holds every acknowledged append), just with more tail to
+        replay after a crash.
         """
         if drain:
             self.resume()  # a paused runtime could never drain
             self.drain(timeout=timeout)
-        self.pause()
+        if not self._exec.acquire(timeout=-1 if timeout is None else timeout):
+            raise TimeoutError("checkpoint timed out with a dispatch in flight")
         try:
-            with self._work:
-                ok = self._work.wait_for(lambda: self._in_flight == 0, timeout=timeout)
-                if not ok:
-                    raise TimeoutError("checkpoint timed out with dispatches in flight")
             return self.server.save()
         finally:
-            self.resume()
+            self._exec.release()
 
     # ------------------------------------------------------------------
     # admission
@@ -458,20 +448,7 @@ class AsyncSketchServer:
         return self.server.pool.min_load(among=self.scheduler.active_set())
 
     def _admit_locked(self, lane: str) -> float:
-        """Common admission gate; returns the admission timestamp.
-
-        The timestamp is an *epoch baseline*, not a live clock read: it is
-        refreshed from :meth:`_virtual_now_locked` only when the runtime is
-        idle (empty queue, nothing in flight) and reused for every request
-        admitted while work remains outstanding.  A live read would make the
-        stamp depend on how far the worker threads happened to have
-        progressed at the wall-clock instant of admission -- a
-        submitter-vs-worker race that let wall-clock-only effects (tracing
-        span construction, GC pauses, OS scheduling) perturb the *simulated*
-        queue-inclusive latencies.  With the epoch stamp, a burst's
-        latencies are a deterministic function of admission order, which is
-        what the "observability is zero simulated cost" contract needs.
-        """
+        """Common admission gate; returns the admission timestamp."""
         if self._stop:
             raise RuntimeError("runtime is stopped")
         depth = self._queue_depth_locked()
@@ -484,9 +461,7 @@ class AsyncSketchServer:
             )
         self.telemetry.record_admission(lane)
         self.telemetry.record_queue_depth(depth + 1)
-        if depth == 0 and self._in_flight == 0:
-            self._admission_base = self._virtual_now_locked()
-        return self._admission_base
+        return self._virtual_now_locked()
 
     def _start_root_locked(
         self, lane: str, admitted_at: float, request_id: int, **attrs
@@ -629,22 +604,11 @@ class AsyncSketchServer:
     # ------------------------------------------------------------------
     # streaming through the queue
     # ------------------------------------------------------------------
-    def _quiesced(self) -> ExitStack:
-        """Hold the dispatch lock and every shard lock: no shard work in flight.
-
-        Session admission may evict (checkpoint) any live session, and a
-        resurrection or a passivated close replays onto a shard clock, so
-        each runs only while no worker is folding into a session.
-        """
-        stack = ExitStack()
-        stack.enter_context(self._lock)
-        for lock in self._shard_locks:
-            stack.enter_context(lock)
-        return stack
-
     def open_stream(self, n: int, **options) -> int:
         """Open a streaming session (control plane: immediate, not queued)."""
-        with self._quiesced():
+        # Opening may evict (checkpoint) a live session and draws from the
+        # server's id stream, so it runs between units and outside admission.
+        with self._exec, self._lock:
             return self.server.open_stream(n, **options)
 
     def append_rows(
@@ -654,7 +618,7 @@ class AsyncSketchServer:
 
         Batches of one session dispatch strictly in admission order (the
         window algebra is order-sensitive for decayed/sliding modes), but
-        different sessions interleave freely across workers and shards.
+        different sessions interleave freely.
         The future resolves to the session's
         :class:`~repro.streaming.solver.IngestReport`.
         """
@@ -671,7 +635,7 @@ class AsyncSketchServer:
     # ------------------------------------------------------------------
     def open_frequency_stream(self, domain: int, **options) -> int:
         """Open a frequency session (control plane: immediate, not queued)."""
-        with self._quiesced():
+        with self._exec, self._lock:
             return self.server.open_frequency_stream(domain, **options)
 
     def append_items(self, session_id: int, ids, weights=None) -> RuntimeFuture:
@@ -746,8 +710,9 @@ class AsyncSketchServer:
                 and session_id not in self._stream_busy
             )
             self._stream_queues.pop(session_id, None)
-            with self._quiesced():
-                return close(session_id)
+        # A passivated close replays onto a shard clock: run it between units.
+        with self._exec, self._lock:
+            return close(session_id)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -778,32 +743,34 @@ class AsyncSketchServer:
                 return ("stream", item)
         return None
 
-    def _worker_loop(self) -> None:
+    def _run_dispatcher(self) -> None:
+        """The dispatcher thread: one unit at a time, under the execution lock.
+
+        Not named ``_dispatch*``: tooling that times each unit wraps every
+        method with that prefix as one per-unit call.
+        """
         while True:
             with self._work:
                 while not self._stop and (self._paused or not self._has_work_locked()):
                     self._work.wait()
-                if self._stop and not self._has_work_locked():
-                    self._work.notify_all()
+                if not self._has_work_locked():  # stopped with nothing left
                     return
-                unit = self._next_work_locked()
-                if unit is None:  # pragma: no cover - racing pop, retry
-                    continue
-                self._in_flight += 1
+                lane, work = self._next_work_locked()
+                self._busy = True
             try:
-                lane, work = unit
-                if lane == "solve":
-                    self._dispatch_solve(work)
-                elif lane == "ridge":
-                    self._dispatch_ridge(work)
-                else:
-                    self._dispatch_stream(work)
+                with self._exec:
+                    if lane == "solve":
+                        self._dispatch_solve(work)
+                    elif lane == "ridge":
+                        self._dispatch_ridge(work)
+                    else:
+                        self._dispatch_stream(work)
             finally:
                 # Drop the unit before waiting for the next one: it holds the
                 # request's matrix, which must not outlive its dispatch.
-                unit = work = None
+                work = None
                 with self._work:
-                    self._in_flight -= 1
+                    self._busy = False
                     self.telemetry.record_queue_depth(self._queue_depth_locked())
                     self._maybe_scale_locked()
                     self._work.notify_all()
@@ -830,12 +797,12 @@ class AsyncSketchServer:
                 planned = self.server._plan_batch(batch)
                 budget = batch.requests[0].latency_budget
                 if budget is not None:
-                    # Earliest effective start (queued work included) +
-                    # service estimate + result-return transfer: the same
-                    # three terms the completed request's queue-inclusive
-                    # latency is built from, so a saturated queue rejects
-                    # late requests instead of solving them past budget.
-                    start = self.scheduler.min_effective_load()
+                    # Earliest start on an active shard + service estimate
+                    # + result-return transfer: the same three terms the
+                    # completed request's queue-inclusive latency is built
+                    # from, so a saturated queue rejects late requests
+                    # instead of solving them past budget.
+                    start = self._virtual_now_locked()
                     projected = (
                         max(0.0, start - admitted_at)
                         + float(planned[0].costs.get(planned[0].solver, 0.0))
@@ -845,16 +812,10 @@ class AsyncSketchServer:
                         self._shed_solve_locked(batch, projected, budget, roots)
                         return
                 placed = self.server._plan_and_place(batch, planned)
-                reservation = placed.estimated_service_seconds
-                self._note_service_estimate_locked(reservation)
-                self.scheduler.reserve(placed.shard, reservation)
-            try:
-                with self._shard_locks[placed.shard]:
-                    responses = self.server._run_placed(
-                        batch, placed, admitted_at=admitted_at, roots=roots
-                    )
-            finally:
-                self.scheduler.release(placed.shard, reservation)
+                self._note_service_estimate_locked(placed.estimated_service_seconds)
+            responses = self.server._run_placed(
+                batch, placed, admitted_at=admitted_at, roots=roots
+            )
             with self._lock:
                 for resp in responses:
                     self.telemetry.record_lane_latency("solve", resp.simulated_seconds)
@@ -908,7 +869,7 @@ class AsyncSketchServer:
                 plan_, spec, policy, kind = self.server._plan_ridge(a, b, lam, **options)
                 budget = spec.latency_budget
                 if budget is not None:
-                    start = self.scheduler.min_effective_load()
+                    start = self._virtual_now_locked()
                     comm = self.scheduler.estimate_transfer(
                         float(spec.n) * spec.nrhs * a.dtype.itemsize
                     )
@@ -932,25 +893,19 @@ class AsyncSketchServer:
                         )
                         return
                 placed = self.server._place_ridge(plan_, spec, kind)
-                reservation = placed.estimated_service_seconds
-                self._note_service_estimate_locked(reservation)
-                self.scheduler.reserve(placed.shard, reservation)
-            try:
-                with self._shard_locks[placed.shard]:
-                    response = self.server._run_ridge(
-                        a,
-                        b,
-                        lam,
-                        placed,
-                        policy=policy,
-                        kind=kind,
-                        solver=options.get("solver"),
-                        admitted_at=item.admitted_at,
-                        request_id=item.future.request_id,
-                        root=item.root,
-                    )
-            finally:
-                self.scheduler.release(placed.shard, reservation)
+                self._note_service_estimate_locked(placed.estimated_service_seconds)
+            response = self.server._run_ridge(
+                a,
+                b,
+                lam,
+                placed,
+                policy=policy,
+                kind=kind,
+                solver=options.get("solver"),
+                admitted_at=item.admitted_at,
+                request_id=item.future.request_id,
+                root=item.root,
+            )
             self.telemetry.record_lane_latency("ridge", response.simulated_seconds)
             item.future._resolve(response)
         except Exception as exc:  # input validation errors reach the caller
@@ -960,20 +915,12 @@ class AsyncSketchServer:
     # -- stream lane ----------------------------------------------------
     def _dispatch_stream(self, item: _LaneItem) -> None:
         session_id, call = item.payload
-        sessions = self.server.sessions
         try:
-            while True:
-                session = sessions.live.get(session_id)
-                if session is None:
-                    # Resurrection goes through admission like an open.
-                    with self._quiesced():
-                        session = sessions.resolve(session_id)
-                with self._shard_locks[session.shard]:
-                    # Evictions run quiesced, so a session still live here
-                    # stays live until the call returns.
-                    if sessions.live.get(session_id) is session:
-                        result = call(root=item.root)
-                        break
+            # Resurrecting a passivated session admits it like an open (it
+            # may evict another and draws from the server's id stream).
+            with self._lock:
+                session = self.server.sessions.resolve(session_id)
+            result = call(root=item.root)
             done_at = self.server.pool[session.shard].elapsed
             self.telemetry.record_lane_latency(
                 "stream", max(0.0, done_at - item.admitted_at)
@@ -1083,8 +1030,7 @@ class AsyncSketchServer:
         out = self.server.stats()
         with self._lock:
             out["queue_depth"] = float(self._queue_depth_locked())
-            out["in_flight"] = float(self._in_flight)
-        out["workers"] = float(self.runtime_config.workers)
+            out["in_flight"] = float(self._busy)
         out["queue_bound"] = float(self.runtime_config.queue_depth)
         return out
 
@@ -1094,7 +1040,6 @@ class AsyncSketchServer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"AsyncSketchServer(workers={self.runtime_config.workers}, "
-            f"queue_depth={self.runtime_config.queue_depth}, "
+            f"AsyncSketchServer(queue_depth={self.runtime_config.queue_depth}, "
             f"active_shards={self.active_shards}/{self.server.pool.size})"
         )

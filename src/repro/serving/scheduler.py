@@ -197,12 +197,6 @@ class ShardScheduler:
         self._comm_by_name: Dict[str, float] = {}
         self.scale_events: List[ScaleEvent] = []
         self._batches_per_shard: List[int] = [0] * pool.size
-        # Estimated seconds of work placed but not yet executed, per shard.
-        # Simulated clocks only advance when kernels run, so without this a
-        # burst of concurrent placements all sees the same stale loads and
-        # piles onto one shard (thundering herd); reservations make
-        # least-loaded placement queue-aware.
-        self._reserved: List[float] = [0.0] * pool.size
         self._lock = threading.Lock()
         if active_shards is None:
             active_shards = pool.size
@@ -270,17 +264,13 @@ class ShardScheduler:
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    def place(self, preferred: Optional[int] = None, reserve_seconds: float = 0.0) -> int:
+    def place(self, preferred: Optional[int] = None) -> int:
         """Pick the shard for a batch.
 
         ``preferred`` (cache affinity) wins when given -- even for a parked
         shard, because pinned device state (a session's window sketch, an
         unseeded operator) cannot move; otherwise the least loaded *active*
-        shard by *effective* (executed plus reserved) simulated busy time
-        is chosen.  ``reserve_seconds`` books the batch's estimated service
-        time on the chosen shard; callers that overlap placement with
-        execution pass the planner's estimate and :meth:`release` it when
-        the batch completes.
+        shard by simulated busy time is chosen.
         """
         with self._lock:
             if preferred is not None:
@@ -291,34 +281,9 @@ class ShardScheduler:
                 shard = preferred
             else:
                 loads = self.pool.loads()
-                shard = min(
-                    range(self._active), key=lambda s: loads[s] + self._reserved[s]
-                )
+                shard = min(range(self._active), key=lambda s: loads[s])
             self._batches_per_shard[shard] += 1
-            if reserve_seconds > 0.0:
-                self._reserved[shard] += float(reserve_seconds)
             return shard
-
-    def reserve(self, shard: int, seconds: float) -> None:
-        """Book estimated in-flight work on a shard (see :meth:`place`)."""
-        with self._lock:
-            self._reserved[shard] += float(seconds)
-
-    def release(self, shard: int, seconds: float) -> None:
-        """Return a reservation once its batch has executed."""
-        with self._lock:
-            self._reserved[shard] = max(0.0, self._reserved[shard] - float(seconds))
-
-    def effective_loads(self) -> List[float]:
-        """Per-shard executed-plus-reserved simulated seconds."""
-        loads = self.pool.loads()
-        with self._lock:
-            return [l + r for l, r in zip(loads, self._reserved)]
-
-    def min_effective_load(self) -> float:
-        """Earliest instant (effective) at which an active shard frees up."""
-        loads = self.effective_loads()
-        return min(loads[s] for s in range(self._active))
 
     @property
     def batches_per_shard(self) -> List[int]:

@@ -154,7 +154,7 @@ class ServerConfig:
         measured/analytic correction factors and scores itself in the
         registry, but planning and shedding still use analytic costs --
         the shadow deployment), or ``"active"`` (planner ranking,
-        deadline-shedding projections and reservation estimates all use
+        deadline-shedding projections and drain-time estimates all use
         calibrated costs).
     durability:
         A :class:`~repro.durability.store.DurabilityConfig` to make every
@@ -285,7 +285,7 @@ class SketchServer:
         )
         #: Online measured/analytic cost calibration (None when "off").
         #: In "observe" mode it learns and scores itself; in "active" mode
-        #: its predictions also drive planning, shedding and reservations.
+        #: its predictions also drive planning, shedding and drain estimates.
         self.calibration: Optional[CalibratedEstimator] = (
             CalibratedEstimator(self.metrics, device=config.device)
             if config.calibration != "off"
@@ -528,7 +528,7 @@ class SketchServer:
         across the pool.  The rebuild's generation time lands on the new
         shard's clock via its executor.
         """
-        loads = self.scheduler.effective_loads()
+        loads = self.pool.loads()
         owned = entry.shard_set()
         active = set(self.scheduler.active_set())
         # Prefer copies on active shards: a parked owner only runs the batch
@@ -1509,7 +1509,6 @@ def _slo_report(args) -> int:
     runtime = AsyncSketchServer(
         shards=args.shards,
         seed=args.seed,
-        workers=max(args.workers, 2),
         queue_depth=args.queue_depth,
     )
     engine = SLOEngine(runtime.server.metrics, default_serving_slos())
@@ -1553,7 +1552,6 @@ def _health_probe(args) -> int:
         runtime = AsyncSketchServer(
             shards=args.shards,
             seed=args.seed,
-            workers=max(args.workers, 2),
             queue_depth=args.queue_depth,
         )
         engine = SLOEngine(runtime.server.metrics, default_serving_slos())
@@ -1607,7 +1605,6 @@ def _observability_demo(args) -> int:
     runtime = AsyncSketchServer(
         shards=args.shards,
         seed=args.seed,
-        workers=max(args.workers, 2),
         queue_depth=args.queue_depth,
     )
     try:
@@ -1690,10 +1687,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Thin wrapper over the harness experiments so the demo, the harness rows
     and the benchmarks all share one traffic-synthesis and comparison path.
-    With ``--workers N`` (N > 0) the demo runs the *concurrent runtime*
-    experiment instead of the synchronous throughput comparison:
-    ``--workers``/``--queue-depth`` size the dispatcher pool and the bounded
-    admission queue of the :class:`~repro.serving.runtime.AsyncSketchServer`.
+    With ``--workers N`` (any N > 0) the demo runs the *concurrent runtime*
+    experiment instead of the synchronous throughput comparison; the
+    runtime dispatches on one thread whatever N is, and ``--queue-depth``
+    bounds the admission queue of the
+    :class:`~repro.serving.runtime.AsyncSketchServer`.
     """
     import argparse
 
@@ -1708,8 +1706,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=0,
-        help="dispatcher threads for the concurrent runtime demo "
-        "(0 = synchronous serving demo; default 0)",
+        help="any N > 0 runs the concurrent runtime demo (one dispatcher "
+        "thread whatever N is); 0 = synchronous serving demo (default 0)",
     )
     parser.add_argument(
         "--queue-depth",
@@ -1772,7 +1770,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.workers > 0:
         rows = concurrent_load(
             shards=args.shards,
-            workers=args.workers,
             queue_depth=args.queue_depth,
             seed=args.seed,
         )
@@ -1782,7 +1779,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "worst_relative_residual", "active_max", "scale_ups", "scale_downs",
                      "requests_shed", "queue_full_rejects", "deadline_violations"],
             title=(f"repro-serve concurrent demo: mixed lstsq+ridge+streaming load, "
-                   f"{args.workers} workers, queue depth {args.queue_depth} "
+                   f"one dispatcher, queue depth {args.queue_depth} "
                    "-- simulated H100 seconds"),
         ))
         return 0

@@ -74,8 +74,8 @@ class ServingTelemetry:
     """Accumulates per-request and per-batch measurements for one server.
 
     All recorders (including the streaming-session ones and ``reset()``)
-    take an internal lock, so a concurrent runtime's worker threads can
-    report into one instance without corrupting counters; the lock is
+    take an internal lock, so the runtime's dispatcher and admitting threads
+    can report into one instance without corrupting counters; the lock is
     uncontended (and cheap) for the synchronous server.
 
     Parameters

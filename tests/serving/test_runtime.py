@@ -3,8 +3,8 @@
 The acceptance-level behaviour (2x throughput, shed-don't-violate, elastic
 up-then-down) lives in ``benchmarks/test_concurrent_runtime.py``; these
 tests pin the mechanisms: admission bounds, lane round-robin, priorities,
-pause/resume, future semantics, per-session ordering, the elastic policy's
-decision table and the scheduler's reservation accounting.
+pause/resume, future semantics, per-session ordering and the elastic
+policy's decision table.
 """
 
 from __future__ import annotations
@@ -207,20 +207,6 @@ def test_scheduler_set_active_records_events():
         sched.set_active(5)
 
 
-def test_scheduler_reservations_steer_placement():
-    pool = ExecutorPool(2, numeric=False, seed=0)
-    sched = ShardScheduler(pool)
-    first = sched.place(reserve_seconds=1.0)
-    # With the reservation booked, the other shard is now least loaded.
-    second = sched.place()
-    assert second != first
-    sched.release(first, 1.0)
-    assert sched.effective_loads() == pool.loads()
-    # Releasing more than reserved clamps at zero.
-    sched.release(first, 5.0)
-    assert sched.min_effective_load() == pytest.approx(min(pool.loads()))
-
-
 # ---------------------------------------------------------------------------
 # batcher: incremental priority pops
 # ---------------------------------------------------------------------------
@@ -307,6 +293,22 @@ def test_stop_without_drain_sheds_backlog(problem):
     assert runtime.telemetry.shed_counts().get("shutdown", 0) == 4
     with pytest.raises(RuntimeError):
         runtime.submit(a, b)
+
+
+def test_checkpoint_without_drain_keeps_a_paused_runtime_paused(problem):
+    a, b = problem
+    runtime = AsyncSketchServer(shards=1, seed=0)
+    try:
+        runtime.pause()
+        future = runtime.submit(a, b)
+        assert runtime.checkpoint(drain=False) == {}
+        # The frozen queue must stay frozen: nothing dispatched, nothing drained.
+        assert runtime.pending == 1
+        with pytest.raises(TimeoutError):
+            runtime.drain(timeout=0.2)
+        assert runtime.pending == 1 and not future.done()
+    finally:
+        runtime.stop(drain=False)
 
 
 def test_dispatch_error_rejects_futures_not_workers(problem, monkeypatch):

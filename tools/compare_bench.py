@@ -1,132 +1,82 @@
 #!/usr/bin/env python3
-"""Gate the perf trajectory: diff ``BENCH_<pr>.json`` against the previous record.
+"""Gate the perf trajectory: a fresh ``BENCH`` record must equal the committed one.
 
-``tools/record_bench.py`` writes each PR's serving/runtime/streaming numbers;
-this tool turns that accumulating trajectory into an enforced contract.  It
-compares the current record against the previous one along the axes that
-matter --
+Every number in the record (see :mod:`repro.obs.bench`) is a simulated-clock
+quantity or a count, and the concurrent runtime dispatches on one thread, so
+the record is a pure function of code and seed.  The gate is therefore exact:
 
-* throughput (``serving_requests_per_second``,
-  ``concurrent_requests_per_second``): may not DROP by more than the
-  threshold;
-* per-lane tail latency (``lanes.<lane>.p95_seconds``): may not GROW by
-  more than the threshold;
-* solution quality (``residuals.concurrent_over_sync_ratio``,
-  ``residuals.ridge_residual_ratio``): may not GROW by more than the
-  threshold --
+* ``throughput.*``, ``lanes.*``, ``counters.*``, ``streaming.*`` (and
+  ``config``, ``schema_version``) must be equal, bit for bit;
+* ``residuals.*`` come from host BLAS and are compared at relative 1e-9;
+* ``pr`` is ignored.
 
-and exits non-zero past any threshold, so CI blocks the merge instead of
-recording the regression for archaeologists.  The default thresholds are
-deliberately generous: worker-thread interleaving makes the concurrent
-numbers run-to-run noisy, and the gate exists to catch real regressions,
-not scheduling jitter.
+A change that moves a simulated number commits the new record with it.
 
-Compare:   python tools/compare_bench.py BENCH_8.json BENCH_6.json
-Report:    python tools/compare_bench.py BENCH_8.json BENCH_6.json --report bench_compare.txt
+Compare:   python tools/compare_bench.py bench_fresh.json BENCH_17.json
+Report:    python tools/compare_bench.py bench_fresh.json BENCH_17.json --report bench_compare.txt
 
-Exit status: 0 when every axis is within threshold; 1 on regression or
+Exit status: 0 when the records agree; 1 on any difference or
 unreadable/invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-
-def _relative_change(current: float, previous: float) -> float:
-    """Signed relative change vs the previous record (0 when both are 0)."""
-    if previous == 0.0:
-        return 0.0 if current == 0.0 else float("inf")
-    return (current - previous) / abs(previous)
+#: Relative tolerance for the host-BLAS ``residuals`` section.
+RESIDUAL_RTOL = 1e-9
 
 
-def compare(
-    current: dict,
-    previous: dict,
-    *,
-    max_throughput_drop: float,
-    max_p95_growth: float,
-    max_residual_growth: float,
-) -> Tuple[List[str], List[str]]:
-    """Diff two validated bench payloads; returns (report lines, regressions)."""
-    lines: List[str] = []
-    regressions: List[str] = []
-    lines.append(
-        f"perf trajectory: PR {previous.get('pr')} -> PR {current.get('pr')}"
-    )
+def _flatten(payload: dict, prefix: str = "") -> Dict[str, object]:
+    """``{"a": {"b": 1}}`` -> ``{"a.b": 1}``."""
+    out: Dict[str, object] = {}
+    for key, value in payload.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{name}."))
+        else:
+            out[name] = value
+    return out
 
-    for field in ("serving_requests_per_second", "concurrent_requests_per_second"):
-        cur = float(current["throughput"][field])
-        prev = float(previous["throughput"][field])
-        change = _relative_change(cur, prev)
-        lines.append(f"  throughput.{field}: {prev:.4g} -> {cur:.4g} ({change:+.1%})")
-        if change < -max_throughput_drop:
-            regressions.append(
-                f"throughput.{field} dropped {-change:.1%} "
-                f"(limit {max_throughput_drop:.0%}): {prev:.4g} -> {cur:.4g}"
-            )
 
-    shared_lanes = sorted(set(current["lanes"]) & set(previous["lanes"]))
-    for lane in shared_lanes:
-        cur = float(current["lanes"][lane]["p95_seconds"])
-        prev = float(previous["lanes"][lane]["p95_seconds"])
-        change = _relative_change(cur, prev)
-        lines.append(f"  lanes.{lane}.p95_seconds: {prev:.4g} -> {cur:.4g} ({change:+.1%})")
-        if change > max_p95_growth:
-            regressions.append(
-                f"lanes.{lane}.p95_seconds grew {change:.1%} "
-                f"(limit {max_p95_growth:.0%}): {prev:.4g} -> {cur:.4g}"
-            )
-    for lane in sorted(set(previous["lanes"]) - set(current["lanes"])):
-        regressions.append(f"lane {lane!r} present in previous record but missing now")
-
-    for field in ("concurrent_over_sync_ratio", "ridge_residual_ratio"):
-        cur = float(current["residuals"][field])
-        prev = float(previous["residuals"][field])
-        change = _relative_change(cur, prev)
-        lines.append(f"  residuals.{field}: {prev:.4g} -> {cur:.4g} ({change:+.1%})")
-        if change > max_residual_growth:
-            regressions.append(
-                f"residuals.{field} grew {change:.1%} "
-                f"(limit {max_residual_growth:.0%}): {prev:.4g} -> {cur:.4g}"
-            )
-
-    if regressions:
-        lines.append("REGRESSIONS:")
-        lines.extend(f"  {r}" for r in regressions)
+def compare(current: dict, committed: dict) -> Tuple[List[str], List[str]]:
+    """Diff a fresh record against the committed one; returns (report lines, differences)."""
+    cur, ref = _flatten(current), _flatten(committed)
+    cur.pop("pr", None)
+    ref.pop("pr", None)
+    lines = [f"perf record: fresh vs committed PR {committed.get('pr')}"]
+    differences: List[str] = []
+    for name in sorted(set(cur) | set(ref)):
+        if name not in cur or name not in ref:
+            differences.append(f"{name} only in the {'fresh' if name in cur else 'committed'} record")
+            continue
+        new, old = cur[name], ref[name]
+        if name.startswith("residuals."):
+            same = math.isclose(new, old, rel_tol=RESIDUAL_RTOL, abs_tol=0.0)
+        else:
+            same = new == old
+        lines.append(f"  {name}: {old!r} -> {new!r}{'' if same else '  DIFFERS'}")
+        if not same:
+            differences.append(f"{name}: committed {old!r}, fresh {new!r}")
+    if differences:
+        lines.append("DIFFERENCES (commit the new record and explain it in CHANGES.md):")
+        lines.extend(f"  {d}" for d in differences)
     else:
-        lines.append("no regressions past thresholds")
-    return lines, regressions
+        lines.append("records agree")
+    return lines, differences
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("current", type=pathlib.Path, help="this PR's BENCH_<pr>.json")
-    parser.add_argument("previous", type=pathlib.Path, help="the previous BENCH_<pr>.json")
-    parser.add_argument(
-        "--max-throughput-drop",
-        type=float,
-        default=0.25,
-        help="tolerated relative throughput drop (default 0.25 = 25%%)",
-    )
-    parser.add_argument(
-        "--max-p95-growth",
-        type=float,
-        default=1.0,
-        help="tolerated relative lane-p95 growth (default 1.0 = 100%%)",
-    )
-    parser.add_argument(
-        "--max-residual-growth",
-        type=float,
-        default=0.5,
-        help="tolerated relative residual-ratio growth (default 0.5 = 50%%)",
-    )
+    parser.add_argument("current", type=pathlib.Path, help="the freshly recorded BENCH json")
+    parser.add_argument("committed", type=pathlib.Path, help="the committed BENCH_<pr>.json")
     parser.add_argument(
         "--report",
         type=pathlib.Path,
@@ -140,7 +90,7 @@ def main(argv=None) -> int:
     from repro.obs.bench import validate_bench
 
     payloads = []
-    for path in (args.current, args.previous):
+    for path in (args.current, args.committed):
         if not path.exists():
             print(f"FAIL: {path} does not exist", file=sys.stderr)
             return 1
@@ -156,19 +106,13 @@ def main(argv=None) -> int:
             return 1
         payloads.append(payload)
 
-    lines, regressions = compare(
-        payloads[0],
-        payloads[1],
-        max_throughput_drop=args.max_throughput_drop,
-        max_p95_growth=args.max_p95_growth,
-        max_residual_growth=args.max_residual_growth,
-    )
+    lines, differences = compare(payloads[0], payloads[1])
     report = "\n".join(lines)
     print(report)
     if args.report is not None:
         args.report.write_text(report + "\n", encoding="utf-8")
         print(f"wrote {args.report}")
-    return 1 if regressions else 0
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

@@ -6,12 +6,12 @@ writes the schema-checked payload (see :mod:`repro.obs.bench`) next to the
 repository root, so every PR ships the serving/runtime/streaming numbers it
 was merged with and a regression between two PRs is one ``diff`` away.
 
-Record:    python tools/record_bench.py --pr 8
-Validate:  python tools/record_bench.py --validate BENCH_8.json
+Record:    python tools/record_bench.py --pr 17
+Validate:  python tools/record_bench.py --validate BENCH_17.json
 
-CI runs the record step on every build, uploads the file as an artifact,
-fails when it is missing or invalid (the ``--validate`` path), and then
-diffs it against the previous record with ``tools/compare_bench.py``.
+CI records a fresh copy on every build (``--out bench_fresh.json``),
+validates it (the ``--validate`` path), requires it to equal the committed
+record with ``tools/compare_bench.py`` and uploads both as an artifact.
 
 Exit status: 0 on success; 1 when validation fails.
 """
@@ -29,7 +29,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pr", type=int, default=8, help="PR number stamped into the record")
+    parser.add_argument("--pr", type=int, default=17, help="PR number stamped into the record")
     parser.add_argument(
         "--out",
         type=pathlib.Path,
