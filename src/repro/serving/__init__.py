@@ -10,7 +10,7 @@ sketch operators and solvers into such a service:
   regression) and ``approx_lowrank(A, rank)`` (randomized range finder /
   Frequent Directions) backed by :mod:`repro.problems`.
 * :class:`~repro.serving.batcher.MicroBatcher` -- coalesces same-matrix
-  least-squares requests into fused multi-RHS solves (one ``S A`` sketch and
+  least-squares (and same-lambda ridge) requests into fused multi-RHS solves (one ``S A`` sketch and
   one GEQRF per batch instead of per request).
 * :class:`~repro.serving.cache.OperatorCache` -- LRU cache of sketch
   operators keyed on ``(kind, d, n, k, seed, dtype)``; sketch state is a pure

@@ -10,7 +10,7 @@ throughput comes from (see :func:`repro.linalg.lstsq.sketch_and_solve`'s
 multi-RHS path).
 
 Only requests sharing the *same* coefficient matrix (by identity), dtype,
-sketch kind and solver are fused -- that is the mathematical requirement for
+sketch kind, solver and ridge lambda are fused -- that is the mathematical requirement for
 a multi-RHS solve.  Requests that merely share a shape still benefit from
 the operator cache, just not from fusion.
 """

@@ -144,7 +144,12 @@ def normalize_solver(solver: str) -> str:
 
 @dataclass
 class SolveRequest:
-    """One least-squares request ``min_x ||b - A x||`` awaiting service.
+    """One request ``min_x ||b - A x||^2 + lam ||x||^2`` awaiting service.
+
+    ``lam = 0`` (the default) is plain least squares; a positive
+    ``regularization`` makes it a ridge request, served as least squares on
+    the augmented system ``[A; sqrt(lam) I]`` through the same micro-batched
+    path.
 
     Attributes
     ----------
@@ -157,7 +162,8 @@ class SolveRequest:
     solver:
         Registered solver name (see :mod:`repro.linalg.registry`).  Under a
         ``"fixed"`` server policy this is the solver that runs; under the
-        adaptive policies it is advisory and the planner routes.
+        adaptive policies it is advisory and the planner routes.  A ridge
+        request leaves it empty unless the caller pinned a solver.
     accuracy_target:
         Worst acceptable relative residual for this request (``None`` means
         the server's configured default).  Feeds the planner's admissibility
@@ -173,6 +179,8 @@ class SolveRequest:
         (:data:`PRIORITY_HIGH` / :data:`PRIORITY_NORMAL` /
         :data:`PRIORITY_LOW`; smaller dispatches first).  Ignored by the
         synchronous server, which serves in submission order.
+    regularization:
+        The Tikhonov ``lam`` (non-negative; ``0`` is least squares).
     """
 
     request_id: int
@@ -183,6 +191,7 @@ class SolveRequest:
     accuracy_target: Optional[float] = None
     latency_budget: Optional[float] = None
     priority: int = PRIORITY_NORMAL
+    regularization: float = 0.0
 
     def __post_init__(self) -> None:
         self.a = np.asarray(self.a)
@@ -193,8 +202,12 @@ class SolveRequest:
             raise ValueError("A must be tall (d > n)")
         if self.b.ndim != 1 or self.b.shape[0] != self.a.shape[0]:
             raise ValueError("b must be a vector with one entry per row of A")
+        if not self.regularization >= 0.0:
+            raise ValueError("regularization (Tikhonov lambda) must be non-negative")
+        self.regularization = float(self.regularization)
         self.kind = normalize_kind(self.kind)
-        self.solver = normalize_solver(self.solver)
+        if self.solver or not self.regularization:  # only ridge may leave it unpinned
+            self.solver = normalize_solver(self.solver)
 
     @property
     def d(self) -> int:
@@ -213,8 +226,9 @@ class SolveRequest:
         so the key includes the identity of ``a`` (requests hold a reference,
         which keeps ``id(a)`` stable while the request is pending) alongside
         the shape/dtype and the routing parameters -- including the accuracy
-        target and latency budget, because the planner routes a fused batch
-        as a unit and must not average away one rider's requirements.
+        target, latency budget and ridge lambda, because the planner routes
+        a fused batch as a unit and must not average away one rider's
+        requirements.
         """
         return (
             id(self.a),
@@ -225,6 +239,7 @@ class SolveRequest:
             self.accuracy_target,
             self.latency_budget,
             self.priority,
+            self.regularization,
         )
 
 

@@ -12,7 +12,10 @@ traffic the way the ROADMAP's "heavy traffic from millions of users" demands:
 * **Per-problem-class priority lanes** -- least-squares, ridge and streaming
   work wait in separate lanes drained by weighted round-robin
   (:data:`~repro.serving.requests.LANES`), so a flood of ``append_rows``
-  ingest cannot starve solve traffic and vice versa.
+  ingest cannot starve solve traffic and vice versa.  The solve and ridge
+  lanes are both micro-batchers
+  (:class:`~repro.serving.batcher.MicroBatcher`), so same-matrix requests
+  fuse in either.
 * **Deadline-aware load shedding** -- a request whose projected completion
   (queue delay already accrued plus the planner's service-time estimate) can
   no longer meet its ``latency_budget`` is *shed* with
@@ -188,18 +191,12 @@ class RuntimeFuture:
 
 @dataclass
 class _LaneItem:
-    """One non-batchable work item (ridge solve, stream append/query)."""
+    """One non-batchable work item: a session append or query."""
 
-    kind: str  # "ridge" or a stream-lane op ("append", "query", "freq_hh", ...)
-    priority: int
-    seq: int
     admitted_at: float
     future: RuntimeFuture
     payload: Tuple = ()
     root: Optional[Span] = None  # the request's trace root (None when tracing is off)
-
-    def sort_key(self) -> Tuple[int, int]:
-        return (self.priority, self.seq)
 
 
 class AsyncSketchServer:
@@ -252,22 +249,21 @@ class AsyncSketchServer:
         self._stop = False
         self._paused = False
         self._busy = False  # the dispatcher holds a unit
-        self._seq = 0
         self._completed_since_scale = 0
         # EWMA of recent per-dispatch service estimates (calibrated when the
         # server's calibration mode is "active"): the service-time term of
         # the proactive elastic policy's predicted queue-drain time.
         self._service_ewma: Optional[float] = None
 
-        # Lanes: fused solve requests live in a MicroBatcher (so the
-        # runtime keeps the multi-RHS amortisation); ridge and streaming
-        # items are plain priority-FIFO deques.  Streaming additionally
+        # Lanes: solve and ridge requests live in MicroBatchers (so the
+        # runtime keeps the multi-RHS amortisation for both); streaming
         # keeps per-session FIFOs with one ready slot per session, so ingest
         # order within a session is preserved.
-        self._solve_lane = MicroBatcher(max_batch=config.max_batch)
-        self._solve_admitted: Dict[int, float] = {}
+        self._batch_lanes: Dict[str, MicroBatcher] = {
+            lane: MicroBatcher(max_batch=config.max_batch) for lane in ("solve", "ridge")
+        }
+        self._admitted: Dict[int, float] = {}
         self._trace_roots: Dict[int, Span] = {}
-        self._ridge_lane: List[_LaneItem] = []
         self._stream_queues: Dict[int, Deque[_LaneItem]] = {}
         self._stream_ready: Deque[int] = deque()
         self._stream_busy: set = set()
@@ -441,7 +437,7 @@ class AsyncSketchServer:
     # ------------------------------------------------------------------
     def _queue_depth_locked(self) -> int:
         stream_pending = sum(len(q) for q in self._stream_queues.values())
-        return self._solve_lane.pending + len(self._ridge_lane) + stream_pending
+        return sum(lane.pending for lane in self._batch_lanes.values()) + stream_pending
 
     def _virtual_now_locked(self) -> float:
         """Admission timestamp: the earliest instant any active shard is free."""
@@ -517,33 +513,18 @@ class AsyncSketchServer:
         admission queue is at its bound.  ``latency_budget`` doubles as the
         deadline the dispatcher sheds against.
         """
-        # Validate before admitting: a malformed request must raise without
-        # touching the admission counters or the queue-depth samples.
-        request = SolveRequest(
-            request_id=-1,
-            a=a,
-            b=b,
-            kind=kind if kind is not None else self.config.kind,
-            solver=solver if solver is not None else self.config.solver,
-            accuracy_target=accuracy_target,
-            latency_budget=latency_budget,
-            priority=priority,
+        return self._admit_request(
+            "solve",
+            self.server._new_request(
+                a,
+                b,
+                kind=kind,
+                solver=solver,
+                accuracy_target=accuracy_target,
+                latency_budget=latency_budget,
+                priority=priority,
+            ),
         )
-        with self._work:
-            admitted_at = self._admit_locked("solve")
-            request.request_id = self.server._next_id
-            self.server._next_id += 1
-            future = RuntimeFuture("solve", request.request_id)
-            self._futures[request.request_id] = future
-            self._solve_admitted[request.request_id] = admitted_at
-            root = self._start_root_locked(
-                "solve", admitted_at, request.request_id, kind=request.kind
-            )
-            if root is not None:
-                self._trace_roots[request.request_id] = root
-            self._solve_lane.add(request)
-            self._work.notify()
-        return future
 
     def solve(self, a: np.ndarray, b: np.ndarray, **options) -> SolveResponse:
         """Convenience: submit one request and block for its response."""
@@ -561,43 +542,44 @@ class AsyncSketchServer:
         latency_budget: Optional[float] = None,
         priority: int = PRIORITY_NORMAL,
     ) -> RuntimeFuture:
-        """Admit one ridge request into the ``ridge`` lane."""
-        # Same shape/lambda checks _plan_ridge applies, run *before*
-        # admission so bad input raises here without skewing telemetry.
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.ndim != 2 or a.shape[0] <= a.shape[1]:
-            raise ValueError("A must be a tall (d > n) matrix")
-        if b.shape[0] != a.shape[0]:
-            raise ValueError("b must have one entry per row of A")
-        if lam <= 0.0:
-            raise ValueError("submit_ridge needs a positive lam; use submit() otherwise")
+        """Admit one ridge request into the ``ridge`` lane.
+
+        Same-matrix requests with equal ``lam`` and routing fuse into one
+        multi-RHS solve, like solve traffic; ``b`` must be a vector.
+        """
+        return self._admit_request(
+            "ridge",
+            self.server._new_request(
+                a,
+                b,
+                lam,
+                kind=kind,
+                solver=solver,
+                accuracy_target=accuracy_target,
+                latency_budget=latency_budget,
+                priority=priority,
+            ),
+        )
+
+    def _admit_request(self, lane: str, request: SolveRequest) -> RuntimeFuture:
+        """Admit a validated request into its batching lane.
+
+        Callers validate before this, so a malformed request raises without
+        touching the admission counters or the queue-depth samples.
+        """
         with self._work:
-            admitted_at = self._admit_locked("ridge")
-            future = RuntimeFuture("ridge", self.server._next_id)
+            admitted_at = self._admit_locked(lane)
+            request.request_id = self.server._next_id
             self.server._next_id += 1
-            item = _LaneItem(
-                kind="ridge",
-                priority=int(priority),
-                seq=self._seq,
-                admitted_at=admitted_at,
-                future=future,
-                root=self._start_root_locked("ridge", admitted_at, future.request_id),
-                payload=(
-                    a,
-                    b,
-                    float(lam),
-                    {
-                        "kind": kind,
-                        "solver": solver,
-                        "accuracy_target": accuracy_target,
-                        "latency_budget": latency_budget,
-                    },
-                ),
+            future = RuntimeFuture(lane, request.request_id)
+            self._futures[request.request_id] = future
+            self._admitted[request.request_id] = admitted_at
+            root = self._start_root_locked(
+                lane, admitted_at, request.request_id, kind=request.kind
             )
-            self._seq += 1
-            self._ridge_lane.append(item)
-            self._ridge_lane.sort(key=_LaneItem.sort_key)
+            if root is not None:
+                self._trace_roots[request.request_id] = root
+            self._batch_lanes[lane].add(request)
             self._work.notify()
         return future
 
@@ -681,9 +663,6 @@ class AsyncSketchServer:
             admitted_at = self._admit_locked("stream")
             future = RuntimeFuture("stream", session_id)
             item = _LaneItem(
-                kind=kind,
-                priority=PRIORITY_NORMAL,
-                seq=self._seq,
                 admitted_at=admitted_at,
                 future=future,
                 payload=(session_id, partial(endpoint, session_id, *args, **kwargs)),
@@ -691,7 +670,6 @@ class AsyncSketchServer:
                     "stream", admitted_at, session_id, op=kind
                 ),
             )
-            self._seq += 1
             queue = self._stream_queues.setdefault(session_id, deque())
             queue.append(item)
             if session_id not in self._stream_busy and len(queue) == 1:
@@ -718,10 +696,8 @@ class AsyncSketchServer:
     # dispatch
     # ------------------------------------------------------------------
     def _has_work_locked(self) -> bool:
-        return (
-            self._solve_lane.pending > 0
-            or bool(self._ridge_lane)
-            or bool(self._stream_ready)
+        return any(lane.pending for lane in self._batch_lanes.values()) or bool(
+            self._stream_ready
         )
 
     def _next_work_locked(self):
@@ -729,12 +705,10 @@ class AsyncSketchServer:
         n = len(self._lane_cycle)
         for step in range(n):
             lane = self._lane_cycle[(self._cycle_idx + step) % n]
-            if lane == "solve" and self._solve_lane.pending > 0:
+            batcher = self._batch_lanes.get(lane)
+            if batcher is not None and batcher.pending > 0:
                 self._cycle_idx = (self._cycle_idx + step + 1) % n
-                return ("solve", self._solve_lane.pop_batch())
-            if lane == "ridge" and self._ridge_lane:
-                self._cycle_idx = (self._cycle_idx + step + 1) % n
-                return ("ridge", self._ridge_lane.pop(0))
+                return (lane, batcher.pop_batch())
             if lane == "stream" and self._stream_ready:
                 self._cycle_idx = (self._cycle_idx + step + 1) % n
                 session_id = self._stream_ready.popleft()
@@ -759,12 +733,10 @@ class AsyncSketchServer:
                 self._busy = True
             try:
                 with self._exec:
-                    if lane == "solve":
-                        self._dispatch_solve(work)
-                    elif lane == "ridge":
-                        self._dispatch_ridge(work)
-                    else:
+                    if lane == "stream":
                         self._dispatch_stream(work)
+                    else:
+                        self._dispatch_batch(lane, work)
             finally:
                 # Drop the unit before waiting for the next one: it holds the
                 # request's matrix, which must not outlive its dispatch.
@@ -775,20 +747,20 @@ class AsyncSketchServer:
                     self._maybe_scale_locked()
                     self._work.notify_all()
 
-    # -- solve lane -----------------------------------------------------
-    def _solve_comm_estimate(self, batch) -> float:
+    # -- batching lanes (solve and ridge) -------------------------------
+    def _comm_estimate(self, batch) -> float:
         """Result-return transfer seconds the batch's latency will include."""
         n = batch.a.shape[1]
         return self.scheduler.estimate_transfer(
             float(n) * batch.size * batch.a.dtype.itemsize
         )
 
-    def _dispatch_solve(self, batch) -> None:
+    def _dispatch_batch(self, lane: str, batch) -> None:
         roots: Dict[int, Span] = {}
         try:
             with self._lock:
                 admitted_at = min(
-                    self._solve_admitted.pop(req.request_id) for req in batch.requests
+                    self._admitted.pop(req.request_id) for req in batch.requests
                 )
                 for req in batch.requests:
                     root = self._trace_roots.pop(req.request_id, None)
@@ -806,10 +778,10 @@ class AsyncSketchServer:
                     projected = (
                         max(0.0, start - admitted_at)
                         + float(planned[0].costs.get(planned[0].solver, 0.0))
-                        + self._solve_comm_estimate(batch)
+                        + self._comm_estimate(batch)
                     )
                     if projected > budget:
-                        self._shed_solve_locked(batch, projected, budget, roots)
+                        self._shed_batch_locked(lane, batch, projected, budget, roots)
                         return
                 placed = self.server._plan_and_place(batch, planned)
                 self._note_service_estimate_locked(placed.estimated_service_seconds)
@@ -818,7 +790,7 @@ class AsyncSketchServer:
             )
             with self._lock:
                 for resp in responses:
-                    self.telemetry.record_lane_latency("solve", resp.simulated_seconds)
+                    self.telemetry.record_lane_latency(lane, resp.simulated_seconds)
                     future = self._futures.pop(resp.request_id, None)
                     if future is not None:
                         future._resolve(resp)
@@ -828,7 +800,7 @@ class AsyncSketchServer:
             with self._lock:
                 now = self._virtual_now_locked()
                 for req in batch.requests:
-                    self._solve_admitted.pop(req.request_id, None)
+                    self._admitted.pop(req.request_id, None)
                     root = roots.pop(req.request_id, None) or self._trace_roots.pop(
                         req.request_id, None
                     )
@@ -837,80 +809,29 @@ class AsyncSketchServer:
                     if future is not None:
                         future._reject(exc)
 
-    def _shed_solve_locked(
+    def _shed_batch_locked(
         self,
+        lane: str,
         batch,
         projected: float,
         budget: float,
-        roots: Optional[Dict[int, Span]] = None,
+        roots: Dict[int, Span],
     ) -> None:
-        self.telemetry.record_shed("solve", "deadline", count=batch.size)
+        self.telemetry.record_shed(lane, "deadline", count=batch.size)
         now = self._virtual_now_locked()
         for req in batch.requests:
             future = self._futures.pop(req.request_id, None)
             error = DeadlineExceededError(
                 f"request {req.request_id} shed: projected completion "
                 f"{projected:.3e}s exceeds budget {budget:.3e}s",
-                lane="solve",
+                lane=lane,
                 request_id=req.request_id,
                 projected_seconds=projected,
                 budget_seconds=budget,
             )
-            if roots is not None:
-                self._end_root_shed(roots.pop(req.request_id, None), "deadline", now)
+            self._end_root_shed(roots.pop(req.request_id, None), "deadline", now)
             if future is not None:
                 future._reject(error)
-
-    # -- ridge lane -----------------------------------------------------
-    def _dispatch_ridge(self, item: _LaneItem) -> None:
-        a, b, lam, options = item.payload
-        try:
-            with self._lock:
-                plan_, spec, policy, kind = self.server._plan_ridge(a, b, lam, **options)
-                budget = spec.latency_budget
-                if budget is not None:
-                    start = self._virtual_now_locked()
-                    comm = self.scheduler.estimate_transfer(
-                        float(spec.n) * spec.nrhs * a.dtype.itemsize
-                    )
-                    projected = (
-                        max(0.0, start - item.admitted_at)
-                        + float(plan_.costs.get(plan_.solver, 0.0))
-                        + comm
-                    )
-                    if projected > budget:
-                        self.telemetry.record_shed("ridge", "deadline")
-                        self._end_root_shed(item.root, "deadline", self._virtual_now_locked())
-                        item.future._reject(
-                            DeadlineExceededError(
-                                f"ridge request shed: projected {projected:.3e}s "
-                                f"exceeds budget {budget:.3e}s",
-                                lane="ridge",
-                                request_id=item.future.request_id,
-                                projected_seconds=projected,
-                                budget_seconds=budget,
-                            )
-                        )
-                        return
-                placed = self.server._place_ridge(plan_, spec, kind)
-                self._note_service_estimate_locked(placed.estimated_service_seconds)
-            response = self.server._run_ridge(
-                a,
-                b,
-                lam,
-                placed,
-                policy=policy,
-                kind=kind,
-                solver=options.get("solver"),
-                admitted_at=item.admitted_at,
-                request_id=item.future.request_id,
-                root=item.root,
-            )
-            self.telemetry.record_lane_latency("ridge", response.simulated_seconds)
-            item.future._resolve(response)
-        except Exception as exc:  # input validation errors reach the caller
-            self._end_root_error(item.root, exc, item.admitted_at)
-            item.future._reject(exc)
 
     # -- stream lane ----------------------------------------------------
     def _dispatch_stream(self, item: _LaneItem) -> None:
@@ -991,27 +912,23 @@ class AsyncSketchServer:
     # ------------------------------------------------------------------
     def _shed_backlog_locked(self, reason: str) -> None:
         now = self._virtual_now_locked()
-        for batch in self._solve_lane.drain():
-            self.telemetry.record_shed("solve", reason, count=batch.size)
-            for req in batch.requests:
-                self._solve_admitted.pop(req.request_id, None)
-                self._end_root_shed(
-                    self._trace_roots.pop(req.request_id, None), reason, now
-                )
-                future = self._futures.pop(req.request_id, None)
-                if future is not None:
-                    future._reject(
-                        AdmissionError(
-                            f"request {req.request_id} shed: {reason}",
-                            lane="solve",
-                            request_id=req.request_id,
-                        )
+        for lane, batcher in self._batch_lanes.items():
+            for batch in batcher.drain():
+                self.telemetry.record_shed(lane, reason, count=batch.size)
+                for req in batch.requests:
+                    self._admitted.pop(req.request_id, None)
+                    self._end_root_shed(
+                        self._trace_roots.pop(req.request_id, None), reason, now
                     )
-        for item in self._ridge_lane:
-            self.telemetry.record_shed("ridge", reason)
-            self._end_root_shed(item.root, reason, now)
-            item.future._reject(AdmissionError(f"ridge request shed: {reason}", lane="ridge"))
-        self._ridge_lane.clear()
+                    future = self._futures.pop(req.request_id, None)
+                    if future is not None:
+                        future._reject(
+                            AdmissionError(
+                                f"request {req.request_id} shed: {reason}",
+                                lane=lane,
+                                request_id=req.request_id,
+                            )
+                        )
         for session_id, queue in self._stream_queues.items():
             for item in queue:
                 self.telemetry.record_shed("stream", reason)

@@ -19,9 +19,10 @@ request, and the operator cache pays sketch generation once per problem
 shape instead of once per request.
 
 Beyond plain ``solve(A, b)`` traffic the server fronts the other problem
-classes of :mod:`repro.problems`: :meth:`SketchServer.solve_ridge` routes
-Tikhonov-regularized requests through the same planner (ridge solver
-registry, lambda-aware stability floors, fallback chains) and
+classes of :mod:`repro.problems`: :meth:`SketchServer.solve_ridge` sends
+Tikhonov-regularized requests through the same micro-batched path (ridge
+solver registry, lambda-aware stability floors, fallback chains;
+same-matrix ridge requests fuse) and
 :meth:`SketchServer.approx_lowrank` serves randomized range-finder /
 Frequent Directions factorizations -- each problem class keeping its own
 operator-cache namespace via the ``problem`` field of
@@ -56,6 +57,7 @@ from repro.serving.cache import (
     resolve_embedding_dim,
 )
 from repro.serving.requests import (
+    PRIORITY_NORMAL,
     LowRankResponse,
     SketchResponse,
     SolveRequest,
@@ -420,6 +422,45 @@ class SketchServer:
     # ------------------------------------------------------------------
     # request intake
     # ------------------------------------------------------------------
+    def _new_request(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        lam: Optional[float] = None,
+        *,
+        kind: Optional[str] = None,
+        solver: Optional[str] = None,
+        accuracy_target: Optional[float] = None,
+        latency_budget: Optional[float] = None,
+        priority: int = PRIORITY_NORMAL,
+    ) -> SolveRequest:
+        """Validate one least-squares request, or a ridge one when ``lam`` is given.
+
+        The id stays -1 until the request is queued.  An unpinned ridge
+        request carries no solver: the configured default answers the
+        wrong problem, so the planner routes it.
+        """
+        if lam is not None and not lam > 0.0:
+            raise ValueError("ridge needs a positive lam; use solve()/submit() otherwise")
+        return SolveRequest(
+            request_id=-1,
+            a=a,
+            b=b,
+            kind=kind if kind is not None else self.config.kind,
+            solver=solver if solver is not None else ("" if lam else self.config.solver),
+            accuracy_target=accuracy_target,
+            latency_budget=latency_budget,
+            priority=priority,
+            regularization=lam or 0.0,
+        )
+
+    def _enqueue(self, request: SolveRequest) -> int:
+        """Assign the next request id and queue the request for fusion."""
+        request.request_id = self._next_id
+        self._next_id += 1
+        self._batcher.add(request)
+        return request.request_id
+
     def submit(
         self,
         a: np.ndarray,
@@ -431,18 +472,16 @@ class SketchServer:
         latency_budget: Optional[float] = None,
     ) -> int:
         """Enqueue one ``min_x ||b - A x||`` request; returns its request id."""
-        request = SolveRequest(
-            request_id=self._next_id,
-            a=a,
-            b=b,
-            kind=kind if kind is not None else self.config.kind,
-            solver=solver if solver is not None else self.config.solver,
-            accuracy_target=accuracy_target,
-            latency_budget=latency_budget,
+        return self._enqueue(
+            self._new_request(
+                a,
+                b,
+                kind=kind,
+                solver=solver,
+                accuracy_target=accuracy_target,
+                latency_budget=latency_budget,
+            )
         )
-        self._next_id += 1
-        self._batcher.add(request)
-        return request.request_id
 
     @property
     def pending(self) -> int:
@@ -464,16 +503,57 @@ class SketchServer:
         Anything else pending is flushed too (and fused where possible); only
         this request's response is returned.
         """
-        request_id = self.submit(
-            a,
-            b,
-            kind=kind,
-            solver=solver,
-            accuracy_target=accuracy_target,
-            latency_budget=latency_budget,
+        return self._flush_for(
+            self.submit(
+                a,
+                b,
+                kind=kind,
+                solver=solver,
+                accuracy_target=accuracy_target,
+                latency_budget=latency_budget,
+            )
         )
-        responses = self.flush()
-        for resp in responses:
+
+    def solve_ridge(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        lam: float,
+        *,
+        kind: Optional[str] = None,
+        solver: Optional[str] = None,
+        accuracy_target: Optional[float] = None,
+        latency_budget: Optional[float] = None,
+    ) -> SolveResponse:
+        """Serve ``min_x ||b - A x||^2 + lam ||x||^2`` through the batched path.
+
+        Ridge is least squares on ``[A; sqrt(lam) I]``: the request joins
+        the micro-batcher like :meth:`solve` (so anything pending is flushed
+        too, and same-matrix, same-``lam`` requests fuse), and the planner
+        routes it among the *ridge* solvers.  Sketch operators live under
+        the ``problem="ridge"`` cache namespace at the augmented
+        ``(d + n)``-row height.  An explicit ``solver`` pins the routing on
+        a ``"fixed"`` server; otherwise such a server routes ridge
+        ``"cheapest_accurate"``, since its configured default solver answers
+        the wrong problem.  ``b`` must be a vector.
+        """
+        return self._flush_for(
+            self._enqueue(
+                self._new_request(
+                    a,
+                    b,
+                    lam,
+                    kind=kind,
+                    solver=solver,
+                    accuracy_target=accuracy_target,
+                    latency_budget=latency_budget,
+                )
+            )
+        )
+
+    def _flush_for(self, request_id: int) -> SolveResponse:
+        """Flush everything pending and return one request's response."""
+        for resp in self.flush():
             if resp.request_id == request_id:
                 return resp
         raise RuntimeError("flush did not produce a response for the request")  # pragma: no cover
@@ -492,33 +572,48 @@ class SketchServer:
         responses.sort(key=lambda r: r.request_id)
         return responses
 
-    def _resolve_operator(
-        self, kind: str, a: np.ndarray, *, k: Optional[int] = None, solver: str = ""
-    ) -> Tuple[CacheEntry, bool]:
-        """Find or build the operator for a problem; returns (entry, built).
+    def _build(self, key: Tuple, shard: int) -> "SketchOperator":
+        """Build the operator a cache key describes on ``shard``'s executor."""
+        kind, rows, n, k, seed, dtype = key[:6]
+        return build_operator(
+            kind, rows, n, k=k, executor=self.pool[shard], seed=seed, dtype=np.dtype(dtype)
+        )
+
+    def _resolve_operator(self, key: Tuple) -> Tuple[CacheEntry, bool]:
+        """Find or build the operator for a cache key; returns (entry, built).
 
         One cache lookup is counted per *batch* -- the cache is consulted
         once per fused solve, so the reported hit rate measures genuine
-        cross-batch operator reuse, not batch ridership.  ``solver`` is the
-        planned solver family: it is part of the cache key, so operators
-        serving different solver families scale independently.
+        cross-batch operator reuse, not batch ridership.  The key carries
+        the planned solver family and the problem class (see
+        :func:`~repro.serving.cache.operator_cache_key`), so operators
+        serving different families or problems scale independently.
         """
-        d, n = a.shape
-        if k is None:
-            k = resolve_embedding_dim(kind, d, n, self.config.oversampling)
-        key = operator_cache_key(kind, d, n, k, self.config.seed, a.dtype, solver=solver)
         entry = self.cache.get(key)
         if entry is not None:
             return entry, False
         shard = self.scheduler.place()
-        operator = build_operator(
-            kind, d, n, k=k, executor=self.pool[shard], seed=self.config.seed, dtype=a.dtype
-        )
-        return self.cache.put(key, CacheEntry(operator=operator, shard=shard)), True
+        return self.cache.put(key, CacheEntry(operator=self._build(key, shard), shard=shard)), True
 
-    def _place_warm_batch(
-        self, entry: CacheEntry, kind: str, a: np.ndarray, *, k: Optional[int] = None
-    ) -> int:
+    def _batch_operator_key(self, kind: str, spec: SolveSpec, dtype, solver: str, k: int) -> Tuple:
+        """Cache key of ``solver``'s operator for a planned batch.
+
+        A ridge batch's operator embeds the augmented ``(d + n)``-row system
+        and lives under the ``"ridge"`` namespace.
+        """
+        ridge = spec.problem == "ridge"
+        return operator_cache_key(
+            kind,
+            spec.d + spec.n if ridge else spec.d,
+            spec.n,
+            k,
+            self.config.seed,
+            dtype,
+            solver=normalize_solver(solver),
+            problem="ridge" if ridge else "",
+        )
+
+    def _place_warm_batch(self, entry: CacheEntry, key: Tuple) -> int:
         """Pick the shard for a cache-hit batch, replicating hot operators.
 
         Affinity alone would serialise all same-shape traffic behind the
@@ -541,17 +636,7 @@ class SketchServer:
         # pinned to their owning shard.
         replicable = self.config.replicate_operators and self.config.seed is not None
         if least not in owned and replicable and loads[least] < loads[best_owned]:
-            d, n = a.shape
-            replica = build_operator(
-                kind,
-                d,
-                n,
-                k=k if k is not None else resolve_embedding_dim(kind, d, n, self.config.oversampling),
-                executor=self.pool[least],
-                seed=self.config.seed,
-                dtype=a.dtype,
-            )
-            entry.add_replica(least, replica)
+            entry.add_replica(least, self._build(key, least))
             # Only the (tiny) cache key travels; 64 bytes covers it.
             self.scheduler.charge_transfer("operator_key", 64.0)
             shard = least
@@ -619,18 +704,27 @@ class SketchServer:
         """Build the batch's SolveSpec and route it per the server policy.
 
         Returns the plan, the spec and the spectrum probe's first-stage
-        product (``None`` when nothing was probed).
+        product (``None`` when nothing was probed, and always for ridge).
+        A ridge batch always probes -- ``sigma_max`` places the lambda on
+        the spectrum's scale -- but plans without the matrix, and its
+        operator embeds the ``(d + n)``-row augmented system, so the probe's
+        ``S1 A`` is of no use to it.
         """
         d, n = batch.a.shape
         first = batch.requests[0]
-        cond, first_stage = None, None
-        if self.config.policy != "fixed":
+        ridge = first.regularization > 0.0
+        cond = smax = first_stage = None
+        if ridge:
+            cond, smax, _ = self._spectrum_estimate(batch.a)
+        elif self.config.policy != "fixed":
             cond, _, first_stage = self._spectrum_estimate(batch.a)
         spec = SolveSpec(
             d=d,
             n=n,
             nrhs=batch.size,
+            regularization=first.regularization,
             cond_estimate=cond,
+            smax_estimate=smax,
             accuracy_target=(
                 first.accuracy_target
                 if first.accuracy_target is not None
@@ -645,39 +739,30 @@ class SketchServer:
             oversampling=self.config.oversampling,
             seed=self.config.seed,
         )
-        cost_source = self._cost_source()
-        if self.config.policy == "fixed":
-            return (
-                plan(
-                    None,
-                    spec,
-                    policy="fixed",
-                    solver=batch.solver,
-                    device=self.config.device,
-                    cost_source=cost_source,
-                ),
-                spec,
-                None,
-            )
+        policy = self.config.policy
+        if ridge and policy == "fixed" and not batch.solver:
+            policy = "cheapest_accurate"  # the default solver answers the wrong problem
         # An analytic server has no numeric state to probe (cond is None):
         # pass no matrix so the planner ranks optimistically on cost alone
         # instead of re-probing per batch outside the memoised cache.
-        matrix = batch.a if cond is not None else None
+        matrix = None if ridge or cond is None else batch.a
+        # Fixed routing runs the batch's solver; a ridge request's pinned
+        # solver is also a preference under the adaptive policies.
+        preferred = batch.solver if ridge or policy == "fixed" else None
         return (
             plan(
                 matrix,
                 spec,
-                policy=self.config.policy,
+                policy=policy,
+                solver=preferred or None,
                 device=self.config.device,
-                cost_source=cost_source,
+                cost_source=self._cost_source(),
             ),
             spec,
             first_stage,
         )
 
-    def _shard_operator(
-        self, solver_name: str, kind: str, a: np.ndarray, shard: int, k: int
-    ) -> "SketchOperator":
+    def _shard_operator(self, key: Tuple, shard: int) -> "SketchOperator":
         """Operator for a fallback-chain link, bound to the batch's shard.
 
         Consults the cache under the link's own solver-family key (via
@@ -686,16 +771,10 @@ class SketchServer:
         operators onto the shard when they live elsewhere, and builds fresh
         otherwise.
         """
-        d, n = a.shape
-        key = operator_cache_key(
-            kind, d, n, k, self.config.seed, a.dtype, solver=normalize_solver(solver_name)
-        )
         entry = self.cache.peek(key)
         if entry is not None and shard in entry.shard_set():
             return entry.operator_for(shard)
-        operator = build_operator(
-            kind, d, n, k=k, executor=self.pool[shard], seed=self.config.seed, dtype=a.dtype
-        )
+        operator = self._build(key, shard)
         if self.config.seed is None:
             return operator  # unseeded state is not shareable; use it once
         if entry is not None:
@@ -720,14 +799,12 @@ class SketchServer:
         entry: Optional[CacheEntry] = None
         cache_hit = False
         if needs_sketch:
-            entry, built = self._resolve_operator(
-                batch.kind, batch.a, k=plan_.embedding_dim, solver=plan_.solver
+            key = self._batch_operator_key(
+                batch.kind, spec, batch.a.dtype, plan_.solver, plan_.embedding_dim
             )
+            entry, built = self._resolve_operator(key)
             cache_hit = not built
-            if built:
-                shard = entry.shard
-            else:
-                shard = self._place_warm_batch(entry, batch.kind, batch.a, k=plan_.embedding_dim)
+            shard = entry.shard if built else self._place_warm_batch(entry, key)
         else:
             shard = self.scheduler.place()
         return PlacedBatch(
@@ -788,7 +865,12 @@ class SketchServer:
             executor=executor,
             operators=operators,
             operator_provider=lambda name: reusing(
-                self._shard_operator(name, batch.kind, batch.a, shard, plan_.embedding_dim)
+                self._shard_operator(
+                    self._batch_operator_key(
+                        batch.kind, spec, batch.a.dtype, name, plan_.embedding_dim
+                    ),
+                    shard,
+                )
             ),
             span_log=span_log,
         )
@@ -813,6 +895,15 @@ class SketchServer:
         else:
             latency = max(0.0, executor.elapsed - admitted_at) + comm_seconds
         self.telemetry.record_batch(batch.size, compute_seconds)
+        ridge = spec.problem == "ridge"
+        extra = {
+            "failed": float(result.failed),
+            "attempted": result.extra.get("attempted", executed),
+            "planned": plan_.solver,
+            "cond_estimate": plan_.cond_estimate,
+        }
+        if ridge:
+            extra["regularization"] = spec.regularization
         responses = []
         for j, req in enumerate(batch.requests):
             self.telemetry.record_request(latency, solver=executed)
@@ -820,7 +911,7 @@ class SketchServer:
                 self._finish_request_trace(
                     roots.get(req.request_id) if roots else None,
                     request_id=req.request_id,
-                    lane="solve",
+                    lane="ridge" if ridge else "solve",
                     placed=placed,
                     batch_id=batch_id,
                     batch_size=batch.size,
@@ -847,15 +938,11 @@ class SketchServer:
                     kind=batch.kind,
                     solver=batch.solver,
                     method=result.method,
-                    extra={
-                        "failed": float(result.failed),
-                        "attempted": result.extra.get("attempted", executed),
-                        "planned": plan_.solver,
-                        "cond_estimate": plan_.cond_estimate,
-                    },
-                    policy=self.config.policy,
+                    extra=dict(extra),
+                    policy=plan_.policy,
                     executed_solver=executed,
                     fallbacks=fallbacks,
+                    problem=spec.problem,
                 )
             )
         return responses
@@ -1004,277 +1091,6 @@ class SketchServer:
     # ------------------------------------------------------------------
     # problem-class endpoints (see repro.problems)
     # ------------------------------------------------------------------
-    def _problem_operator(
-        self, kind: str, rows: int, n: int, k: int, *, solver: str, problem: str
-    ) -> Tuple[CacheEntry, bool]:
-        """Find or build a problem-class operator; returns (entry, built).
-
-        Like :meth:`_resolve_operator` but keyed with explicit input rows
-        and the problem class (ridge operators embed the *augmented*
-        ``(d + n)``-row system, range-finder operators are ``n``-input
-        Gaussian test matrices), and placed with plain cache affinity --
-        problem-class requests are not micro-batched, so the hot-key
-        replication machinery is not engaged.
-        """
-        key = operator_cache_key(
-            kind, rows, n, k, self.config.seed, np.float64, solver=solver, problem=problem
-        )
-        entry = self.cache.get(key)
-        if entry is not None:
-            self.scheduler.place(preferred=entry.shard)
-            return entry, False
-        shard = self.scheduler.place()
-        operator = build_operator(
-            kind, rows, n, k=k, executor=self.pool[shard], seed=self.config.seed
-        )
-        return self.cache.put(key, CacheEntry(operator=operator, shard=shard)), True
-
-    def _problem_shard_operator(
-        self, solver_name: str, kind: str, rows: int, n: int, shard: int, k: int, *, problem: str
-    ) -> "SketchOperator":
-        """Operator for a problem-class fallback link, bound to the request's shard."""
-        key = operator_cache_key(
-            kind,
-            rows,
-            n,
-            k,
-            self.config.seed,
-            np.float64,
-            solver=normalize_solver(solver_name),
-            problem=problem,
-        )
-        entry = self.cache.peek(key)
-        if entry is not None and shard in entry.shard_set():
-            return entry.operator_for(shard)
-        operator = build_operator(
-            kind, rows, n, k=k, executor=self.pool[shard], seed=self.config.seed
-        )
-        if self.config.seed is None:
-            return operator  # unseeded state is not shareable; use it once
-        if entry is not None:
-            entry.add_replica(shard, operator)
-        else:
-            self.cache.put(key, CacheEntry(operator=operator, shard=shard))
-        return operator
-
-    def _plan_ridge(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        lam: float,
-        *,
-        kind: Optional[str] = None,
-        solver: Optional[str] = None,
-        accuracy_target: Optional[float] = None,
-        latency_budget: Optional[float] = None,
-    ) -> Tuple[SolvePlan, SolveSpec, str, str]:
-        """Validate and plan one ridge request; returns (plan, spec, policy, kind)."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.ndim != 2 or a.shape[0] <= a.shape[1]:
-            raise ValueError("A must be a tall (d > n) matrix")
-        if b.shape[0] != a.shape[0]:
-            raise ValueError("b must have one entry per row of A")
-        if lam <= 0.0:
-            raise ValueError("solve_ridge needs a positive lam; use solve()/submit() otherwise")
-        kind = normalize_kind(kind if kind is not None else self.config.kind)
-        d, n = a.shape
-        nrhs = b.shape[1] if b.ndim == 2 else 1
-        cond, smax, _ = self._spectrum_estimate(a)
-        spec = SolveSpec(
-            d=d,
-            n=n,
-            nrhs=nrhs,
-            regularization=float(lam),
-            cond_estimate=cond,
-            smax_estimate=smax,
-            accuracy_target=(
-                accuracy_target if accuracy_target is not None else self.config.accuracy_target
-            ),
-            latency_budget=(
-                latency_budget if latency_budget is not None else self.config.latency_budget
-            ),
-            kind=kind,
-            oversampling=self.config.oversampling,
-            seed=self.config.seed,
-        )
-        cost_source = self._cost_source()
-        if self.config.policy == "fixed" and solver is not None:
-            plan_ = plan(
-                None, spec, policy="fixed", solver=solver,
-                device=self.config.device, cost_source=cost_source,
-            )
-            policy = "fixed"
-        else:
-            policy = self.config.policy if self.config.policy != "fixed" else "cheapest_accurate"
-            plan_ = plan(
-                None, spec, policy=policy, solver=solver,
-                device=self.config.device, cost_source=cost_source,
-            )
-        return plan_, spec, policy, kind
-
-    def _place_ridge(self, plan_: SolvePlan, spec: SolveSpec, kind: str) -> "PlacedBatch":
-        """Bind a planned ridge request to a shard (operators under ``problem="ridge"``)."""
-        rows_aug = spec.d + spec.n
-        entry: Optional[CacheEntry] = None
-        cache_hit = False
-        if get_solver(plan_.solver).capabilities.needs_sketch:
-            entry, built = self._problem_operator(
-                kind, rows_aug, spec.n, plan_.embedding_dim, solver=plan_.solver, problem="ridge"
-            )
-            cache_hit = not built
-            shard = entry.shard
-        else:
-            shard = self.scheduler.place()
-        return PlacedBatch(plan=plan_, spec=spec, entry=entry, shard=shard, cache_hit=cache_hit)
-
-    def solve_ridge(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        lam: float,
-        *,
-        kind: Optional[str] = None,
-        solver: Optional[str] = None,
-        accuracy_target: Optional[float] = None,
-        latency_budget: Optional[float] = None,
-    ) -> SolveResponse:
-        """Serve ``min_x ||b - A x||^2 + lam ||x||^2`` through the planner.
-
-        The request routes exactly like batch least-squares traffic -- the
-        cached spectrum probe feeds the planner, the cheapest admissible
-        *ridge* solver runs first, breakdowns walk the ridge fallback chain
-        on the chosen shard -- with two differences: sketch operators live
-        under the ``problem="ridge"`` cache namespace at the augmented
-        ``(d + n)``-row height, and an explicit ``solver`` pins the routing
-        (otherwise a ``"fixed"``-policy server routes ridge adaptively,
-        since its configured default solver answers the wrong problem).
-        """
-        a = np.asarray(a)
-        b = np.asarray(b)
-        plan_, spec, policy, kind = self._plan_ridge(
-            a,
-            b,
-            lam,
-            kind=kind,
-            solver=solver,
-            accuracy_target=accuracy_target,
-            latency_budget=latency_budget,
-        )
-        placed = self._place_ridge(plan_, spec, kind)
-        return self._run_ridge(
-            a, b, lam, placed, policy=policy, kind=kind, solver=solver
-        )
-
-    def _run_ridge(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        lam: float,
-        placed: "PlacedBatch",
-        *,
-        policy: str,
-        kind: str,
-        solver: Optional[str],
-        admitted_at: Optional[float] = None,
-        request_id: Optional[int] = None,
-        root: Optional[Span] = None,
-    ) -> SolveResponse:
-        """Execute a placed ridge request (see :meth:`_run_placed` for accounting).
-
-        ``request_id`` lets the concurrent runtime pass the id it reserved
-        at admission (and ``root`` the trace root it opened there); the
-        synchronous path draws an id and starts the trace here.
-        """
-        plan_, spec, entry, shard = placed.plan, placed.spec, placed.entry, placed.shard
-        cache_hit = placed.cache_hit
-        d, n = a.shape
-        nrhs = spec.nrhs
-        rows_aug = d + n
-        executor = self.pool[shard]
-        tracing = self.tracer.enabled
-        batch_id = self._batch_seq
-        self._batch_seq += 1
-        # Kept even with tracing off: the log doubles as the calibration feed.
-        span_log: List[Dict[str, object]] = []
-        exec_start = executor.elapsed
-        operators = {plan_.solver: entry.operator_for(shard)} if entry is not None else None
-        result = execute_plan(
-            plan_,
-            a,
-            b,
-            spec,
-            executor=executor,
-            operators=operators,
-            operator_provider=lambda name: self._problem_shard_operator(
-                name, kind, rows_aug, n, shard, plan_.embedding_dim, problem="ridge"
-            ),
-            span_log=span_log,
-        )
-        exec_end = executor.elapsed
-        self._feed_calibration(span_log, spec)
-        executed = result.attempted_solvers[-1]
-        fallbacks = int(float(result.extra.get("fallbacks", 0.0)))
-        if fallbacks:
-            self.telemetry.record_fallback(plan_.solver, executed)
-        if result.failed:
-            self.telemetry.record_failure(1)
-        compute_seconds = result.total_seconds
-        result_bytes = float(n) * nrhs * a.dtype.itemsize
-        comm_seconds = self.scheduler.charge_transfer("result_return", result_bytes)
-        if admitted_at is None:
-            latency = compute_seconds + comm_seconds
-        else:
-            latency = max(0.0, executor.elapsed - admitted_at) + comm_seconds
-        self.telemetry.record_batch(1, compute_seconds)
-        self.telemetry.record_request(latency, solver=executed)
-        if request_id is None:
-            request_id = self._next_id
-            self._next_id += 1
-        if tracing:
-            self._finish_request_trace(
-                root,
-                request_id=request_id,
-                lane="ridge",
-                placed=placed,
-                batch_id=batch_id,
-                batch_size=1,
-                span_log=span_log,
-                exec_start=exec_start,
-                exec_end=exec_end,
-                comm_seconds=comm_seconds,
-                executed=executed,
-                fallbacks=fallbacks,
-                failed=bool(result.failed),
-                residual=result.relative_residual,
-            )
-        response = SolveResponse(
-            request_id=request_id,
-            x=result.x,
-            relative_residual=result.relative_residual,
-            simulated_seconds=latency,
-            compute_seconds=compute_seconds,
-            comm_seconds=comm_seconds,
-            shard=shard,
-            batch_size=1,
-            cache_hit=cache_hit,
-            kind=kind,
-            solver=solver if solver is not None else "",
-            method=result.method,
-            extra={
-                "failed": float(result.failed),
-                "attempted": result.extra.get("attempted", executed),
-                "planned": plan_.solver,
-                "cond_estimate": plan_.cond_estimate,
-                "regularization": float(lam),
-            },
-            policy=policy,
-            executed_solver=executed,
-            fallbacks=fallbacks,
-            problem="ridge",
-        )
-        return response
-
     def approx_lowrank(
         self,
         a: np.ndarray,
@@ -1307,11 +1123,15 @@ class SketchServer:
         cache_hit = False
         if method_l == "rangefinder":
             r = min(int(rank) + max(int(oversample), 0), n)
-            entry, built = self._problem_operator(
-                "gaussian", n, n, r, solver="rangefinder", problem="lowrank"
+            entry, built = self._resolve_operator(
+                operator_cache_key(
+                    "gaussian", n, n, r, self.config.seed, solver="rangefinder", problem="lowrank"
+                )
             )
             cache_hit = not built
             shard = entry.shard
+            if cache_hit:
+                self.scheduler.place(preferred=shard)
             operator = entry.operator_for(shard)
         else:
             shard = self.scheduler.place()
@@ -1355,8 +1175,13 @@ class SketchServer:
         if a.ndim != 2:
             raise ValueError("sketch expects a 2-D matrix")
         kind = normalize_kind(kind if kind is not None else self.config.kind)
-        entry, built = self._resolve_operator(kind, a)
-        shard = entry.shard if built else self._place_warm_batch(entry, kind, a)
+        d, n = a.shape
+        key = operator_cache_key(
+            kind, d, n, resolve_embedding_dim(kind, d, n, self.config.oversampling),
+            self.config.seed, a.dtype,
+        )
+        entry, built = self._resolve_operator(key)
+        shard = entry.shard if built else self._place_warm_batch(entry, key)
         operator = entry.operator_for(shard)
         ex = self.pool[shard]
         mark = ex.mark()

@@ -53,14 +53,22 @@ _DURABILITY_PREFIXES = ("test_durability",)
 #: ``pytest -m frequency`` runs the subset).
 _FREQUENCY_PREFIXES = ("test_frequency",)
 
+#: Directory whose every module is auto-marked ``serving`` (server, batcher,
+#: cache, scheduler, runtime, sessions, CLI; ``pytest -m serving`` runs the
+#: whole serving-layer suite).
+_SERVING_DIR = pathlib.Path(__file__).parent / "serving"
+
 
 def pytest_collection_modifyitems(items):
-    """Auto-apply the ``planner``/``streaming``/``runtime``/``obs``/``slo``/``durability``/``frequency`` markers by module prefix."""
+    """Auto-apply the ``planner``/``streaming``/``runtime``/``obs``/``slo``/``durability``/``frequency`` markers by module prefix, and ``serving`` by directory."""
     for item in items:
         try:
-            name = pathlib.Path(str(item.fspath)).name
+            path = pathlib.Path(str(item.fspath))
         except OSError:  # pragma: no cover - defensive
             continue
+        name = path.name
+        if path.parent == _SERVING_DIR:
+            item.add_marker(pytest.mark.serving)
         if name.startswith(_PLANNER_PREFIXES):
             item.add_marker(pytest.mark.planner)
         if name.startswith(_STREAMING_PREFIXES):

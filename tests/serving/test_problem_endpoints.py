@@ -78,6 +78,11 @@ class TestSolveRidgeEndpoint:
         assert len(ridge_keys) == 1
         # The cached operator embeds the augmented (d + n)-row system.
         assert ridge_keys[0][1] == D + N
+        # Least squares on the same matrix rides the same batched path but
+        # never aliases the ridge operator: its key is d rows, namespace "".
+        assert not server.solve(p.a, p.b).cache_hit
+        (ls_key,) = [k for k in server.cache.keys() if k[-1] == ""]
+        assert ls_key[1] == D and ls_key[-2] == "sketch_and_solve"
 
     def test_validation(self, server, ridge_problem):
         p = ridge_problem
@@ -87,6 +92,20 @@ class TestSolveRidgeEndpoint:
             server.solve_ridge(p.a.T, p.b, p.lam)
         with pytest.raises(ValueError):
             server.solve_ridge(p.a, p.b[:-1], p.lam)
+
+    def test_matrix_rhs_rejected_at_submit(self, server, ridge_problem):
+        p = ridge_problem
+        with pytest.raises(ValueError):
+            server.solve_ridge(p.a, np.column_stack([p.b, p.b]), p.lam)
+        assert server.pending == 0
+
+    def test_flushes_pending_requests_like_solve(self, server, ridge_problem):
+        p = ridge_problem
+        pending_id = server.submit(p.a, p.b)
+        resp = server.solve_ridge(p.a, p.b, p.lam)
+        assert server.pending == 0
+        assert resp.request_id == pending_id + 1
+        assert server.stats()["requests_served"] == 2.0
 
     def test_telemetry_counts_ridge_requests(self, server, ridge_problem):
         p = ridge_problem

@@ -295,6 +295,18 @@ def test_stop_without_drain_sheds_backlog(problem):
         runtime.submit(a, b)
 
 
+def test_shutdown_shed_errors_carry_the_admitted_request_id(problem):
+    a, b = problem
+    runtime = AsyncSketchServer(shards=1, workers=1, seed=0)
+    runtime.pause()
+    futures = [runtime.submit(a, b), runtime.submit_ridge(a, b, 0.1)]
+    runtime.stop(drain=False)
+    for future in futures:
+        error = future.exception()
+        assert error.lane == future.lane
+        assert error.request_id == future.request_id
+
+
 def test_checkpoint_without_drain_keeps_a_paused_runtime_paused(problem):
     a, b = problem
     runtime = AsyncSketchServer(shards=1, seed=0)
@@ -428,6 +440,48 @@ def test_queue_depth_counts_all_lanes(problem):
         runtime.close_stream(sid)
     finally:
         runtime.stop()
+
+
+# ---------------------------------------------------------------------------
+# ridge lane: same-matrix fusion and its limits
+# ---------------------------------------------------------------------------
+def _ridge_burst(calls):
+    """Admit ``(a, b, lam, options)`` ridge calls while paused; return the responses."""
+    runtime = AsyncSketchServer(shards=1, workers=1, seed=0)
+    try:
+        runtime.pause()
+        futures = [runtime.submit_ridge(a, b, lam, **options) for a, b, lam, options in calls]
+        runtime.resume()
+        return [f.result(timeout=30.0) for f in futures]
+    finally:
+        runtime.stop()
+
+
+@pytest.mark.parametrize("options", [{}, {"solver": "ridge_precond_lsqr"}])
+def test_same_matrix_ridge_requests_fuse_and_match_unfused(problem, options):
+    a, b = problem
+    b2 = np.random.default_rng(3).standard_normal(a.shape[0])
+    fused = _ridge_burst([(a, b, 0.1, options), (a, b2, 0.1, options)])
+    assert [r.batch_size for r in fused] == [2, 2]
+    for resp, rhs in zip(fused, (b, b2)):
+        (alone,) = _ridge_burst([(a, rhs, 0.1, options)])
+        assert alone.batch_size == 1
+        assert resp.problem == "ridge" and resp.extra["regularization"] == 0.1
+        assert resp.executed_solver == alone.executed_solver
+        assert np.linalg.norm(resp.x - alone.x) <= 1e-10 * np.linalg.norm(alone.x)
+
+
+@pytest.mark.parametrize("differs", ["lam", "matrix", "accuracy_target", "priority"])
+def test_ridge_requests_that_differ_stay_unfused(problem, differs):
+    a, b = problem
+    second = {
+        "lam": (a, b, 0.2, {}),
+        "matrix": (a.copy(), b, 0.1, {}),
+        "accuracy_target": (a, b, 0.1, {"accuracy_target": 1e-3}),
+        "priority": (a, b, 0.1, {"priority": PRIORITY_HIGH}),
+    }[differs]
+    responses = _ridge_burst([(a, b, 0.1, {}), second])
+    assert [r.batch_size for r in responses] == [1, 1]
 
 
 # ---------------------------------------------------------------------------
