@@ -2,7 +2,9 @@
 """Crash-proof sessions: checkpoint, kill, restore, verify.
 
 A durable SketchServer streams a regression problem into a sliding-window
-session and an item stream into a heavy-hitter (frequency) session.
+session and an item stream into a heavy-hitter (frequency) session.  The
+frequency session supports range queries, so it is a dyadic hierarchy: a
+sketched leaf under upper levels small enough to count exactly.
 Every appended batch is write-ahead-logged (fsync'd to the checkpoint
 directory) *before* it is folded into its sketch, and every few appends
 the whole engine state -- sketch accumulators or counter tables, operator
@@ -47,7 +49,7 @@ def main() -> None:
     server = make_server(checkpoint_dir)
     sid = server.open_stream(N, mode="sliding", bucket_rows=512,
                              window_buckets=4, detector=False)
-    fid = server.open_frequency_stream(DOMAIN, phi=0.02)
+    fid = server.open_frequency_stream(DOMAIN, phi=0.02, need_ranges=True)
     for _ in range(BATCHES):
         rows = rng.standard_normal((BATCH, N))
         targets = rows @ x_true + 0.05 * rng.standard_normal(BATCH)
@@ -55,12 +57,16 @@ def main() -> None:
         server.append_items(fid, rng.zipf(1.3, 2 * BATCH) % DOMAIN)
     before = server.query_solution(sid)
     top_before = server.query_heavy_hitters(fid, k=TOP_K).value
+    range_before = server.query_range(fid, 0, DOMAIN // 3).value
+    exact_levels = server.frequencies.session(fid).stats()["exact_levels"]
     telemetry = server.telemetry
     print(f"streamed {BATCHES} batches into sessions {sid} and {fid}: "
           f"{telemetry.checkpoints_written} checkpoints, "
           f"{telemetry.wal_appends} WAL appends")
     print(f"pre-crash  x[:4] = {np.round(before.x[:4], 6)}")
     print(f"pre-crash  top-3 = {top_before[:3]}")
+    print(f"pre-crash  weight of ids [0, {DOMAIN // 3}) = {range_before} "
+          f"({exact_levels:.0f} exactly counted level(s))")
 
     del server  # crash: no save(), no clean close -- only the files survive
 
@@ -81,6 +87,11 @@ def main() -> None:
     same_top = top_after == top_before
     print(f"recovered top-{TOP_K} identical to pre-crash: {same_top}")
     assert same_top, "frequency recovery should be exact"
+    range_after = recovered.query_range(fid, 0, DOMAIN // 3).value
+    same_range = range_after == range_before
+    print(f"recovered range weight identical to pre-crash: {same_range}")
+    assert same_range, "frequency recovery should be exact"
+    assert recovered.frequencies.session(fid).stats()["exact_levels"] == exact_levels
 
     recovered.close_stream(sid)  # terminal: deletes the durable state too
     recovered.close_frequency_stream(fid)

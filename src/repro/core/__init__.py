@@ -26,6 +26,7 @@ from repro.core.countsketch import (
     StreamingCountSketch,
 )
 from repro.core.frequency import (
+    ExactFrequencyLevel,
     FrequencySketch,
     HierarchicalFrequencySketch,
     SlidingFrequencyWindow,
@@ -43,6 +44,7 @@ __all__ = [
     "SketchMaterializationError",
     "DENSIFY_LIMIT",
     "FrequencySketch",
+    "ExactFrequencyLevel",
     "HierarchicalFrequencySketch",
     "SlidingFrequencyWindow",
     "GaussianSketch",

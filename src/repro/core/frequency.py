@@ -20,13 +20,16 @@ substrate into a frequency-analytics engine:
     full-domain scan (the CSVec ``findHH`` idiom).
 
 :class:`HierarchicalFrequencySketch`
-    A dyadic stack of :class:`FrequencySketch` levels (branching factor a
-    power of two): level ``l`` sketches the item id right-shifted by
-    ``l * log2(branch)`` bits.  Range queries decompose into O(branch *
-    levels) node queries, and top-k heavy hitters are found by *descending*
-    the hierarchy -- expanding only the children of prefixes that are
-    themselves heavy -- so the work is ``O(levels * branch * heavy)``
-    instead of the flat sketch's ``O(domain)`` scan.
+    A dyadic stack of levels (branching factor a power of two): level ``l``
+    counts the item id right-shifted by ``l * log2(branch)`` bits.  The
+    leaf is always a :class:`FrequencySketch`; the top ``exact_levels``
+    levels are :class:`ExactFrequencyLevel` dense count arrays, used where
+    a level's domain is no larger than its sketch would be.  Range queries
+    decompose into O(branch * levels) node queries, and top-k heavy hitters
+    are found by *descending* the hierarchy -- expanding only the children
+    of prefixes that are themselves heavy -- so the work is
+    ``O(levels * branch * heavy)`` instead of the flat sketch's
+    ``O(domain)`` scan.
 
 :class:`SlidingFrequencyWindow`
     A ring of slot sketches sharing one hash seed, mirroring the
@@ -50,7 +53,7 @@ than a flat domain scan.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,6 +99,25 @@ def as_index_array(ids, domain: int) -> np.ndarray:
         raise ValueError(f"item ids must lie in [0, {domain}), got range "
                          f"[{idx.min()}, {idx.max()}]")
     return idx
+
+
+def as_weight_array(weights, batch: int, dtype=np.float64) -> np.ndarray:
+    """Validate and normalise a batch's weights to a flat ``dtype`` array.
+
+    ``None`` means all-ones (pure counting).  The length must match the
+    batch, and every weight must be finite once cast: a NaN or infinite
+    weight raises ``ValueError`` naming it rather than poisoning every
+    counter it lands in.
+    """
+    if weights is None:
+        return np.ones(batch, dtype=dtype)
+    w = np.asarray(weights, dtype=dtype).ravel()
+    if w.shape[0] != batch:
+        raise ValueError(f"expected {batch} weights, got {w.shape[0]}")
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise ValueError(f"weights must be finite, got {float(w[~finite][0])!r}")
+    return w
 
 
 class FrequencySketch:
@@ -230,8 +252,9 @@ class FrequencySketch:
         """Consume a batch of (item id, weight) increments from the stream.
 
         ``weights`` defaults to all-ones (pure counting).  Negative weights
-        (deletions) are legal: the CountSketch is a turnstile sketch.  An
-        empty batch is a clean no-op.
+        (deletions) are legal: the CountSketch is a turnstile sketch.  A
+        non-finite weight raises ``ValueError`` before any counter moves.
+        An empty batch is a clean no-op.
 
         The batch is folded in one scatter pass, the way the paper's GPU
         CountSketch does it: each *distinct* id is hashed once for all
@@ -253,12 +276,7 @@ class FrequencySketch:
         batch = idx.shape[0]
         if batch == 0:
             return
-        if weights is None:
-            w = np.ones(batch, dtype=self._dtype)
-        else:
-            w = np.asarray(weights, dtype=self._dtype).ravel()
-            if w.shape[0] != batch:
-                raise ValueError(f"expected {batch} weights, got {w.shape[0]}")
+        w = as_weight_array(weights, batch, self._dtype)
         self._items_seen += batch
         self._integral = self._integral and weights is None
 
@@ -499,12 +517,175 @@ class FrequencySketch:
         )
 
 
-class HierarchicalFrequencySketch:
-    """Dyadic stack of frequency sketches for range queries and fast top-k.
+class ExactFrequencyLevel:
+    """Dense exact counts for a hierarchy level no larger than its sketch.
 
-    Level 0 sketches raw item ids; level ``l`` sketches ``id >> (l * b)``
+    One counter per node id, so a point query returns the node's true
+    (weighted) count: zero error.  It offers the level interface
+    :class:`HierarchicalFrequencySketch` uses -- update, point query,
+    merge, scale and the durable state -- with the same contracts as
+    :class:`FrequencySketch`, and charges its own scatter and gather
+    kernels.  Its durable table is the 1-D count vector.
+    """
+
+    def __init__(
+        self,
+        domain: int,
+        *,
+        executor: Optional[GPUExecutor] = None,
+        dtype=np.float64,
+    ) -> None:
+        if domain <= 0:
+            raise ValueError("domain must be positive")
+        self._domain = int(domain)
+        self._dtype = np.dtype(dtype)
+        if executor is None:
+            executor = GPUExecutor(H100_SXM5, numeric=True, track_memory=False)
+        self._ex = executor
+        self._counts = executor.zeros((self._domain,), dtype=self._dtype, label="freq_counts")
+        self._items_seen = 0
+
+    @property
+    def domain(self) -> int:
+        """Node-id universe size (also the number of counters)."""
+        return self._domain
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._dtype
+
+    @property
+    def items_seen(self) -> int:
+        """Stream items consumed so far (merge adds, restore reinstates)."""
+        return self._items_seen
+
+    @property
+    def numeric(self) -> bool:
+        """Whether the array carries real counters (vs. analytic shapes)."""
+        return bool(self._ex.numeric and self._counts.is_numeric)
+
+    def counts(self) -> Optional[np.ndarray]:
+        """Host copy of the count vector (``None`` in analytic mode)."""
+        return self._counts.to_host() if self.numeric else None
+
+    def _charge(self, name: str, kclass: KernelClass, read: float, written: float, flops: float) -> None:
+        self._ex.launch(
+            KernelRequest(
+                name=name,
+                kclass=kclass,
+                bytes_read=read,
+                bytes_written=written,
+                flops=flops,
+                dtype_size=self._dtype.itemsize,
+                phase=PHASE_FREQUENCY,
+            )
+        )
+
+    def update(self, ids, weights=None) -> None:
+        """Add a batch of (node id, weight) increments: one ``bincount`` scatter."""
+        idx = as_index_array(ids, self._domain)
+        batch = idx.shape[0]
+        if batch == 0:
+            return
+        w = None if weights is None else as_weight_array(weights, batch, self._dtype)
+        self._items_seen += batch
+        if self.numeric:
+            self._counts.data += np.bincount(idx, w, minlength=self._domain)
+        itemsize = self._dtype.itemsize
+        self._charge(
+            "frequency_exact_update", KernelClass.ATOMIC,
+            float(batch) * (8 + itemsize), float(batch) * itemsize, float(batch),
+        )
+
+    def point_query(self, ids) -> np.ndarray:
+        """The exact counts of the given node ids."""
+        if not self.numeric:
+            raise RuntimeError("point_query() requires a numeric executor")
+        idx = as_index_array(ids, self._domain)
+        itemsize = self._dtype.itemsize
+        self._charge(
+            "frequency_exact_query", KernelClass.STREAM,
+            float(idx.size) * (8 + itemsize), float(idx.size) * itemsize, 0.0,
+        )
+        return self._counts.data[idx]
+
+    def merge_from(self, other: "ExactFrequencyLevel") -> None:
+        """Add another level's counts (same domain, dtype and mode required)."""
+        if not isinstance(other, ExactFrequencyLevel) or (self._domain, self._dtype) != (
+            other._domain,
+            other._dtype,
+        ):
+            raise ValueError("can only merge exact levels with identical domain and dtype")
+        if self.numeric != other.numeric:
+            raise ValueError("cannot merge numeric and analytic exact levels")
+        if self.numeric:
+            self._counts.data += other._counts.data
+        self._items_seen += other._items_seen
+        nbytes = float(self._domain) * self._dtype.itemsize
+        self._charge("frequency_exact_merge", KernelClass.STREAM, 2.0 * nbytes, nbytes, float(self._domain))
+
+    def scale(self, alpha: float) -> None:
+        """Scale every counter in place (exponential-decay hook)."""
+        if self.numeric:
+            self._counts.data *= float(alpha)
+        nbytes = float(self._domain) * self._dtype.itemsize
+        self._charge("frequency_exact_scale", KernelClass.STREAM, nbytes, nbytes, float(self._domain))
+
+    def state_dict(self) -> dict:
+        """Durable state: the count vector plus the items-seen counter."""
+        state = self._live_state()
+        if state["table"] is not None:
+            state["table"] = state["table"].copy()
+        return state
+
+    def _live_state(self) -> dict:
+        """:meth:`state_dict` holding the live count vector (see the sketch's)."""
+        return {
+            "domain": self._domain,
+            "items_seen": int(self._items_seen),
+            "numeric": self.numeric,
+            "table": self._counts.data if self.numeric else None,
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot bit-identically."""
+        if int(state["domain"]) != self._domain:
+            raise ValueError("snapshot domain does not match this exact level")
+        tab = state.get("table")
+        if tab is not None:
+            if not self.numeric:
+                raise RuntimeError("restoring a numeric snapshot requires a numeric executor")
+            arr = np.asarray(tab, dtype=self._dtype)
+            if arr.shape != (self._domain,):
+                raise ValueError(f"snapshot counts shape {arr.shape} != {(self._domain,)}")
+            self._counts.data[...] = arr
+        elif state.get("numeric") and self.numeric:
+            raise ValueError("numeric snapshot is missing its counts payload")
+        self._items_seen = int(state["items_seen"])
+        nbytes = float(self._domain) * self._dtype.itemsize
+        self._charge("frequency_exact_restore", KernelClass.STREAM, 0.0, nbytes, 0.0)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ExactFrequencyLevel(domain={self._domain}, items_seen={self._items_seen})"
+
+
+#: One level of a :class:`HierarchicalFrequencySketch`.
+FrequencyLevel = Union[FrequencySketch, ExactFrequencyLevel]
+
+
+class HierarchicalFrequencySketch:
+    """Dyadic stack of frequency levels for range queries and fast top-k.
+
+    Level 0 sketches raw item ids; level ``l`` counts ``id >> (l * b)``
     where ``branch = 2**b``.  The levels stop once a level's domain fits in
     ``branch`` nodes, so the top level can always be enumerated outright.
+    The top ``exact_levels`` levels (never the leaf) are
+    :class:`ExactFrequencyLevel` dense counts instead of sketches; the
+    planner chooses them where a level's domain is at most
+    ``width * depth`` (:func:`repro.theory.frequency.exact_hierarchy_levels`).
+    Exact levels answer their node queries with zero error, so ranges and
+    the descent only pay sketch error at the sketched levels.  The default
+    of 0 sketches every level.
 
     Two query families become cheap:
 
@@ -528,6 +709,7 @@ class HierarchicalFrequencySketch:
         depth: int = 5,
         *,
         branch: int = 16,
+        exact_levels: int = 0,
         executor: Optional[GPUExecutor] = None,
         seed: Optional[int] = None,
         dtype=np.float64,
@@ -545,8 +727,17 @@ class HierarchicalFrequencySketch:
         domains: List[int] = [int(domain)]
         while domains[-1] > self._branch:
             domains.append((domains[-1] + self._branch - 1) // self._branch)
-        self._levels: List[FrequencySketch] = [
-            FrequencySketch(
+        if not 0 <= exact_levels < len(domains):
+            raise ValueError(
+                f"exact_levels must lie in [0, {len(domains) - 1}] (the leaf is "
+                f"always sketched), got {exact_levels}"
+            )
+        self._exact_levels = int(exact_levels)
+        first_exact = len(domains) - self._exact_levels
+        self._levels: List[FrequencyLevel] = [
+            ExactFrequencyLevel(dom, executor=executor, dtype=dtype)
+            if lvl >= first_exact
+            else FrequencySketch(
                 dom,
                 width,
                 depth,
@@ -571,8 +762,13 @@ class HierarchicalFrequencySketch:
         return len(self._levels)
 
     @property
-    def levels(self) -> Sequence[FrequencySketch]:
-        """The per-level sketches, leaf (level 0) first."""
+    def exact_levels(self) -> int:
+        """How many top levels are exact dense counts rather than sketches."""
+        return self._exact_levels
+
+    @property
+    def levels(self) -> Sequence[FrequencyLevel]:
+        """The per-level engines, leaf (level 0) first."""
         return tuple(self._levels)
 
     @property
@@ -589,8 +785,8 @@ class HierarchicalFrequencySketch:
         idx = as_index_array(ids, self.domain)
         if idx.size == 0:
             return
-        for lvl, sketch in enumerate(self._levels):
-            sketch.update(idx >> (lvl * self._bits), weights)
+        for lvl, level in enumerate(self._levels):
+            level.update(idx >> (lvl * self._bits), weights)
 
     def point_query(self, ids) -> np.ndarray:
         """Leaf-level point estimates (same contract as the flat sketch)."""
@@ -673,16 +869,23 @@ class HierarchicalFrequencySketch:
 
     # ------------------------------------------------------------------
     def merge_from(self, other: "HierarchicalFrequencySketch") -> None:
-        """Level-wise merge (same branch, levels and hashed state required)."""
-        if (self._branch, len(self._levels)) != (other._branch, len(other._levels)):
-            raise ValueError("can only merge hierarchies with identical structure")
+        """Level-wise merge (same branch, levels, exact levels and hashed state)."""
+        if (self._branch, len(self._levels), self._exact_levels) != (
+            other._branch,
+            len(other._levels),
+            other._exact_levels,
+        ):
+            raise ValueError(
+                "can only merge hierarchies with identical structure "
+                "(branch, levels and exact_levels)"
+            )
         for mine, theirs in zip(self._levels, other._levels):
             mine.merge_from(theirs)
 
     def scale(self, alpha: float) -> None:
         """Scale every level's counters in place."""
-        for sketch in self._levels:
-            sketch.scale(alpha)
+        for level in self._levels:
+            level.scale(alpha)
 
     def state_dict(self) -> dict:
         """Durable state: one sub-state per level plus the structure."""
@@ -705,13 +908,14 @@ class HierarchicalFrequencySketch:
         sub = state["levels"]
         if len(sub) != len(self._levels):
             raise ValueError("snapshot level count does not match")
-        for sketch, s in zip(self._levels, sub):
-            sketch.load_state(s)
+        for level, s in zip(self._levels, sub):
+            level.load_state(s)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HierarchicalFrequencySketch(domain={self.domain}, "
-            f"branch={self._branch}, levels={len(self._levels)})"
+            f"branch={self._branch}, levels={len(self._levels)}, "
+            f"exact_levels={self._exact_levels})"
         )
 
 

@@ -18,9 +18,14 @@ Four record kinds, all carried by :mod:`repro.durability.codec`:
     "truncate WAL" can never double-fold a batch.
 
 ``frequency-session``
-    A frequency session: its plan's operating point and seed (enough to
-    rebuild the engine), the engine's ``state_dict`` with each counter table
-    as a raw array, and the same serving metadata (``durable_seq`` etc.).
+    A frequency session: its plan's operating point, ``exact_levels`` and
+    seed (enough to rebuild the engine), the engine's ``state_dict`` with
+    each level's counters as a raw array -- a sketch level's
+    ``depth x width`` table, an exact level's 1-D count vector -- and the
+    same serving metadata (``durable_seq`` etc.).  A record whose plan
+    carries no ``exact_levels`` was written before exact levels existed:
+    it decodes as ``exact_levels = 0`` (every level a sketch) and keeps
+    restoring bit-identically.
 
 ``frequency-wal``
     One appended ``(ids, weights)`` batch with its sequence number; a
@@ -29,6 +34,7 @@ Four record kinds, all carried by :mod:`repro.durability.codec`:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -125,7 +131,8 @@ def _encode_engine_state(engine: FrequencyEngine) -> Tuple[dict, Dict[str, np.nd
     """Split an engine's ``state_dict`` into JSON meta + raw counter tables.
 
     A flat engine is one level whose table is stored as ``table``; level
-    ``i`` of a hierarchical engine is stored as ``level_<i>``.  The tables
+    ``i`` of a hierarchical engine is stored as ``level_<i>`` (a sketch's
+    2-D table or an exact level's 1-D count vector).  The tables
     are the engine's live counters, not copies: the caller encodes them
     before the engine is written again.
     """
@@ -171,6 +178,7 @@ def serialize_frequency_session(
         "branch": plan.branch,
         "need_ranges": plan.hierarchical,
         "max_width": plan.width,
+        "exact_levels": plan.exact_levels,
     }
     meta["state"] = state_meta
     return encode_record(FREQUENCY_SESSION_KIND, meta, arrays)
@@ -183,6 +191,8 @@ def deserialize_frequency_session(
 
     The engine is rebuilt from the recorded plan and seed on ``executor``
     and loaded bit-identically; ``meta`` is the record's serving metadata.
+    The recorded ``exact_levels`` overrides the planner's (absent means 0),
+    so a restored engine keeps the level layout it was written with.
     Any corruption raises a typed :class:`~repro.durability.codec.DurabilityError`.
     """
     record = decode_record(blob, expect_kind=FREQUENCY_SESSION_KIND)
@@ -198,6 +208,7 @@ def deserialize_frequency_session(
             need_ranges=bool(plan_meta["need_ranges"]),
             max_width=int(plan_meta["max_width"]),
         )
+        plan = replace(plan, exact_levels=int(plan_meta.get("exact_levels", 0)))
         engine = build_frequency_sketch(plan, executor=executor, seed=seed)
         _decode_engine_state(engine, dict(meta["state"]), record.arrays)
     except (KeyError, TypeError, ValueError) as exc:

@@ -9,7 +9,9 @@ requested heavy-hitter level ``phi`` and failure probability ``delta``.
 :func:`build_frequency_sketch` materialises the planned engine -- flat for
 enumerable domains, hierarchical (dyadic) whenever the domain is an address
 space that a flat ``findHH`` scan could never enumerate, or when range
-queries are requested.
+queries are requested.  A hierarchical plan also decides which levels above
+the leaf are counted exactly instead of sketched
+(:func:`~repro.theory.frequency.exact_hierarchy_levels`).
 
 The class itself is registered in the
 :mod:`repro.linalg.registry` catalog (``get_problem_class("frequency")``);
@@ -30,6 +32,7 @@ from repro.core.frequency import FrequencySketch, HierarchicalFrequencySketch
 from repro.gpu.executor import GPUExecutor
 from repro.theory.frequency import (
     depth_for_failure,
+    exact_hierarchy_levels,
     heavy_hitter_guarantee,
     hierarchical_topk_work,
     hierarchy_levels,
@@ -65,6 +68,11 @@ class FrequencyPlan:
         whenever range queries are requested).
     branch, levels:
         Dyadic branching factor and resulting level count (1 when flat).
+    exact_levels:
+        How many top levels of the hierarchy are exact dense count arrays
+        instead of sketches: every level above the leaf whose domain is at
+        most ``width * depth``.  Exact levels add zero point-query error.
+        The leaf is always a sketch; 0 for flat plans.
     """
 
     domain: int
@@ -76,6 +84,7 @@ class FrequencyPlan:
     hierarchical: bool
     branch: int
     levels: int
+    exact_levels: int = 0
 
     def guarantee(self) -> dict:
         """The eps-phi guarantee this plan offers (theory reference)."""
@@ -103,6 +112,8 @@ def plan_frequency_sketch(
     serving layer's memory guard); the achieved ``eps`` is then recomputed
     from the capped width and may lose recoverability, which the returned
     plan's :meth:`FrequencyPlan.guarantee` makes visible rather than hiding.
+    A hierarchical plan counts every level above the leaf whose domain is
+    at most the capped ``width * depth`` exactly (``exact_levels``).
     """
     if domain <= 0:
         raise ValueError("domain must be positive")
@@ -114,6 +125,7 @@ def plan_frequency_sketch(
     depth = depth_for_failure(delta)
     hierarchical = bool(need_ranges or domain > DENSIFY_LIMIT)
     levels = hierarchy_levels(domain, branch) if hierarchical else 1
+    exact_levels = exact_hierarchy_levels(domain, branch, width, depth) if hierarchical else 0
     return FrequencyPlan(
         domain=int(domain),
         phi=float(phi),
@@ -124,6 +136,7 @@ def plan_frequency_sketch(
         hierarchical=hierarchical,
         branch=int(branch),
         levels=levels,
+        exact_levels=exact_levels,
     )
 
 
@@ -141,6 +154,7 @@ def build_frequency_sketch(
             plan.width,
             plan.depth,
             branch=plan.branch,
+            exact_levels=plan.exact_levels,
             executor=executor,
             seed=seed,
             dtype=dtype,

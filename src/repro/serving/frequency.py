@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.frequency import HierarchicalFrequencySketch, as_index_array
+from repro.core.frequency import HierarchicalFrequencySketch, as_index_array, as_weight_array
 from repro.durability.session import (
     FrequencyEngine,
     decode_frequency_wal,
@@ -116,6 +116,7 @@ class FrequencySession:
             "depth": float(self.plan.depth),
             "hierarchical": float(self.plan.hierarchical),
             "levels": float(self.plan.levels),
+            "exact_levels": float(self.plan.exact_levels),
         }
 
 
@@ -212,9 +213,7 @@ class FrequencySessionManager(DurableSessionManager):
     def _validate(session: FrequencySession, ids, weights) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         ids = as_index_array(ids, session.plan.domain)
         if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64).ravel()
-            if weights.shape[0] != ids.shape[0]:
-                raise ValueError(f"expected {ids.shape[0]} weights, got {weights.shape[0]}")
+            weights = as_weight_array(weights, ids.shape[0])
         return ids, weights
 
     _encode_batch = staticmethod(encode_frequency_wal)

@@ -36,6 +36,7 @@ from repro.theory.complexity import (
 )
 from repro.theory.frequency import (
     depth_for_failure,
+    exact_hierarchy_levels,
     heavy_hitter_guarantee,
     hierarchical_topk_work,
     hierarchy_levels,
@@ -66,6 +67,7 @@ __all__ = [
     "depth_for_failure",
     "heavy_hitter_guarantee",
     "hierarchy_levels",
+    "exact_hierarchy_levels",
     "range_query_nodes",
     "hierarchical_topk_work",
 ]

@@ -31,6 +31,17 @@ Hierarchical queries
     queries total (there are at most ``1/phi^2`` items above ``phi
     ||f||_2``), versus the flat scan's ``domain``.
 
+Exact levels
+    A level above the leaves whose domain is at most ``width * depth``
+    needs no sketch: a dense count array of ``domain`` cells is no larger
+    than the table and answers every node query with zero error.  Such a
+    level adds nothing to the eps-phi bounds above: a range's error comes
+    from its sketched nodes only, and threshold descent through exact
+    levels keeps exactly the prefixes whose true weight clears the
+    threshold.  Domains shrink going up, so the exact levels are always
+    the top ones (:func:`exact_hierarchy_levels`).  The leaf stays a
+    sketch even when it would fit.
+
 These are the bounds :mod:`repro.problems.frequency` inverts when planning
 a sketch for a requested ``(phi, delta)`` and that
 ``tests/core/test_frequency_properties.py`` checks at the configured
@@ -115,6 +126,25 @@ def hierarchy_levels(domain: int, branch: int) -> int:
         domain = (domain + branch - 1) // branch
         levels += 1
     return levels
+
+
+def exact_hierarchy_levels(domain: int, branch: int, width: int, depth: int) -> int:
+    """Number of levels above the leaves counted exactly, not sketched.
+
+    A level ``l >= 1`` of the dyadic stack is an exact dense count array
+    when its domain is at most ``width * depth`` -- the cells its sketch
+    would hold.  An exact level adds zero point-query error.  The leaf
+    (level 0) is never counted.
+    """
+    if width <= 0 or depth <= 0:
+        raise ValueError("width and depth must be positive")
+    levels = hierarchy_levels(domain, branch)
+    cells = width * depth
+    exact = 0
+    for _ in range(levels - 1):
+        domain = (domain + branch - 1) // branch
+        exact += domain <= cells
+    return exact
 
 
 def range_query_nodes(domain: int, branch: int) -> int:

@@ -21,6 +21,9 @@ never from a second sketch.  Four contracts:
 5. **One-pass update**: the vectorised scatter builds exactly the table of
    the per-row reference loop kept here as the oracle, for every mix of
    weights, merges, scalings and restores, and charges the same kernels.
+6. **Exact levels**: a hierarchy's exact upper levels hold the weighted
+   counts of the shifted ids -- bit for bit under integer weights -- while
+   the sketched leaf keeps matching the per-row oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.frequency import FrequencySketch, HierarchicalFrequencySketch, as_index_array
+from repro.core.frequency import (
+    ExactFrequencyLevel,
+    FrequencySketch,
+    HierarchicalFrequencySketch,
+    as_index_array,
+)
 from repro.theory.frequency import (
     point_query_epsilon,
     point_query_failure,
@@ -238,22 +246,58 @@ def _oracle_point_query(sketch: FrequencySketch, table: np.ndarray, ids) -> np.n
     return np.median(est, axis=0).astype(table.dtype)
 
 
+def _exact(level) -> bool:
+    return isinstance(level, ExactFrequencyLevel)
+
+
 class _Reference:
-    """Oracle tables for a flat or hierarchical sketch, one per level."""
+    """Oracle tables for a flat or hierarchical sketch, one per level.
+
+    An exact level's oracle is the count vector of its shifted ids, added
+    item by item in stream order.  It equals the level bit for bit while
+    every weight and scale factor keeps the counts integral (or dyadic), and
+    to rel 1e-12 of the largest count otherwise.
+    """
 
     def __init__(self, sketch) -> None:
         self.levels = list(getattr(sketch, "levels", [sketch]))
         self.shift = sketch.branch.bit_length() - 1 if len(self.levels) > 1 else 0
-        self.tables = [np.zeros((s.depth, s.width), dtype=s.dtype) for s in self.levels]
+        self.tables = [
+            np.zeros(s.domain if _exact(s) else (s.depth, s.width), dtype=s.dtype)
+            for s in self.levels
+        ]
+        self.integral = True
 
     def update(self, ids, weights) -> None:
         idx = np.asarray(ids, dtype=np.int64)
+        if weights is not None:
+            self.integral &= bool(np.array_equal(weights, np.trunc(weights)))
         for lvl, (level, table) in enumerate(zip(self.levels, self.tables)):
-            _oracle_update(level, table, idx >> (lvl * self.shift), weights)
+            if _exact(level):
+                w = np.ones(idx.size) if weights is None else np.asarray(weights, dtype=table.dtype)
+                np.add.at(table, idx >> (lvl * self.shift), w)
+            else:
+                _oracle_update(level, table, idx >> (lvl * self.shift), weights)
+
+    def merge(self, other: "_Reference") -> None:
+        for table, addend in zip(self.tables, other.tables):
+            table += addend
+        self.integral &= other.integral
+
+    def scale(self, alpha: float) -> None:
+        for table in self.tables:
+            table *= alpha
+        self.integral &= alpha in (0.5, 2.0)
 
     def assert_matches(self, sketch) -> None:
         for level, table in zip(getattr(sketch, "levels", [sketch]), self.tables):
-            assert level.table().tobytes() == table.tobytes()
+            if not _exact(level):
+                assert level.table().tobytes() == table.tobytes()
+            elif self.integral:
+                assert level.counts().tobytes() == table.tobytes()
+            else:
+                err = np.abs(level.counts() - table).max()
+                assert err <= 1e-12 * max(1.0, np.abs(table).max())
 
 
 def _random_history(rng, make, domain):
@@ -281,13 +325,11 @@ def _random_history(rng, make, domain):
             other_ref = _Reference(other)
             other_ref.update(ids, weights)
             sketch.merge_from(other)
-            for table, addend in zip(ref.tables, other_ref.tables):
-                table += addend
+            ref.merge(other_ref)
         elif op == 7:  # decay
             alpha = float(rng.choice([0.5, 2.0, 1 / 3]))
             sketch.scale(alpha)
-            for table in ref.tables:
-                table *= alpha
+            ref.scale(alpha)
         elif op == 8:  # restore mid-stream
             clone = make()
             clone.load_state(sketch.state_dict())
@@ -299,6 +341,7 @@ def _random_history(rng, make, domain):
     ids = rng.integers(0, domain, 300)
     expected = _oracle_point_query(ref.levels[0], ref.tables[0], ids)
     assert sketch.point_query(ids).tobytes() == expected.tobytes()
+    return sketch, ref
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -314,6 +357,55 @@ def test_one_pass_update_matches_the_per_row_loop_hierarchical(seed):
     _random_history(
         rng, lambda: HierarchicalFrequencySketch(1 << 12, 61, 5, branch=4, seed=seed), 1 << 12
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_exact_levels_hold_the_counts_of_the_shifted_ids(seed):
+    # 61 * 5 = 305 cells: levels 256, 64, 16 and 4 are exact, the 4096 and
+    # 1024 levels stay sketches.
+    make = lambda: HierarchicalFrequencySketch(  # noqa: E731
+        1 << 12, 61, 5, branch=4, seed=seed, exact_levels=4
+    )
+    sketch, ref = _random_history(np.random.default_rng(200 + seed), make, 1 << 12)
+    kinds = [_exact(level) for level in sketch.levels]
+    assert kinds == [False, False, True, True, True, True]
+    for level in sketch.levels:
+        if _exact(level):  # a point query reads the counts themselves
+            nodes = np.arange(level.domain)
+            assert level.point_query(nodes).tobytes() == level.counts().tobytes()
+
+
+def test_exact_levels_never_include_the_leaf():
+    # Every domain here fits in width * depth, the leaf's too.
+    with pytest.raises(ValueError, match="exact_levels"):
+        HierarchicalFrequencySketch(1 << 10, 4800, 42, branch=16, exact_levels=3)
+    sketch = HierarchicalFrequencySketch(1 << 10, 4800, 42, branch=16, exact_levels=2)
+    assert [_exact(level) for level in sketch.levels] == [False, True, True]
+
+
+def test_merging_different_exact_levels_is_refused():
+    a = HierarchicalFrequencySketch(1 << 12, 61, 5, branch=4, seed=1, exact_levels=2)
+    b = HierarchicalFrequencySketch(1 << 12, 61, 5, branch=4, seed=1, exact_levels=1)
+    with pytest.raises(ValueError, match="exact_levels"):
+        a.merge_from(b)
+    with pytest.raises(ValueError, match="exact_levels"):
+        b.merge_from(a)
+
+
+@pytest.mark.parametrize("bad", [[1.0, np.nan, 1.0], [np.inf, 1.0, 1.0], [1.0, 1.0, -np.inf]])
+def test_non_finite_weights_are_rejected(bad):
+    ids = [1, 2, 3]
+    engines = [
+        FrequencySketch(1 << 10, 16, 3, seed=0),
+        ExactFrequencyLevel(1 << 10),
+        HierarchicalFrequencySketch(1 << 10, 16, 3, branch=4, seed=0, exact_levels=2),
+    ]
+    for engine in engines:
+        with pytest.raises(ValueError, match="weights must be finite"):
+            engine.update(ids, bad)
+        assert engine.items_seen == 0
+    assert not engines[0].table().any() and not engines[1].counts().any()
+    assert all(not level.state_dict()["table"].any() for level in engines[2].levels)
 
 
 def test_unweighted_after_weighted_batches_keeps_stream_order():

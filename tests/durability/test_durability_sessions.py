@@ -11,18 +11,23 @@ resurrection bound and serve the *mixed* population.  The contracts here:
 * a batch the engine refuses never reaches the WAL, so ``restore()`` stays
   clean after rejected appends;
 * the concurrent runtime serves passivated sessions of both kinds;
-* the durable formats are byte-for-byte those of earlier releases.
+* the durable formats are byte-for-byte those of earlier releases, except
+  the frequency checkpoint, which gained exact hierarchy levels -- and a
+  store written before that still restores with the same answers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import shutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.durability import DurabilityConfig, MemoryCheckpointStore
+from repro.durability import DirectoryCheckpointStore, DurabilityConfig, MemoryCheckpointStore
 from repro.serving import AsyncSketchServer, SketchServer
 
 pytestmark = pytest.mark.serving
@@ -282,12 +287,15 @@ def test_runtime_resurrection_under_contention_loses_no_batch():
 # ---------------------------------------------------------------------------
 #: SHA-256 of the checkpoint blob and of the framed WAL of one fixed-seed
 #: session of each kind, as written by the release before the session
-#: lifecycle was shared.  A change here breaks stores written earlier.
+#: lifecycle was shared.  A change here breaks stores written earlier.  The
+#: frequency checkpoint is the one exception: it now records the plan's
+#: ``exact_levels`` and stores exact levels as count vectors; stores from
+#: before keep restoring (test_legacy_frequency_store_still_restores).
 GOLDEN_DIGESTS = {
     "stream_wal": "533c302dc7bd2b87ce34cc1dc2fcec488cb2c2b2db18a255cf6745880f3c93ed",
     "freq_wal": "28d417a1c9e4aaaa467da3699e8f3cae8647d277a3b6583518e9680a8d40d491",
     "stream_checkpoint": "a62db7a94a7d00b5546fb554b3ab04f5835048062098b1dee58c05f20c4f717f",
-    "freq_checkpoint": "325aa9702cf3a939e13c45b129a9e4264db9627332ff6cafe22712862c3366f5",
+    "freq_checkpoint": "680beae822ac334dcb8afc094dab4bc5ae248b6b631b0a1708ae8cf56ef5625d",
 }
 
 
@@ -318,3 +326,33 @@ def test_checkpoint_and_wal_bytes_match_the_golden_digests():
     got["stream_checkpoint"] = digest(store.read_checkpoint(f"session-{sid}"))
     got["freq_checkpoint"] = digest(store.read_checkpoint(f"freq-session-{fid}"))
     assert got == GOLDEN_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# a frequency store written before exact hierarchy levels still restores
+# ---------------------------------------------------------------------------
+DATA = Path(__file__).parent / "data"
+
+
+def test_legacy_frequency_store_still_restores(tmp_path):
+    # The store (checkpoint + one WAL batch past it) and the answers were
+    # written by the release before exact levels; see data/README.md.  Its
+    # record carries no exact_levels, so it restores all-sketch, although
+    # the planner now counts this plan's two upper levels exactly.
+    expected = json.loads((DATA / "legacy_frequency_answers.json").read_text())
+    shutil.copytree(DATA / "legacy_frequency_store", tmp_path / "store")
+    server = SketchServer(
+        shards=1, seed=0, durability=DurabilityConfig(store=DirectoryCheckpointStore(tmp_path / "store"))
+    )
+    report = server.restore()
+    assert report.ok
+    fid = expected["session_id"]
+    session = server.frequencies.session(fid)
+    assert session.engine.exact_levels == 0 and session.stats()["exact_levels"] == 0.0
+    assert server.query_norm(fid).value == expected["norm"]
+    top_k = server.query_heavy_hitters(fid, k=4, phi=0.1).value
+    assert [[i, v] for i, v in top_k] == expected["top_k"]
+    for lo, hi, weight in expected["ranges"]:
+        assert server.query_range(fid, lo, hi).value == weight
+    ids, points = expected["points"]
+    assert server.query_point(fid, ids).value.tolist() == points

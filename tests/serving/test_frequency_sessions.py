@@ -12,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.durability.store import DirectoryCheckpointStore, DurabilityConfig
+from repro.core.frequency import ExactFrequencyLevel, FrequencySketch
+from repro.durability.store import (
+    DirectoryCheckpointStore,
+    DurabilityConfig,
+    MemoryCheckpointStore,
+)
 from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
 from repro.serving import AsyncSketchServer, SketchServer
 from repro.workloads.streams import zipf_stream
@@ -33,6 +38,32 @@ def _library_twin(server, stream, *, need_ranges=False, domain=DOMAIN):
     for batch in stream:
         twin.update(batch.ids, batch.weights)
     return twin
+
+
+class TestPlan:
+    def test_stream_scale_plan_counts_four_levels_exactly(self):
+        plan = plan_frequency_sketch(1 << 20, 0.02, need_ranges=True)
+        assert (plan.width, plan.depth, plan.levels) == (30_000, 42, 5)
+        assert plan.exact_levels == 4
+        engine = build_frequency_sketch(plan, seed=0)
+        assert engine.exact_levels == 4
+        assert [type(level) for level in engine.levels] == [FrequencySketch] + [ExactFrequencyLevel] * 4
+
+    def test_flat_plans_have_no_exact_levels(self):
+        assert plan_frequency_sketch(DOMAIN, PHI, DELTA).exact_levels == 0
+        assert plan_frequency_sketch(1 << 10, 0.05).exact_levels == 0
+
+    def test_the_leaf_is_never_exact(self):
+        # 1024 ids fit in 4800 * 42 cells, yet the leaf stays a sketch.
+        plan = plan_frequency_sketch(1 << 10, 0.05, need_ranges=True)
+        assert plan.width * plan.depth >= plan.domain
+        assert plan.exact_levels == plan.levels - 1 == 2
+        assert isinstance(build_frequency_sketch(plan).levels[0], FrequencySketch)
+
+    def test_the_rule_uses_the_capped_width(self):
+        # 100 * 42 = 4200 cells: the 65,536-id level stays a sketch.
+        plan = plan_frequency_sketch(1 << 20, 0.02, need_ranges=True, max_width=100)
+        assert plan.exact_levels == 3
 
 
 class TestSyncEndpoints:
@@ -61,6 +92,7 @@ class TestSyncEndpoints:
         )
         server.append_items(ranged, np.arange(128))
         assert server.query_range(ranged, 0, 128).value > 0.0
+        assert server.frequencies.session(ranged).stats()["exact_levels"] == 2.0
 
     def test_range_matches_library(self, stream):
         server = SketchServer(shards=2)
@@ -89,9 +121,28 @@ class TestSyncEndpoints:
         assert snap["frequency_ingest_seconds"] > 0.0
         stats = server.close_frequency_stream(sid)
         assert stats["items_seen"] == float(stream.total_items)
+        assert stats["exact_levels"] == 0.0
         assert server.telemetry.snapshot()["frequency_sessions_closed"] == 1.0
         with pytest.raises(KeyError):
             server.query_norm(sid)
+
+    def test_non_finite_weights_are_rejected_before_the_wal(self):
+        store = MemoryCheckpointStore()
+        server = SketchServer(shards=1, durability=DurabilityConfig(store=store))
+        sid = server.open_frequency_stream(DOMAIN, phi=PHI, delta=DELTA, need_ranges=True)
+        server.append_items(sid, [1, 2, 3], [1.0, 2.0, 3.0])
+        wal = store.read_wal(f"freq-session-{sid}")
+        norm = server.query_norm(sid).value
+        for bad in ([1.0, np.nan, np.inf], [np.inf, 1.0, 1.0], [1.0, 1.0, -np.inf]):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                server.append_items(sid, [1, 2, 3], bad)
+        assert store.read_wal(f"freq-session-{sid}") == wal
+        assert server.query_norm(sid).value == norm
+        assert server.query_range(sid, 0, DOMAIN).value == 6.0
+        assert server.query_heavy_hitters(sid, k=3, phi=0.1).value
+        fresh = SketchServer(shards=1, durability=DurabilityConfig(store=store))
+        assert fresh.restore().ok
+        assert fresh.query_norm(sid).value == norm
 
     def test_queries_and_ingest_advance_the_shard_clock(self, stream):
         server = SketchServer(shards=1)
