@@ -7,8 +7,10 @@ Three pieces, layered under the serving stack:
   clock, threaded through admission, queueing, planning, placement, fused
   batch execution, the planner's fallback chain and streaming sessions.
 * :mod:`repro.obs.metrics` -- :class:`~repro.obs.metrics.MetricsRegistry`
-  with counters, gauges and bounded ring+P² histograms;
-  :class:`~repro.serving.telemetry.ServingTelemetry` sits on top of it.
+  with counters, gauges and bounded ring+P² histograms.  The serving
+  layer's families are declared in :mod:`repro.serving.telemetry`, whose
+  :class:`~repro.serving.telemetry.ServingTelemetry` records into one
+  registry and reads every number back from it.
 * :mod:`repro.obs.export` -- Prometheus text exposition, JSON snapshots,
   and per-trace waterfall / critical-path reports
   (``repro-serve --metrics`` / ``--dump-trace``).

@@ -17,6 +17,7 @@ Three consumers, three formats:
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Tuple
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -45,6 +46,10 @@ def _labels_text(labels: Dict[str, str], extra: Tuple[Tuple[str, str], ...] = ()
 
 
 def _format_value(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))

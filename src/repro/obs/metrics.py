@@ -17,9 +17,9 @@ with three fixed-footprint primitives:
 
 :class:`MetricsRegistry` names and stores the metrics.  A metric identity is
 ``(name, sorted label items)``; asking for the same identity twice returns
-the same object, so recorders can call ``registry.counter(...)`` on the hot
-path without bookkeeping.  ``ServingTelemetry`` sits on top of this registry
-(see :mod:`repro.serving.telemetry`), and the exporters in
+the same object.  The serving layer declares its families once, in
+:mod:`repro.serving.telemetry`, whose recorders hold the returned handles
+and whose getters read the registry back; the exporters in
 :mod:`repro.obs.export` render it for scraping.
 
 All values here are *simulated* seconds/counts from the GPU cost model --
@@ -188,10 +188,6 @@ class Gauge:
     @property
     def value(self) -> float:
         return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
 
 
 class Histogram:
@@ -377,9 +373,11 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` get-or-create: the first call fixes
     the metric type for that name, and every later call with the same name
     and labels returns the same object.  ``families()`` yields the data the
-    exporters render; ``reset()`` zeroes every value but keeps the
-    registrations (a scrape endpoint should not forget its series on
-    telemetry reset).
+    exporters render; ``reset()`` zeroes every counter and histogram but
+    keeps the registrations (a scrape endpoint should not forget its series
+    on telemetry reset).  Gauges are left alone: they hold current state
+    (queue depth, active shards, passivated sessions, calibration factors,
+    SLO standing), which a reset does not change.
     """
 
     def __init__(self, histogram_capacity: int = 4096) -> None:
@@ -489,8 +487,12 @@ class MetricsRegistry:
             return sorted(self._metrics)
 
     def reset(self) -> None:
-        """Zero every metric value; registrations and label sets survive."""
+        """Zero every counter and histogram; gauges keep their current value.
+
+        Registrations and label sets survive.
+        """
         with self._lock:
-            for series in self._metrics.values():
-                for metric in series.values():
-                    metric.reset()
+            for name, series in self._metrics.items():
+                if self._types[name] != "gauge":
+                    for metric in series.values():
+                        metric.reset()

@@ -20,9 +20,11 @@ sketch operators and solvers into such a service:
   :class:`~repro.gpu.pool.ExecutorPool` of simulated GPU workers
   (cache-affinity first, least-loaded otherwise) and charges cross-shard
   traffic with the Section-7 alpha-beta model.
-* :class:`~repro.serving.telemetry.ServingTelemetry` -- p50/p95/p99 latency,
-  throughput, batch-size, hit-rate, per-solver histogram, fallback-count and
-  streaming-session reporting.
+* :class:`~repro.serving.telemetry.ServingTelemetry` -- the serving metric
+  families, declared once over a :class:`~repro.obs.metrics.MetricsRegistry`:
+  recorders write it, and p50/p95/p99 latency, throughput, batch-size,
+  per-solver and per-lane histograms, fallback, session and durability
+  counters are all read back from it.
 * :class:`~repro.serving.runtime.AsyncSketchServer` -- the *concurrent
   runtime*: a bounded admission queue with per-problem-class priority lanes
   (weighted round-robin, so streaming ingest cannot starve solves),

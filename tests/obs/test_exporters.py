@@ -50,6 +50,24 @@ def test_prometheus_escapes_label_values():
     assert r'kind="he said \"hi\"\nback\\slash"' in text
 
 
+def test_prometheus_renders_non_finite_values():
+    """One non-finite series must not take down the scrape."""
+    reg = MetricsRegistry()
+    reg.gauge("up").set(float("inf"))
+    reg.gauge("down").set(float("-inf"))
+    reg.gauge("undefined").set(float("nan"))
+    reg.histogram("latency_seconds").observe(float("nan"))
+    reg.counter("requests_total").inc(3)
+    lines = to_prometheus(reg).splitlines()
+    assert "repro_up +Inf" in lines
+    assert "repro_down -Inf" in lines
+    assert "repro_undefined NaN" in lines
+    assert "repro_latency_seconds_sum NaN" in lines
+    assert 'repro_latency_seconds{quantile="0.5"} NaN' in lines
+    assert "repro_latency_seconds_count 1" in lines
+    assert "repro_requests_total 3" in lines
+
+
 def test_prometheus_custom_prefix():
     text = to_prometheus(_populated_registry(), prefix="x_")
     assert "# TYPE x_requests_total counter" in text

@@ -258,3 +258,16 @@ def test_registry_reset_keeps_registrations():
     assert reg.get("requests_total", lane="solve") is c  # series survives
     assert c.value == 0.0
     assert h.count == 0
+
+
+def test_registry_reset_leaves_gauges_alone():
+    """Gauges hold current state (depth, shards, passivated sessions); reset keeps it."""
+    reg = MetricsRegistry()
+    gauge = reg.gauge("active_shards")
+    labelled = reg.gauge("calibration_factor", solver="qr")
+    gauge.set(2)
+    labelled.set(1.25)
+    reg.counter("requests_total").inc(4)
+    reg.reset()
+    assert gauge.value == 2.0 and labelled.value == 1.25
+    assert reg.counter("requests_total").value == 0.0
