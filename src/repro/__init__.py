@@ -48,7 +48,7 @@ The package is organised as:
   session TTL/eviction with passivate-resurrect for durable sessions.
 * :mod:`repro.obs` -- the observability layer: per-request span trees on
   the simulated clock (:class:`~repro.obs.trace.Tracer`), a bounded
-  metrics registry (counters / gauges / ring+P² histograms,
+  metrics registry (counters / gauges / ring + log-bucket histograms,
   :class:`~repro.obs.metrics.MetricsRegistry`), Prometheus / JSON / trace
   waterfall exporters (:mod:`repro.obs.export`) and the per-PR
   ``BENCH_<pr>.json`` perf-trajectory schema (:mod:`repro.obs.bench`).
@@ -125,7 +125,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
     SLOConfig,
     SLOEngine,
     Span,
@@ -214,7 +213,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "P2Quantile",
     "SLOConfig",
     "SLOEngine",
     "Span",

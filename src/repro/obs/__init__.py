@@ -7,8 +7,9 @@ Three pieces, layered under the serving stack:
   clock, threaded through admission, queueing, planning, placement, fused
   batch execution, the planner's fallback chain and streaming sessions.
 * :mod:`repro.obs.metrics` -- :class:`~repro.obs.metrics.MetricsRegistry`
-  with counters, gauges and bounded ring+P² histograms.  The serving
-  layer's families are declared in :mod:`repro.serving.telemetry`, whose
+  with counters, gauges and bounded ring + log-bucket-count histograms.
+  The serving layer's families are declared in
+  :mod:`repro.serving.telemetry`, whose
   :class:`~repro.serving.telemetry.ServingTelemetry` records into one
   registry and reads every number back from it.
 * :mod:`repro.obs.export` -- Prometheus text exposition, JSON snapshots,
@@ -41,7 +42,7 @@ from repro.obs.export import (
     to_json,
     to_prometheus,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, P2Quantile
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SLOConfig, SLOEngine, SLOStatus, default_serving_slos
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 
@@ -54,7 +55,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",
-    "P2Quantile",
     "SLOConfig",
     "SLOEngine",
     "SLOStatus",

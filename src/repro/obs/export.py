@@ -4,9 +4,10 @@ Three consumers, three formats:
 
 * :func:`to_prometheus` -- the text exposition format a Prometheus scrape
   expects.  Counters and gauges export their value per label set;
-  histograms export as Prometheus *summaries* (tracked quantiles plus
-  ``_sum``/``_count``), which is the honest rendering of a
-  ring-buffer+P² store -- there are no fixed buckets to expose.
+  histograms export as Prometheus *summaries* (the
+  :data:`SUMMARY_QUANTILES` plus ``_sum``/``_count``): a ring + log-bucket
+  store's bucket set grows with the data, so it has no fixed bucket list
+  to declare.
 * :func:`to_json` / :func:`registry_to_dict` -- a structured snapshot for
   dashboards and the perf-trajectory recorder.
 * :func:`render_waterfall` / :func:`critical_path` -- per-trace reports:
@@ -24,6 +25,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import Span
 
 __all__ = [
+    "SUMMARY_QUANTILES",
     "to_prometheus",
     "to_json",
     "registry_to_dict",
@@ -31,6 +33,10 @@ __all__ = [
     "critical_path",
     "render_critical_path",
 ]
+
+
+#: Percentile ranks (0-100) every histogram exports as summary quantiles.
+SUMMARY_QUANTILES = (50.0, 95.0, 99.0)
 
 
 def _escape_label(value: str) -> str:
@@ -71,7 +77,7 @@ def to_prometheus(registry: MetricsRegistry, prefix: str = "repro_") -> str:
         else:  # histogram -> summary exposition
             lines.append(f"# TYPE {full} summary")
             for m in metrics:
-                for q in m.tracked_quantiles():
+                for q in SUMMARY_QUANTILES:
                     value = m.percentile(q)
                     if value is None:
                         continue
@@ -96,9 +102,7 @@ def registry_to_dict(registry: MetricsRegistry) -> Dict[str, object]:
                     mean=m.mean,
                     min=m.min,
                     max=m.max,
-                    quantiles={
-                        repr(q / 100.0): m.percentile(q) for q in m.tracked_quantiles()
-                    },
+                    quantiles={repr(q / 100.0): m.percentile(q) for q in SUMMARY_QUANTILES},
                 )
             else:
                 row["value"] = m.value

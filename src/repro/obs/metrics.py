@@ -8,12 +8,13 @@ with three fixed-footprint primitives:
 * :class:`Counter` -- a monotonically increasing float with a label set.
 * :class:`Gauge` -- a point-in-time value (queue depth, active shards).
 * :class:`Histogram` -- a **bounded** sample store: a ring buffer of the
-  most recent ``capacity`` observations plus one P² (piecewise-parabolic,
-  Jain & Chlamtac 1985) streaming estimator per tracked quantile, together
-  with exact running count/sum/min/max.  While the total observation count
-  is at most ``capacity`` the ring holds *every* sample and percentiles are
-  exact; beyond that the tracked quantiles come from the P² sketches (which
-  never forget) and untracked ones fall back to the retained window.
+  most recent ``capacity`` observations plus one table of log-bucket counts
+  over the whole stream (relative-error buckets in the style of DDSketch,
+  Masson, Rim & Lee, VLDB 2019), together with exact running
+  count/sum/min/max.  While the total observation count is at most
+  ``capacity`` the ring holds *every* sample and percentiles are exact;
+  beyond that every rank is read from the bucket table, within relative
+  error :data:`ALPHA` of the sample at that rank.
 
 :class:`MetricsRegistry` names and stores the metrics.  A metric identity is
 ``(name, sorted label items)``; asking for the same identity twice returns
@@ -28,18 +29,31 @@ the registry never reads a wall clock.
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
+    "ALPHA",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "P2Quantile",
 ]
+
+#: Relative accuracy of a past-capacity histogram percentile.  A finite
+#: positive sample ``x`` counts in bucket ``ceil(log(x) / log(GAMMA))``,
+#: which spans ``(GAMMA**(i-1), GAMMA**i]``; its midpoint
+#: ``2 * GAMMA**i / (GAMMA + 1)`` is within ``ALPHA`` of every value in it.
+ALPHA = 0.01
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_LOG_GAMMA = math.log(_GAMMA)
+#: Key of the one bucket that holds every other sample (zero, negative, NaN,
+#: +-inf).  It sorts below every log bucket, and its midpoint reads as 0.
+_ZERO_BUCKET = -(1 << 62)
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -47,94 +61,6 @@ LabelKey = Tuple[Tuple[str, str], ...]
 def _label_key(labels: Dict[str, str]) -> LabelKey:
     """Canonical (sorted, stringified) identity of a label set."""
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class P2Quantile:
-    """Streaming estimate of one quantile via the P² algorithm.
-
-    Keeps five markers (min, two intermediates, the target quantile, max)
-    and adjusts them with a piecewise-parabolic update per observation --
-    O(1) memory and time, no sample retention.  Exact until five samples
-    have arrived.
-    """
-
-    __slots__ = ("p", "_heights", "_positions", "_desired", "_increments", "_count")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError("quantile must be strictly between 0 and 1")
-        self.p = float(p)
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def observe(self, x: float) -> None:
-        x = float(x)
-        self._count += 1
-        h = self._heights
-        if len(h) < 5:
-            h.append(x)
-            h.sort()
-            return
-        # Locate the marker cell containing x, adjusting the extremes.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= h[k + 1]:
-                k += 1
-        pos = self._positions
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        des = self._desired
-        for i in range(5):
-            des[i] += self._increments[i]
-        # Nudge the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            d = des[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                pos[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    @property
-    def value(self) -> Optional[float]:
-        """Current estimate (exact below five samples, None when empty)."""
-        if self._count == 0:
-            return None
-        h = self._heights
-        if self._count <= len(h) or len(h) < 5:
-            arr = np.asarray(h[: self._count], dtype=np.float64)
-            return float(np.percentile(arr, self.p * 100.0))
-        return float(h[2])
 
 
 class Counter:
@@ -191,7 +117,7 @@ class Gauge:
 
 
 class Histogram:
-    """Bounded sample store: recent-sample ring + P² quantile sketches.
+    """Bounded sample store: recent-sample ring + log-bucket counts.
 
     Parameters
     ----------
@@ -199,26 +125,20 @@ class Histogram:
         Ring-buffer size.  Percentiles are exact while the total observation
         count is at most ``capacity``; ``recent_percentile(window=w)`` stays
         exact forever for any ``w <= capacity``.
-    quantiles:
-        Percentile ranks (0-100) tracked by P² sketches across the *whole*
-        stream, so headline quantiles never silently narrow to the retained
-        window once the ring wraps.
+
+    Every sample is also counted in one bucket of a whole-stream table (see
+    :data:`ALPHA`), so past capacity no rank narrows to the retained window.
+    The table grows with the values' dynamic range, about 115 buckets per
+    decade, not with the sample count.
     """
 
-    #: Per-call cap on samples fed to the P² sketches by ``observe_many``.
-    #: Bulk loads are strided down to this many updates so a million-sample
-    #: ingest costs thousands -- not millions -- of Python-level iterations,
-    #: while per-sample ``observe`` still feeds every point.
-    P2_BULK_FEED = 4096
-
-    __slots__ = ("name", "labels", "capacity", "_lock", "_ring", "_count", "_sum", "_min", "_max", "_p2")
+    __slots__ = ("name", "labels", "capacity", "_lock", "_ring", "_count", "_sum", "_min", "_max", "_buckets")
 
     def __init__(
         self,
         name: str = "",
         labels: Optional[Dict[str, str]] = None,
         capacity: int = 4096,
-        quantiles: Iterable[float] = (50.0, 95.0, 99.0),
     ) -> None:
         if capacity <= 0:
             raise ValueError("histogram capacity must be positive")
@@ -231,11 +151,15 @@ class Histogram:
         self._sum = 0.0
         self._min = np.inf
         self._max = -np.inf
-        self._p2 = {float(q): P2Quantile(float(q) / 100.0) for q in quantiles}
+        self._buckets: Dict[int, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     def observe(self, value: float) -> None:
         value = float(value)
+        if 0.0 < value < math.inf:
+            key = math.ceil(math.log(value) / _LOG_GAMMA)
+        else:
+            key = _ZERO_BUCKET
         with self._lock:
             self._ring[self._count % self.capacity] = value
             self._count += 1
@@ -244,14 +168,17 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-            for sketch in self._p2.values():
-                sketch.observe(value)
+            self._buckets[key] += 1
 
     def observe_many(self, values: np.ndarray) -> None:
-        """Vectorised bulk ingest (ring + aggregates exact, P² strided)."""
+        """Vectorised bulk ingest; ring, aggregates and buckets all exact."""
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return
+        keys = np.full(arr.size, _ZERO_BUCKET, dtype=np.int64)
+        positive = (arr > 0.0) & (arr < np.inf)
+        keys[positive] = np.ceil(np.log(arr[positive]) / _LOG_GAMMA)
+        keys, counts = np.unique(keys, return_counts=True)
         with self._lock:
             cap = self.capacity
             if arr.size >= cap:
@@ -270,13 +197,8 @@ class Histogram:
             self._sum += float(arr.sum())
             self._min = min(self._min, float(arr.min()))
             self._max = max(self._max, float(arr.max()))
-            feed = arr
-            if arr.size > self.P2_BULK_FEED:
-                stride = arr.size // self.P2_BULK_FEED
-                feed = arr[::stride]
-            for sketch in self._p2.values():
-                for value in feed:
-                    sketch.observe(value)
+            for key, n in zip(keys.tolist(), counts.tolist()):
+                self._buckets[key] += n
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -321,37 +243,42 @@ class Histogram:
     def percentile(self, q: float) -> Optional[float]:
         """Percentile at rank ``q`` (0-100); None when empty.
 
-        Exact while ``count <= capacity``.  Beyond that, tracked quantiles
-        come from their P² sketch (whole-stream) and untracked ranks from
-        the retained window.
+        Exact while ``count <= capacity``.  Beyond that, the midpoint of the
+        bucket holding the nearest-rank sample ``floor(q/100 * (count-1))``
+        of the whole stream: within relative error :data:`ALPHA` of it.
         """
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile rank must be in [0, 100], got {q!r}")
         with self._lock:
             if self._count == 0:
                 return None
             if self._count <= self.capacity:
                 return float(np.percentile(self._ring[: self._count], q))
-            sketch = self._p2.get(float(q))
-            if sketch is not None:
-                return sketch.value
-            return float(np.percentile(self._values_locked(), q))
+            rank = math.floor(q / 100.0 * (self._count - 1))
+            for key in sorted(self._buckets):
+                rank -= self._buckets[key]
+                if rank < 0:
+                    break
+        if key == _ZERO_BUCKET:
+            return 0.0
+        return 2.0 * _GAMMA**key / (_GAMMA + 1.0)
 
     def recent_percentile(self, q: float, window: int) -> Optional[float]:
         """Exact percentile over the last ``window`` samples (None when empty)."""
+        if window < 1:
+            raise ValueError(f"window must be at least 1, got {window!r}")
         with self._lock:
             if self._count == 0:
                 return None
             tail = self._values_locked()[-int(window) :]
         return float(np.percentile(tail, q))
 
-    def tracked_quantiles(self) -> Tuple[float, ...]:
-        return tuple(self._p2)
-
     def reset(self) -> None:
         """Restart the histogram as if freshly constructed (whole stream).
 
         Everything restarts together: the exact aggregates (``count``,
-        ``sum``, ``min``, ``max``), the P² whole-stream sketches, *and* the
-        sample ring.  The ring must be zeroed, not just logically emptied
+        ``sum``, ``min``, ``max``), the bucket counts, *and* the sample
+        ring.  The ring must be zeroed, not just logically emptied
         via ``_count = 0``: ``observe_many``'s wrap-around layout and the
         ``_values_locked`` views index the ring relative to ``_count``, and
         leaving pre-reset samples in the buffer would let a later code path
@@ -364,7 +291,7 @@ class Histogram:
             self._min = np.inf
             self._max = -np.inf
             self._ring.fill(0.0)
-            self._p2 = {q: P2Quantile(q / 100.0) for q in self._p2}
+            self._buckets.clear()
 
 
 class MetricsRegistry:
@@ -411,19 +338,10 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._get_or_create("gauge", name, labels, lambda: Gauge(name, labels))
 
-    def histogram(
-        self,
-        name: str,
-        capacity: Optional[int] = None,
-        quantiles: Iterable[float] = (50.0, 95.0, 99.0),
-        **labels: str,
-    ) -> Histogram:
+    def histogram(self, name: str, capacity: Optional[int] = None, **labels: str) -> Histogram:
         cap = self.histogram_capacity if capacity is None else int(capacity)
         return self._get_or_create(
-            "histogram",
-            name,
-            labels,
-            lambda: Histogram(name, labels, capacity=cap, quantiles=quantiles),
+            "histogram", name, labels, lambda: Histogram(name, labels, capacity=cap)
         )
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, P2Quantile
+from repro.obs.metrics import ALPHA, Counter, Gauge, Histogram, MetricsRegistry
 from repro.serving.telemetry import ServingTelemetry
 
 
@@ -32,47 +32,6 @@ def test_gauge_moves_both_ways():
 
 
 # ---------------------------------------------------------------------------
-# P² streaming quantiles
-# ---------------------------------------------------------------------------
-def test_p2_exact_below_five_samples():
-    sketch = P2Quantile(0.5)
-    assert sketch.value is None
-    for x in (5.0, 1.0, 3.0):
-        sketch.observe(x)
-    assert sketch.value == pytest.approx(np.percentile([5.0, 1.0, 3.0], 50.0))
-
-
-@pytest.mark.parametrize("p", [0.5, 0.95, 0.99])
-@pytest.mark.parametrize("dist", ["uniform", "normal", "lognormal"])
-def test_p2_rank_error_within_one_percent(p, dist):
-    """On 10k samples the P² estimate's rank is within 1% of the target.
-
-    Rank error (the fraction of samples below the estimate vs the target
-    quantile) is the right metric: it is distribution-free, unlike relative
-    value error which blows up where the density is flat.
-    """
-    rng = np.random.default_rng(1234)
-    samples = {
-        "uniform": rng.uniform(0.0, 1.0, 10_000),
-        "normal": rng.standard_normal(10_000),
-        "lognormal": rng.lognormal(0.0, 1.0, 10_000),
-    }[dist]
-    sketch = P2Quantile(p)
-    for x in samples:
-        sketch.observe(x)
-    estimate = sketch.value
-    rank = float(np.mean(samples <= estimate))
-    assert abs(rank - p) <= 0.01
-
-
-def test_p2_invalid_quantile():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
-
-
-# ---------------------------------------------------------------------------
 # histogram: exactness, ring bounds, bulk ingest
 # ---------------------------------------------------------------------------
 def test_histogram_exact_below_capacity():
@@ -90,8 +49,8 @@ def test_histogram_exact_below_capacity():
     assert hist.max == pytest.approx(xs.max())
 
 
-def test_histogram_tracked_quantiles_survive_ring_wrap():
-    hist = Histogram(capacity=128, quantiles=(50.0, 95.0, 99.0))
+def test_histogram_whole_stream_quantiles_survive_ring_wrap():
+    hist = Histogram(capacity=128)
     rng = np.random.default_rng(7)
     xs = rng.lognormal(0.0, 1.0, 10_000)
     for x in xs:
@@ -102,6 +61,64 @@ def test_histogram_tracked_quantiles_survive_ring_wrap():
         estimate = hist.percentile(q)
         rank = float(np.mean(xs <= estimate))
         assert abs(rank - q / 100.0) <= 0.01
+
+
+# A bucket midpoint is within ALPHA of every value in its bucket; the slack
+# covers float rounding of log() at a bucket edge.
+_WITHIN_ALPHA = ALPHA * (1.0 + 1e-9)
+
+
+def _bimodal_drift(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Cache-hit/miss latencies: hits near 50 us, misses near 3 ms, the
+    miss share drifting from 1% to 9% over the stream."""
+    miss = rng.random(n) < np.linspace(0.01, 0.09, n)
+    hits = rng.lognormal(np.log(50e-6), 0.3, n)
+    misses = rng.lognormal(np.log(3e-3), 0.3, n)
+    return np.where(miss, misses, hits)
+
+
+_STREAMS = {
+    "bimodal_drift": lambda rng: _bimodal_drift(rng, 126_000),
+    "lognormal": lambda rng: rng.lognormal(0.0, 1.0, 120_000),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(_STREAMS))
+def test_histogram_past_capacity_quantiles_within_alpha(stream):
+    """Past the ring, p50/p95/p99 read the whole stream within ALPHA of the
+    nearest-rank sample, and per-sample and uneven bulk feeds agree."""
+    rng = np.random.default_rng(2019)
+    xs = _STREAMS[stream](rng)
+    one = Histogram(capacity=4096)
+    for x in xs:
+        one.observe(x)
+    bulk = Histogram(capacity=4096)
+    for chunk in np.split(xs, np.sort(rng.choice(xs.size, 37, replace=False))):
+        bulk.observe_many(chunk)
+    assert one.count == bulk.count == xs.size
+    for q in (50.0, 95.0, 99.0):
+        exact = float(np.percentile(xs, q, method="lower"))
+        assert one.percentile(q) == bulk.percentile(q)
+        assert one.percentile(q) == pytest.approx(exact, rel=_WITHIN_ALPHA)
+
+
+def test_histogram_zero_bucket_takes_non_positive_and_non_finite_samples():
+    specials = np.array([0.0, -2.0, np.nan, np.inf, -np.inf])
+    hist = Histogram(capacity=8)
+    for x in specials:
+        hist.observe(x)
+    hist.observe_many(np.concatenate([specials, np.arange(1.0, 21.0)]))
+    assert hist.count == 30
+    # The ten special samples share the zero bucket, which ranks first.
+    assert hist.percentile(0.0) == 0.0
+    assert hist.percentile(50.0) == pytest.approx(5.0, rel=_WITHIN_ALPHA)
+    assert hist.percentile(100.0) == pytest.approx(20.0, rel=_WITHIN_ALPHA)
+    within_ring = Histogram(capacity=8)
+    within_ring.observe(1.0)
+    for h in (hist, within_ring):
+        for q in (-1.0, 100.5):
+            with pytest.raises(ValueError):
+                h.percentile(q)
 
 
 def test_histogram_observe_many_matches_observe():
@@ -160,6 +177,14 @@ def test_histogram_recent_percentile_window():
     )
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_histogram_recent_percentile_rejects_empty_window(window):
+    hist = Histogram(capacity=16)
+    hist.observe_many(np.arange(10.0))
+    with pytest.raises(ValueError):
+        hist.recent_percentile(0.0, window)
+
+
 def test_histogram_reset():
     hist = Histogram(capacity=16)
     hist.observe_many(np.arange(100.0))
@@ -172,12 +197,13 @@ def test_histogram_reset():
 def test_histogram_reset_clears_ring():
     """reset() restarts the whole stream: no pre-reset sample may survive.
 
-    Fills the ring with large values, resets, then observes a small batch --
+    Fills the ring with extreme values, resets, then observes a small batch --
     every view (values, percentiles, min/max, recent window) must reflect
-    only post-reset data, exactly like a freshly constructed histogram.
+    only post-reset data, exactly like a freshly constructed histogram --
+    and then enough more to wrap the ring, so percentiles read the buckets.
     """
     hist = Histogram(capacity=16)
-    hist.observe_many(np.full(100, 1e9))
+    hist.observe_many(np.concatenate([np.full(50, 1e-9), np.full(50, 1e9)]))
     hist.reset()
     assert np.all(hist.values() == np.zeros(0))
     fresh = np.arange(1.0, 6.0)
@@ -189,6 +215,10 @@ def test_histogram_reset_clears_ring():
     assert hist.recent_percentile(100.0, 16) == pytest.approx(5.0)
     # The buffer itself holds no stale pre-reset samples past the cursor.
     assert np.all(hist._ring[fresh.size:] == 0.0)
+    # Past capacity the bucket counts hold only post-reset samples too.
+    hist.observe_many(np.arange(6.0, 41.0))
+    assert hist.percentile(50.0) == pytest.approx(20.0, rel=_WITHIN_ALPHA)
+    assert hist.percentile(100.0) == pytest.approx(40.0, rel=_WITHIN_ALPHA)
 
 
 def test_histogram_rejects_bad_capacity():
