@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.countsketch import CountSketch, StreamingCountSketch
+from repro.core.frequency import FrequencySketch
 from repro.core.fwht import fwht_matrix
 from repro.core.gaussian import GaussianSketch
 from repro.core.multisketch import count_gauss
@@ -21,6 +22,7 @@ from repro.gpu.executor import GPUExecutor
 from repro.linalg.conditioning import estimate_spectrum_bounds
 from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
 from repro.serving import SketchServer
+from repro.streaming.state import STREAM_CAPACITY
 from repro.workloads.streams import zipf_stream
 
 D, N = 1 << 15, 64
@@ -51,6 +53,16 @@ def test_wallclock_streaming_countsketch_apply(benchmark, matrix, executor):
     sketch = StreamingCountSketch(D, 2 * N * N, executor=executor, seed=1)
     result = benchmark(sketch.sketch_host, matrix)
     assert result.shape == (2 * N * N, N)
+
+
+def test_wallclock_streaming_countsketch_update(benchmark, executor):
+    """One stream-session block: 1024 rows of ``[A | b]`` (33 columns) folded
+    into the 2178-row window sketch a 32-column session keeps."""
+    rows = np.random.default_rng(8).standard_normal((1024, 33))
+    sketch = StreamingCountSketch(STREAM_CAPACITY, 2178, executor=executor, seed=1)
+    sketch.begin(33)
+    benchmark(sketch.update, np.arange(1024), rows)
+    assert sketch.rows_seen >= 1024
 
 
 def test_wallclock_gaussian_apply(benchmark, matrix, executor):
@@ -123,6 +135,13 @@ def test_wallclock_hierarchical_frequency_update(benchmark, item_batch, executor
     _, sketch = _frequency_sketch(executor)
     benchmark(sketch.update, item_batch)
     assert sketch.items_seen >= FREQ_BATCH
+
+
+def test_wallclock_frequency_l2_estimate(benchmark, item_batch, executor):
+    """The sketch energy a top-k reads: one 42 x 30,000 leaf table."""
+    sketch = FrequencySketch(FREQ_DOMAIN, 30_000, 42, executor=executor, seed=5)
+    sketch.update(item_batch)
+    assert benchmark(sketch.l2_estimate) > 0.0
 
 
 def test_wallclock_frequency_checkpoint_encode(benchmark, item_batch, executor):

@@ -27,7 +27,12 @@ product as a sparse multiply by the same matrix ``S`` (stored by column for
 the atomic variant, by row for SpMM), adding each output row's inputs in
 source-row order, so their outputs are bit-identical; they differ only in
 the simulated kernels they charge, which is exactly the comparison the
-paper makes.
+paper makes.  :meth:`StreamingCountSketch.update` folds each batch through
+the same in-order compiled sparse product (scipy's CSC multi-vector
+kernel, adding ``+/-row`` into its target in batch order), so its
+accumulator is bit-identical to a ``np.add.at`` scatter of the signed rows;
+``np.add.at`` itself runs only when that private scipy kernel fails to
+import, or for a float16 sketch, which scipy's sparse kernels do not take.
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ from repro.core.base import (
 from repro.core.sampling import hashed_row_map_and_signs, signs_to_values
 from repro.gpu.arrays import DeviceArray
 from repro.gpu.kernels import KernelClass, KernelRequest
+
+try:
+    # Private scipy kernel: Y += A @ X for a CSC ``A``, column by column.
+    from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
+except ImportError:  # pragma: no cover - depends on the installed scipy
+    _csc_matvecs = None
 
 #: Largest input dimension ``d`` for which the hashed streaming sketch will
 #: materialise per-index state (``np.arange(d)``, explicit CSR, dense
@@ -391,15 +402,26 @@ class StreamingCountSketch(SketchOperator):
         if np.any(idx < 0) or np.any(idx >= self._d):
             raise ValueError("row indices out of range")
         n = self._accumulator.shape[1]
-        self._rows_seen += batch
 
         if self._ex.numeric and rows is not None and self._accumulator.is_numeric:
-            rows = np.atleast_2d(np.asarray(rows, dtype=self._dtype))
+            rows = np.ascontiguousarray(np.atleast_2d(np.asarray(rows, dtype=self._dtype)))
             if rows.shape != (batch, n):
                 raise ValueError(f"expected rows of shape {(batch, n)}, got {rows.shape}")
             targets, signs = self.row_map_and_signs(idx)
-            signed = np.where(signs[:, None], rows, -rows)
-            np.add.at(self._accumulator.data, targets, signed)
+            acc = self._accumulator.data
+            # scipy's sparse kernels have no float16 loop.
+            if _csc_matvecs is not None and self._dtype != np.float16:
+                # The batch as a k x batch CSC matrix with one +/-1 per
+                # column, multiplied into ``acc`` in place: column j adds
+                # ``+/-rows[j]`` to ``acc[targets[j]]`` in batch order.
+                _csc_matvecs(
+                    self._k, batch, n,
+                    np.arange(batch + 1, dtype=np.int64), targets,
+                    signs_to_values(signs, self._dtype), rows, acc,
+                )
+            else:
+                np.add.at(acc, targets, np.where(signs[:, None], rows, -rows))
+        self._rows_seen += batch
 
         itemsize = self._dtype.itemsize
         self._ex.launch(

@@ -347,9 +347,16 @@ class FrequencySketch:
         Each row's sum of squared buckets is an unbiased estimate of
         ``||f||_2^2`` (cross terms cancel in expectation under the pairwise
         independent signs); the median over rows tames the variance.
+
+        The row energies come from a row-wise dot with no table-sized
+        temporary.  For an integral table (pure counting) every partial sum
+        is an exact integer below ``2^53`` while ``items_seen^2`` is, so the
+        result does not depend on summation order; a weighted table's
+        estimate may differ from another order's at rounding level.
         """
         self._require_numeric("l2_estimate()")
-        energies = np.sum(self._table.data.astype(np.float64, copy=False) ** 2, axis=1)
+        table = self._table.data.astype(np.float64, copy=False)
+        energies = np.einsum("ij,ij->i", table, table)
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(

@@ -43,7 +43,7 @@ from repro.durability.session import (
 )
 from repro.serving.cache import CacheEntry, operator_cache_key
 from repro.serving.sessions import DurableSessionManager, RestoreReport
-from repro.streaming.solver import IngestReport, StreamingSolver
+from repro.streaming.solver import IngestReport, StreamingSolver, as_row_batch
 from repro.streaming.state import STREAM_CAPACITY
 
 __all__ = [
@@ -280,13 +280,7 @@ class StreamingSessionManager(DurableSessionManager):
 
     @staticmethod
     def _validate(session: StreamSession, rows, targets) -> Tuple[np.ndarray, np.ndarray]:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        targets = np.asarray(targets, dtype=np.float64).ravel()
-        if rows.shape[1] != session.solver.n:
-            raise ValueError(f"expected rows with {session.solver.n} columns, got {rows.shape}")
-        if targets.shape[0] != rows.shape[0]:
-            raise ValueError("need one target per row")
-        return rows, targets
+        return as_row_batch(rows, targets, session.solver.n)
 
     _encode_batch = staticmethod(encode_wal_batch)
 

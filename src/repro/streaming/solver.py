@@ -39,6 +39,27 @@ from repro.streaming.drift import DriftDetector, DriftDetectorConfig, DriftEvent
 from repro.streaming.state import make_state, normalize_mode
 
 
+def as_row_batch(rows, targets, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate and normalise one arriving block: float64 ``(batch, n)`` rows
+    and ``batch`` targets.
+
+    Every entry must be finite: a NaN or infinite cell raises ``ValueError``
+    naming it rather than poisoning the window sketch (and, on a durable
+    server, the WAL that would replay it).
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    targets = np.asarray(targets, dtype=np.float64).ravel()
+    if rows.shape[1] != n:
+        raise ValueError(f"expected rows with {n} columns, got {rows.shape}")
+    if targets.shape[0] != rows.shape[0]:
+        raise ValueError("need one target per row")
+    for name, arr in (("rows", rows), ("targets", targets)):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {float(arr[~finite][0])!r}")
+    return rows, targets
+
+
 @dataclass
 class IngestReport:
     """What one :meth:`StreamingSolver.ingest` call did.
@@ -228,12 +249,7 @@ class StreamingSolver:
         ``O(batch * n)`` kernel), and eagerly re-solves when a drift event
         fires; otherwise solving is deferred to the next query.
         """
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        targets = np.asarray(targets, dtype=np.float64).ravel()
-        if rows.shape[1] != self.n:
-            raise ValueError(f"expected rows with {self.n} columns, got {rows.shape}")
-        if targets.shape[0] != rows.shape[0]:
-            raise ValueError("need one target per row")
+        rows, targets = as_row_batch(rows, targets, self.n)
         batch = rows.shape[0]
         if batch == 0:
             return IngestReport(rows=0, batch_residual=float("nan"))

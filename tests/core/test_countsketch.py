@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import countsketch
 from repro.core.countsketch import CountSketch, StreamingCountSketch
+from repro.core.sampling import hashed_row_map_and_signs
 from repro.gpu.executor import GPUExecutor
 
 
@@ -177,6 +179,52 @@ class TestStreamingCountSketch:
         st.begin(N)
         with pytest.raises(ValueError):
             st.update([0, 1], np.zeros((2, N + 1)))
+
+    def test_rejected_batch_leaves_the_pass_untouched(self, executor):
+        st = StreamingCountSketch(D, K, executor=executor, seed=9)
+        st.begin(4)
+        with pytest.raises(ValueError):
+            st.update(np.arange(8), np.ones((8, 3)))
+        assert st.rows_seen == 0
+        assert not st.snapshot().any()
+
+    @pytest.mark.parametrize("kernel", ["compiled", "fallback"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_update_equals_an_add_at_scatter_bit_for_bit(self, monkeypatch, rng, dtype, kernel):
+        """Heavy collisions (k = 7, 1024-row batches), three batches in one
+        pass, one of them Fortran-ordered: the accumulator is exactly the
+        in-order ``np.add.at`` scatter of the signed rows, with scipy's
+        compiled kernel and with the import-failure fallback."""
+        if kernel == "fallback":
+            monkeypatch.setattr(countsketch, "_csc_matvecs", None)
+        k, n, batch, seed = 7, 5, 1024, 11
+        st = StreamingCountSketch(1 << 20, k, seed=seed, dtype=dtype)
+        st.begin(n)
+        expected = np.zeros((k, n), dtype=dtype)
+        for b in range(3):
+            idx = np.arange(b * batch, (b + 1) * batch)
+            rows = rng.standard_normal((batch, n)).astype(dtype)
+            st.update(idx, np.asfortranarray(rows) if b == 1 else rows)
+            targets, signs = hashed_row_map_and_signs(idx, k, seed)
+            np.add.at(expected, targets, np.where(signs[:, None], rows, -rows))
+        assert st.rows_seen == 3 * batch
+        got = st.result().to_host()
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, expected)
+
+    def test_float16_sketch_still_streams(self, rng):
+        """scipy's sparse kernels have no float16 loop; the scatter must still
+        run, and equal the in-order ``np.add.at`` of the signed rows."""
+        k, n, seed = 7, 3, 2
+        idx = np.arange(64)
+        rows = rng.standard_normal((64, n)).astype(np.float16)
+        st = StreamingCountSketch(1 << 10, k, seed=seed, dtype=np.float16)
+        st.begin(n)
+        st.update(idx, rows)
+        targets, signs = hashed_row_map_and_signs(idx, k, seed)
+        expected = np.zeros((k, n), dtype=np.float16)
+        np.add.at(expected, targets, np.where(signs[:, None], rows, -rows))
+        assert np.array_equal(st.result().to_host(), expected)
 
     def test_no_stored_random_state(self, executor):
         """The streaming variant derives everything from the hash; generation is trivial."""

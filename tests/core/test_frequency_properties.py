@@ -493,3 +493,23 @@ def test_integral_float_ids_are_accepted():
     np.testing.assert_array_equal(as_index_array(np.array([[1.0], [2.0]]), 8), [1, 2])
     with pytest.raises(ValueError, match="range"):
         as_index_array([8.0], 8)
+
+
+def _energy_reference(table: np.ndarray) -> float:
+    return float(np.sqrt(np.median(np.sum(table.astype(np.float64) ** 2, axis=1))))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_l2_estimate_is_exact_on_an_integral_leaf(seed):
+    sketch = HierarchicalFrequencySketch(1 << 16, 2000, 7, branch=16, seed=seed, exact_levels=2)
+    _feed(sketch, zipf_stream(1 << 16, total_items=40_000, batch_size=4096, alpha=1.1, seed=seed))
+    leaf = sketch.levels[0]
+    assert sketch.l2_estimate() == leaf.l2_estimate() == _energy_reference(leaf.table())
+
+
+def test_l2_estimate_matches_the_squared_sum_on_a_weighted_table():
+    rng = np.random.default_rng(3)
+    sketch = FrequencySketch(1 << 12, 512, 5, seed=4)
+    for _ in range(4):
+        sketch.update(rng.integers(0, 1 << 12, 2048), rng.standard_normal(2048) * 1e3)
+    assert sketch.l2_estimate() == pytest.approx(_energy_reference(sketch.table()), rel=1e-12)

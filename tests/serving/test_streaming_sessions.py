@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.durability.store import DurabilityConfig, MemoryCheckpointStore
 from repro.serving import SketchServer
 from repro.serving.streaming import stream_session_cache_key
 from repro.workloads.streams import piecewise_stationary_stream
@@ -208,3 +209,31 @@ class TestEndToEnd:
             server.append_rows(sid, batch.rows, batch.targets)
         resp = server.query_solution(sid)
         assert resp.extra["policy"] in ("cheapest_accurate", "adaptive")
+
+
+class TestInputValidation:
+    def test_non_finite_rows_are_rejected_before_the_wal(self, stream):
+        store = MemoryCheckpointStore()
+        server = SketchServer(shards=1, seed=0, durability=DurabilityConfig(store=store))
+        sid = server.open_stream(N)
+        batches = list(stream)
+        server.append_rows(sid, batches[0].rows, batches[0].targets)
+        key = f"session-{sid}"
+        wal = store.read_wal(key)
+        good = batches[1]
+        for cell in (np.nan, np.inf, -np.inf):
+            bad_rows, bad_targets = good.rows.copy(), good.targets.copy()
+            bad_rows[3, 2] = cell
+            bad_targets[5] = cell
+            with pytest.raises(ValueError, match="rows must be finite"):
+                server.append_rows(sid, bad_rows, good.targets)
+            with pytest.raises(ValueError, match="targets must be finite"):
+                server.append_rows(sid, good.rows, bad_targets)
+        assert store.read_wal(key) == wal
+        for batch in batches[1:4]:
+            server.append_rows(sid, batch.rows, batch.targets)
+        x = server.query_solution(sid).x
+        assert np.isfinite(x).all()
+        fresh = SketchServer(shards=1, seed=0, durability=DurabilityConfig(store=store))
+        assert fresh.restore().ok
+        np.testing.assert_array_equal(fresh.query_solution(sid).x, x)

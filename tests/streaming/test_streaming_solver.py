@@ -194,6 +194,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="target"):
             engine.ingest(rng.standard_normal((4, N)), np.zeros(5))
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batches_are_rejected_before_folding(self, rng, cell):
+        engine = StreamingSolver(N, seed=0)
+        rows = rng.standard_normal((BATCH, N))
+        targets = rng.standard_normal(BATCH)
+        engine.ingest(rows, targets)
+        before = engine.state.current()
+        bad_rows, bad_targets = rows.copy(), targets.copy()
+        bad_rows[7, 3] = cell
+        bad_targets[9] = cell
+        with pytest.raises(ValueError, match="rows must be finite"):
+            engine.ingest(bad_rows, targets)
+        with pytest.raises(ValueError, match="targets must be finite"):
+            engine.ingest(rows, bad_targets)
+        assert engine.batches_ingested == 1
+        assert engine.state.rows_total == BATCH
+        np.testing.assert_array_equal(engine.state.current(), before)
+        assert np.isfinite(engine.solution().x).all()
+
     def test_empty_ingest_is_a_noop(self):
         engine = StreamingSolver(N, seed=0)
         report = engine.ingest(np.zeros((0, N)), np.zeros(0))
