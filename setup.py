@@ -35,7 +35,7 @@ setup(
     },
     entry_points={
         "console_scripts": [
-            "repro-serve=repro.serving.server:main",
+            "repro-serve=repro.cli:main",
         ],
     },
     classifiers=[

@@ -29,7 +29,6 @@ from repro.core.frequency import (
     ExactFrequencyLevel,
     FrequencySketch,
     HierarchicalFrequencySketch,
-    SlidingFrequencyWindow,
 )
 from repro.core.gaussian import GaussianSketch
 from repro.core.srht import SRHT, BlockSRHT
@@ -46,7 +45,6 @@ __all__ = [
     "FrequencySketch",
     "ExactFrequencyLevel",
     "HierarchicalFrequencySketch",
-    "SlidingFrequencyWindow",
     "GaussianSketch",
     "SRHT",
     "BlockSRHT",

@@ -31,13 +31,6 @@ substrate into a frequency-analytics engine:
     ``O(levels * branch * heavy)`` instead of the flat sketch's
     ``O(domain)`` scan.
 
-:class:`SlidingFrequencyWindow`
-    A ring of slot sketches sharing one hash seed, mirroring the
-    sliding-window engine of :mod:`repro.streaming.state`: ``advance()``
-    retires the oldest slot and the live window is answered from the
-    *merged* ring, exercising the same sketch-linearity contract the
-    subspace-embedding windows rely on.
-
 All three are mergeable (table addition, identical hashed state required),
 scale-able (exponential decay hook) and durable (``state_dict`` /
 ``load_state`` round-trip bit-identically), so the serving layer can
@@ -924,86 +917,3 @@ class HierarchicalFrequencySketch:
             f"branch={self._branch}, levels={len(self._levels)}, "
             f"exact_levels={self._exact_levels})"
         )
-
-
-class SlidingFrequencyWindow:
-    """Ring of slot sketches answering queries over the last ``slots`` slots.
-
-    Mirrors the sliding-window engine of :mod:`repro.streaming.state`: the
-    stream is chopped into slots (one sub-sketch each), :meth:`advance`
-    retires the oldest slot, and queries are answered from the *merge* of
-    the live ring -- which is exact because all slots share one hashed
-    identity.  The merged view is cached and invalidated on writes.
-    """
-
-    def __init__(
-        self,
-        domain: int,
-        width: int,
-        depth: int = 5,
-        *,
-        slots: int = 4,
-        executor: Optional[GPUExecutor] = None,
-        seed: Optional[int] = None,
-        dtype=np.float64,
-    ) -> None:
-        if slots <= 0:
-            raise ValueError("slots must be positive")
-        if executor is None:
-            executor = GPUExecutor(H100_SXM5, numeric=True, seed=seed, track_memory=False)
-        self._ex = executor
-        self._params = (int(domain), int(width), int(depth))
-        self._seed = 0 if seed is None else int(seed)
-        self._dtype = np.dtype(dtype)
-        self._ring: List[FrequencySketch] = [self._new_slot() for _ in range(slots)]
-        self._head = 0
-        self._advances = 0
-        self._merged: Optional[FrequencySketch] = None
-
-    def _new_slot(self) -> FrequencySketch:
-        d, w, r = self._params
-        return FrequencySketch(
-            d, w, r, executor=self._ex, seed=self._seed, dtype=self._dtype
-        )
-
-    @property
-    def slots(self) -> int:
-        return len(self._ring)
-
-    @property
-    def advances(self) -> int:
-        """Number of slot retirements so far."""
-        return self._advances
-
-    def update(self, ids, weights=None) -> None:
-        """Feed a batch into the current (head) slot."""
-        self._ring[self._head].update(ids, weights)
-        self._merged = None
-
-    def advance(self) -> None:
-        """Retire the oldest slot and open a fresh head slot."""
-        self._head = (self._head + 1) % len(self._ring)
-        self._ring[self._head] = self._new_slot()
-        self._advances += 1
-        self._merged = None
-
-    def merged(self) -> FrequencySketch:
-        """The merge of all live slots (cached until the next write)."""
-        if self._merged is None:
-            view = self._new_slot()
-            for slot in self._ring:
-                view.merge_from(slot)
-            self._merged = view
-        return self._merged
-
-    def point_query(self, ids) -> np.ndarray:
-        """Windowed point estimates (over the live ring only)."""
-        return self.merged().point_query(ids)
-
-    def l2_estimate(self) -> float:
-        """Windowed l2-norm estimate."""
-        return self.merged().l2_estimate()
-
-    def heavy_hitters(self, phi: float) -> List[Tuple[int, float]]:
-        """Windowed heavy hitters (flat scan; domain must be enumerable)."""
-        return self.merged().heavy_hitters(phi)

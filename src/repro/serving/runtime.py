@@ -191,7 +191,9 @@ class RuntimeFuture:
 
 @dataclass
 class _LaneItem:
-    """One non-batchable work item: a session append or query."""
+    """One admitted request's record: a batched solve/ridge request (keyed
+    by request id; the request itself rides in its lane's MicroBatcher) or
+    a session append/query (queued per session, carrying its bound call)."""
 
     admitted_at: float
     future: RuntimeFuture
@@ -262,12 +264,10 @@ class AsyncSketchServer:
         self._batch_lanes: Dict[str, MicroBatcher] = {
             lane: MicroBatcher(max_batch=config.max_batch) for lane in ("solve", "ridge")
         }
-        self._admitted: Dict[int, float] = {}
-        self._trace_roots: Dict[int, Span] = {}
+        self._requests: Dict[int, _LaneItem] = {}  # batched requests by id
         self._stream_queues: Dict[int, Deque[_LaneItem]] = {}
         self._stream_ready: Deque[int] = deque()
         self._stream_busy: set = set()
-        self._futures: Dict[int, RuntimeFuture] = {}
 
         weights = runtime.lane_weights
         self._lane_cycle: List[str] = [
@@ -572,13 +572,13 @@ class AsyncSketchServer:
             request.request_id = self.server._next_id
             self.server._next_id += 1
             future = RuntimeFuture(lane, request.request_id)
-            self._futures[request.request_id] = future
-            self._admitted[request.request_id] = admitted_at
-            root = self._start_root_locked(
-                lane, admitted_at, request.request_id, kind=request.kind
+            self._requests[request.request_id] = _LaneItem(
+                admitted_at=admitted_at,
+                future=future,
+                root=self._start_root_locked(
+                    lane, admitted_at, request.request_id, kind=request.kind
+                ),
             )
-            if root is not None:
-                self._trace_roots[request.request_id] = root
             self._batch_lanes[lane].add(request)
             self._work.notify()
         return future
@@ -756,16 +756,14 @@ class AsyncSketchServer:
         )
 
     def _dispatch_batch(self, lane: str, batch) -> None:
-        roots: Dict[int, Span] = {}
+        items: Dict[int, _LaneItem] = {}
         try:
             with self._lock:
-                admitted_at = min(
-                    self._admitted.pop(req.request_id) for req in batch.requests
-                )
-                for req in batch.requests:
-                    root = self._trace_roots.pop(req.request_id, None)
-                    if root is not None:
-                        roots[req.request_id] = root
+                items = {
+                    req.request_id: self._requests.pop(req.request_id) for req in batch.requests
+                }
+                roots = {rid: item.root for rid, item in items.items() if item.root is not None}
+                admitted_at = min(item.admitted_at for item in items.values())
                 planned = self.server._plan_batch(batch)
                 budget = batch.requests[0].latency_budget
                 if budget is not None:
@@ -781,7 +779,7 @@ class AsyncSketchServer:
                         + self._comm_estimate(batch)
                     )
                     if projected > budget:
-                        self._shed_batch_locked(lane, batch, projected, budget, roots)
+                        self._shed_batch_locked(lane, batch, projected, budget, items)
                         return
                 placed = self.server._plan_and_place(batch, planned)
                 self._note_service_estimate_locked(placed.estimated_service_seconds)
@@ -791,23 +789,16 @@ class AsyncSketchServer:
             with self._lock:
                 for resp in responses:
                     self.telemetry.record_lane_latency(lane, resp.simulated_seconds)
-                    future = self._futures.pop(resp.request_id, None)
-                    if future is not None:
-                        future._resolve(resp)
+                    items.pop(resp.request_id).future._resolve(resp)
         except Exception as exc:
             # A failed dispatch must never kill the worker or strand the
-            # riders' futures: reject every one with the actual error.
+            # riders' futures: reject every one still pending with the
+            # actual error.
             with self._lock:
                 now = self._virtual_now_locked()
-                for req in batch.requests:
-                    self._admitted.pop(req.request_id, None)
-                    root = roots.pop(req.request_id, None) or self._trace_roots.pop(
-                        req.request_id, None
-                    )
-                    self._end_root_error(root, exc, now)
-                    future = self._futures.pop(req.request_id, None)
-                    if future is not None:
-                        future._reject(exc)
+                for item in items.values():
+                    self._end_root_error(item.root, exc, now)
+                    item.future._reject(exc)
 
     def _shed_batch_locked(
         self,
@@ -815,12 +806,12 @@ class AsyncSketchServer:
         batch,
         projected: float,
         budget: float,
-        roots: Dict[int, Span],
+        items: Dict[int, _LaneItem],
     ) -> None:
         self.telemetry.record_shed(lane, "deadline", count=batch.size)
         now = self._virtual_now_locked()
         for req in batch.requests:
-            future = self._futures.pop(req.request_id, None)
+            item = items.pop(req.request_id)
             error = DeadlineExceededError(
                 f"request {req.request_id} shed: projected completion "
                 f"{projected:.3e}s exceeds budget {budget:.3e}s",
@@ -829,9 +820,8 @@ class AsyncSketchServer:
                 projected_seconds=projected,
                 budget_seconds=budget,
             )
-            self._end_root_shed(roots.pop(req.request_id, None), "deadline", now)
-            if future is not None:
-                future._reject(error)
+            self._end_root_shed(item.root, "deadline", now)
+            item.future._reject(error)
 
     # -- stream lane ----------------------------------------------------
     def _dispatch_stream(self, item: _LaneItem) -> None:
@@ -916,19 +906,15 @@ class AsyncSketchServer:
             for batch in batcher.drain():
                 self.telemetry.record_shed(lane, reason, count=batch.size)
                 for req in batch.requests:
-                    self._admitted.pop(req.request_id, None)
-                    self._end_root_shed(
-                        self._trace_roots.pop(req.request_id, None), reason, now
-                    )
-                    future = self._futures.pop(req.request_id, None)
-                    if future is not None:
-                        future._reject(
-                            AdmissionError(
-                                f"request {req.request_id} shed: {reason}",
-                                lane=lane,
-                                request_id=req.request_id,
-                            )
+                    item = self._requests.pop(req.request_id)
+                    self._end_root_shed(item.root, reason, now)
+                    item.future._reject(
+                        AdmissionError(
+                            f"request {req.request_id} shed: {reason}",
+                            lane=lane,
+                            request_id=req.request_id,
                         )
+                    )
         for session_id, queue in self._stream_queues.items():
             for item in queue:
                 self.telemetry.record_shed("stream", reason)

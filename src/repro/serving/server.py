@@ -30,6 +30,7 @@ operator-cache namespace via the ``problem`` field of
 
 :func:`naive_solve_loop` is the reference the benchmark compares against: the
 same traffic solved one request at a time with no batching and no caching.
+The ``repro-serve`` console demo lives above this package, in :mod:`repro.cli`.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from repro.serving.requests import (
     normalize_kind,
     normalize_solver,
 )
-from repro.durability.store import DirectoryCheckpointStore, DurabilityConfig
+from repro.durability.store import DurabilityConfig
 from repro.obs.calibrate import CalibratedEstimator
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 from repro.serving.scheduler import ShardScheduler
@@ -277,7 +278,7 @@ class SketchServer:
         self.cache = OperatorCache(capacity=config.cache_capacity)
         self.telemetry = ServingTelemetry()
         #: The metrics registry backing the telemetry -- the scrape surface
-        #: for :func:`repro.obs.export.to_prometheus` / ``to_json``.
+        #: the Prometheus and JSON exporters render.
         self.metrics = self.telemetry.registry
         #: Per-request span trees on the simulated clock (see repro.obs.trace).
         self.tracer = Tracer(
@@ -1279,350 +1280,3 @@ def naive_solve_loop(
         "requests_per_second": count / total if total > 0 else 0.0,
         "results": results,
     }
-
-
-# ---------------------------------------------------------------------------
-# Console entry point (`repro-serve`)
-# ---------------------------------------------------------------------------
-def _drive_mixed_workload(runtime, rng, *, on_phase=None) -> None:
-    """Run the short three-lane workload the observability CLI paths share.
-
-    ``on_phase`` (e.g. :meth:`~repro.obs.slo.SLOEngine.evaluate`) is called
-    after each lane's futures resolve, so counter-backed SLO windows see
-    several evaluation intervals over the run.
-    """
-    futures = []
-    for _ in range(16):
-        a = rng.standard_normal((512, 16))
-        futures.append(runtime.submit(a, rng.standard_normal(512)))
-    for future in futures:
-        future.result()
-    if on_phase is not None:
-        on_phase()
-    futures = []
-    for _ in range(6):
-        a = rng.standard_normal((256, 12))
-        futures.append(runtime.submit_ridge(a, rng.standard_normal(256), 0.1))
-    for future in futures:
-        future.result()
-    if on_phase is not None:
-        on_phase()
-    session = runtime.open_stream(12)
-    futures = []
-    for _ in range(4):
-        futures.append(
-            runtime.append_rows(
-                session, rng.standard_normal((128, 12)), rng.standard_normal(128)
-            )
-        )
-    futures.append(runtime.query_solution(session))
-    for future in futures:
-        future.result()
-    runtime.drain()
-    if on_phase is not None:
-        on_phase()
-
-
-def _slo_report(args) -> int:
-    """``repro-serve --slo-report``: stock SLOs over the mixed workload."""
-    import json as _json
-
-    from repro.obs.slo import SLOEngine, default_serving_slos
-    from repro.serving.runtime import AsyncSketchServer
-
-    rng = np.random.default_rng(args.seed)
-    runtime = AsyncSketchServer(
-        shards=args.shards,
-        seed=args.seed,
-        queue_depth=args.queue_depth,
-    )
-    engine = SLOEngine(runtime.server.metrics, default_serving_slos())
-    try:
-        _drive_mixed_workload(runtime, rng, on_phase=engine.evaluate)
-    finally:
-        runtime.stop()
-    report = engine.report()
-    if args.json:
-        print(_json.dumps(report, indent=2, sort_keys=True, default=str))
-        return 0
-    print(f"SLO report ({report['evaluations']} evaluations):")
-    for row in report["slos"]:
-        state = "FIRING" if row["alerting"] else "ok"
-        print(
-            f"  {row['name']:<24} [{row['kind']:<12}] objective={row['objective']:.3f} "
-            f"compliance={row['compliance']:.4f} "
-            f"burn fast={row['fast_burn']:.2f} slow={row['slow_burn']:.2f} "
-            f"n={row['samples']} {state}"
-        )
-    for event in report["alert_events"]:
-        print(
-            f"  alert: {event['slo']} {event['state']} at eval {event['at']:g} "
-            f"(fast={event['fast_burn']:.2f}, slow={event['slow_burn']:.2f})"
-        )
-    return 1 if report["firing"] else 0
-
-
-def _health_probe(args) -> int:
-    """``repro-serve --health``: canary workload with meaningful exit codes.
-
-    Exit 0: canary traffic served cleanly and no SLO alert is firing.
-    Exit 1: degraded -- traffic was served but requests were shed/failed
-    or an SLO alert fired.  Exit 2: unhealthy -- the canary itself blew up.
-    """
-    from repro.obs.slo import SLOEngine, default_serving_slos
-    from repro.serving.runtime import AsyncSketchServer
-
-    rng = np.random.default_rng(args.seed)
-    try:
-        runtime = AsyncSketchServer(
-            shards=args.shards,
-            seed=args.seed,
-            queue_depth=args.queue_depth,
-        )
-        engine = SLOEngine(runtime.server.metrics, default_serving_slos())
-        try:
-            _drive_mixed_workload(runtime, rng, on_phase=engine.evaluate)
-            snapshot = runtime.telemetry.snapshot()
-        finally:
-            runtime.stop()
-    except Exception as exc:  # the probe itself must never raise
-        print(f"unhealthy: canary workload failed: {exc}")
-        return 2
-    shed = snapshot.get("requests_shed", 0)
-    failed = snapshot.get("failed_requests", 0)
-    firing = engine.firing()
-    if failed or shed or firing:
-        detail = ", ".join(
-            part
-            for part in (
-                f"{int(failed)} failed" if failed else "",
-                f"{int(shed)} shed" if shed else "",
-                f"alerts firing: {firing}" if firing else "",
-            )
-            if part
-        )
-        print(f"degraded: {detail}")
-        return 1
-    print(
-        f"healthy: {int(snapshot.get('requests_served', 0))} canary requests served, "
-        "no sheds, no failures, no SLO alerts"
-    )
-    return 0
-
-
-def _observability_demo(args) -> int:
-    """Drive a short mixed workload and print what the observability layer saw.
-
-    Shared by ``repro-serve --metrics`` (Prometheus text / JSON snapshot of
-    the registry) and ``--dump-trace`` (waterfall + critical path of the
-    slowest completed request trace).  The workload mixes all three lanes so
-    every span family and metric name shows up in the output.
-    """
-    from repro.obs.export import (
-        render_critical_path,
-        render_waterfall,
-        to_json,
-        to_prometheus,
-    )
-    from repro.serving.runtime import AsyncSketchServer
-
-    rng = np.random.default_rng(args.seed)
-    runtime = AsyncSketchServer(
-        shards=args.shards,
-        seed=args.seed,
-        queue_depth=args.queue_depth,
-    )
-    try:
-        _drive_mixed_workload(runtime, rng)
-    finally:
-        runtime.stop()
-
-    if args.metrics:
-        if args.json:
-            print(to_json(runtime.server.metrics))
-        else:
-            print(to_prometheus(runtime.server.metrics), end="")
-    if args.dump_trace:
-        traces = runtime.tracer.traces()
-        if not traces:
-            print("no completed traces (tracing disabled?)")
-            return 1
-        slowest = max(traces, key=lambda t: t.duration)
-        if args.metrics:
-            print()
-        print(render_waterfall(slowest))
-        print()
-        print(render_critical_path(slowest))
-    return 0
-
-
-def _durability_demo(args) -> int:
-    """``repro-serve --checkpoint-dir PATH``: crash/restore round trip.
-
-    Streams batches into a durable sliding-window session, abandons the
-    server mid-stream (simulating a crash: the last batches live only in
-    the WAL tail), restores on a brand-new server backed by the same
-    directory, and verifies the recovered solution is *identical* to the
-    pre-crash one -- the determinism the hashed sketch state guarantees.
-    """
-    store = DirectoryCheckpointStore(args.checkpoint_dir)
-    durability = DurabilityConfig(store=store, checkpoint_interval_batches=4)
-    rng = np.random.default_rng(args.seed)
-    n = 16
-    x_true = rng.standard_normal(n)
-
-    def make_batch():
-        rows = rng.standard_normal((256, n))
-        targets = rows @ x_true + 1e-8 * rng.standard_normal(256)
-        return rows, targets
-
-    server = SketchServer(shards=args.shards, seed=args.seed, durability=durability)
-    sid = server.open_stream(n, mode="sliding", bucket_rows=512, window_buckets=4, detector=False)
-    for _ in range(10):
-        server.append_rows(sid, *make_batch())
-    before = server.query_solution(sid)
-    checkpoints = server.telemetry.checkpoints_written
-    wal_appends = server.telemetry.wal_appends
-    del server  # crash: the process state is gone, only the store survives
-
-    recovered = SketchServer(shards=args.shards, seed=args.seed, durability=durability)
-    report = recovered.restore()
-    if not report.ok or sid not in report.restored:
-        print(f"restore failed: {report.failed or 'session missing'}")
-        return 1
-    after = recovered.query_solution(sid)
-    match = (
-        before.x is not None
-        and after.x is not None
-        and np.array_equal(before.x, after.x)
-    )
-    print(f"checkpoint dir        : {args.checkpoint_dir}")
-    print(f"checkpoints written   : {checkpoints}")
-    print(f"wal appends           : {wal_appends}")
-    print(f"wal batches replayed  : {report.restored[sid]}")
-    print(f"pre-crash residual    : {before.relative_residual:.3e}")
-    print(f"post-restore residual : {after.relative_residual:.3e}")
-    print(f"solutions identical   : {match}")
-    recovered.close_stream(sid)
-    return 0 if match else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Serving demo for the ``repro-serve`` console script.
-
-    Thin wrapper over the harness experiments so the demo, the harness rows
-    and the benchmarks all share one traffic-synthesis and comparison path.
-    With ``--workers N`` (any N > 0) the demo runs the *concurrent runtime*
-    experiment instead of the synchronous throughput comparison; the
-    runtime dispatches on one thread whatever N is, and ``--queue-depth``
-    bounds the admission queue of the
-    :class:`~repro.serving.runtime.AsyncSketchServer`.
-    """
-    import argparse
-
-    from repro.harness.experiments import concurrent_load, serving_throughput
-    from repro.harness.report import format_table
-
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="Sketch-and-solve serving demo (simulated H100 seconds).",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="any N > 0 runs the concurrent runtime demo (one dispatcher "
-        "thread whatever N is); 0 = synchronous serving demo (default 0)",
-    )
-    parser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=512,
-        help="admission-queue bound for the concurrent runtime demo (default 512)",
-    )
-    parser.add_argument("--shards", type=int, default=2, help="base shard count (default 2)")
-    parser.add_argument("--seed", type=int, default=7, help="traffic/operator seed (default 7)")
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="run a short mixed workload and print the metrics registry "
-        "(Prometheus text exposition format; see --json)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="with --metrics, print the structured JSON snapshot instead",
-    )
-    parser.add_argument(
-        "--dump-trace",
-        action="store_true",
-        help="run a short mixed workload and print the slowest request's "
-        "span waterfall and critical path",
-    )
-    parser.add_argument(
-        "--slo-report",
-        action="store_true",
-        help="run a short mixed workload under the stock SLO set and print "
-        "per-SLO compliance, burn rates and alert events (exit 1 if any "
-        "alert is firing; see --json)",
-    )
-    parser.add_argument(
-        "--health",
-        action="store_true",
-        help="canary health probe: exit 0 healthy, 1 degraded (sheds, "
-        "failures or firing SLO alerts), 2 unhealthy (probe itself failed)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="PATH",
-        default=None,
-        help="durability demo: run a streaming session against a "
-        "directory-backed checkpoint/WAL store at PATH, 'crash' it "
-        "mid-stream, then restore on a fresh server and verify the "
-        "recovered solution matches exactly (exit 1 on mismatch)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.checkpoint_dir is not None:
-        return _durability_demo(args)
-    if args.health:
-        return _health_probe(args)
-    if args.slo_report:
-        return _slo_report(args)
-    if args.metrics or args.dump_trace:
-        return _observability_demo(args)
-
-    if args.workers > 0:
-        rows = concurrent_load(
-            shards=args.shards,
-            queue_depth=args.queue_depth,
-            seed=args.seed,
-        )
-        print(format_table(
-            rows,
-            columns=["mode", "requests", "requests_per_second", "speedup",
-                     "worst_relative_residual", "active_max", "scale_ups", "scale_downs",
-                     "requests_shed", "queue_full_rejects", "deadline_violations"],
-            title=(f"repro-serve concurrent demo: mixed lstsq+ridge+streaming load, "
-                   f"one dispatcher, queue depth {args.queue_depth} "
-                   "-- simulated H100 seconds"),
-        ))
-        return 0
-
-    rows = serving_throughput(
-        d=1 << 14, n=32, n_requests=128, n_matrices=2,
-        kinds=("multisketch", "countsketch", "gaussian"),
-        shards=args.shards, max_batch=8, seed=args.seed,
-    )
-    print(format_table(
-        rows,
-        columns=["kind", "batched_rps", "naive_rps", "speedup", "cache_hit_rate",
-                 "mean_batch_size", "p50_us", "p99_us", "worst_relative_residual"],
-        title=("repro-serve demo: 128 solve requests over 2 design matrices "
-               "(d=2^14, n=32, 2 shards) -- simulated H100 seconds"),
-    ))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
