@@ -24,10 +24,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.gpu.device import DeviceSpec
 from repro.gpu.timing import KernelTiming
+
+#: Entry cap of the cost memos (``KernelCostModel.estimate`` and the
+#: registry's dry-run costs): a memo that reaches it is emptied and refills.
+COST_MEMO_CAP = 4096
 
 
 class KernelClass(enum.Enum):
@@ -112,6 +116,7 @@ class KernelCostModel:
     def __init__(self, device: DeviceSpec, min_kernel_time: float = 1.0e-6) -> None:
         self._device = device
         self._min_kernel_time = float(min_kernel_time)
+        self._memo: Dict[Tuple[KernelRequest, Optional[str]], KernelTiming] = {}
 
     @property
     def device(self) -> DeviceSpec:
@@ -185,18 +190,26 @@ class KernelCostModel:
         """Produce the simulated timing for a kernel request.
 
         The roofline time is ``max(memory, compute)``; overheads are additive
-        because launches and syncs serialise with the kernel body.
+        because launches and syncs serialise with the kernel body.  Requests
+        and timings are frozen, so equal ``(request, phase)`` pairs share one
+        memoised timing.
         """
-        roofline = max(self.memory_time(request), self.compute_time(request))
-        seconds = roofline + self.overhead_time(request)
-        return KernelTiming(
-            name=request.name,
-            seconds=seconds,
-            bytes_moved=request.bytes_moved,
-            flops=request.flops,
-            phase=phase if phase is not None else request.phase,
-            launches=request.launches,
-        )
+        key = (request, phase)
+        timing = self._memo.get(key)
+        if timing is None:
+            roofline = max(self.memory_time(request), self.compute_time(request))
+            timing = KernelTiming(
+                name=request.name,
+                seconds=roofline + self.overhead_time(request),
+                bytes_moved=request.bytes_moved,
+                flops=request.flops,
+                phase=phase if phase is not None else request.phase,
+                launches=request.launches,
+            )
+            if len(self._memo) >= COST_MEMO_CAP:
+                self._memo.clear()
+            self._memo[key] = timing
+        return timing
 
     # ------------------------------------------------------------------
     def peak_bandwidth(self) -> float:

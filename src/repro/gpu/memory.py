@@ -11,6 +11,7 @@ shapes (tens of GB) can be swept analytically without exhausting host RAM.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -136,7 +137,7 @@ class DeviceMemoryTracker:
 
     def alloc_array(self, shape: Tuple[int, ...], dtype=np.float64, label: str = "") -> int:
         """Allocate space for an array of the given shape and dtype."""
-        nbytes = float(np.prod(shape, dtype=np.float64)) * np.dtype(dtype).itemsize
+        nbytes = float(math.prod(shape)) * np.dtype(dtype).itemsize
         return self.alloc(nbytes, label=label or f"array{tuple(shape)}")
 
     def free_handle(self, handle: int, nbytes: Optional[float] = None) -> None:
@@ -189,4 +190,4 @@ class _ScopedAllocation:
 
 def array_nbytes(shape: Tuple[int, ...], dtype=np.float64) -> float:
     """Bytes required to store an array of ``shape`` and ``dtype``."""
-    return float(np.prod(shape, dtype=np.float64)) * np.dtype(dtype).itemsize
+    return float(math.prod(shape)) * np.dtype(dtype).itemsize

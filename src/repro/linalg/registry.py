@@ -42,6 +42,7 @@ from repro.core.base import SketchOperator, default_embedding_dim
 from repro.gpu.arrays import DeviceArray
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.gpu.executor import GPUExecutor
+from repro.gpu.kernels import COST_MEMO_CAP
 from repro.linalg.iterative import sketch_preconditioned_lsqr
 from repro.linalg.lstsq import (
     LeastSquaresResult,
@@ -396,7 +397,7 @@ class RegisteredSolver:
         will be charged by the roofline cost model -- kernel-class
         efficiencies and launch overheads included, operator generation
         excluded (the serving layer amortises it through the operator
-        cache).  Results are memoised per ``(solver, shape, batch, sketch)``
+        cache).  Results are memoised per ``(solver, shape, batch, sketch, device)``
         so the planner can be consulted per micro-batch for free.
         """
         key = (
@@ -406,7 +407,7 @@ class RegisteredSolver:
             spec.nrhs,
             spec.kind if self.capabilities.needs_sketch else "",
             spec.embedding_dim if self.capabilities.needs_sketch else 0,
-            id(device),
+            device,
         )
         cached = _DRYRUN_COSTS.get(key)
         if cached is not None:
@@ -416,6 +417,8 @@ class RegisteredSolver:
         b = ex.empty((spec.d, spec.nrhs) if spec.nrhs > 1 else (spec.d,), label="b_plan")
         operator = self.build_operator(spec, executor=ex) if self.capabilities.needs_sketch else None
         result = self.adapter(a, b, spec, operator=operator, executor=ex)
+        if len(_DRYRUN_COSTS) >= COST_MEMO_CAP:
+            _DRYRUN_COSTS.clear()
         _DRYRUN_COSTS[key] = result.total_seconds
         return result.total_seconds
 
@@ -513,7 +516,8 @@ register_problem_class(
 
 _REGISTRY: Dict[str, RegisteredSolver] = {}
 
-#: Memoised analytic dry-run costs (see :meth:`RegisteredSolver.estimate_seconds`).
+#: Memoised analytic dry-run costs (see :meth:`RegisteredSolver.estimate_seconds`),
+#: keyed on the ``DeviceSpec`` value and emptied at ``COST_MEMO_CAP`` entries.
 _DRYRUN_COSTS: Dict[Tuple, float] = {}
 
 #: Accepted spellings for each canonical registry name.

@@ -14,6 +14,13 @@ without limit).  Timestamps are always passed in explicitly by the caller
 overhead zero *on the simulated clock*: instrumentation only reads clocks
 the cost model already advanced.
 
+A completed root may defer its children: ``end_trace(..., grow=fn)`` closes
+the root at once (id, counters, sampling and status are settled there) and
+keeps ``fn``, which :meth:`Tracer.traces` and :meth:`Tracer.find_trace` call
+exactly once, on first read, to add the children.  A trace evicted from the
+bounded deque or sampled out is never read, so its children are never
+built; child span ids are numbered when the tree grows.
+
 Two invariants the instrumentation (and the test-suite) relies on:
 
 * child spans nest inside their parent on the simulated clock --
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["Span", "Tracer", "NULL_SPAN"]
 
@@ -39,7 +46,10 @@ STATUSES = ("ok", "error", "shed")
 class Span:
     """One named interval in a trace, with attributes and children."""
 
-    __slots__ = ("name", "trace_id", "span_id", "parent_id", "start", "end", "status", "attributes", "children")
+    __slots__ = (
+        "name", "trace_id", "span_id", "parent_id", "start", "end", "status",
+        "attributes", "children", "_grow",
+    )
 
     def __init__(
         self,
@@ -59,6 +69,8 @@ class Span:
         self.status = "ok"
         self.attributes: Dict[str, object] = dict(attributes or {})
         self.children: List["Span"] = []
+        #: Deferred child builder of a completed root (see Tracer.end_trace).
+        self._grow: Optional[Callable[["Span"], None]] = None
 
     # ------------------------------------------------------------------
     def set(self, **attributes: object) -> "Span":
@@ -195,6 +207,7 @@ class Tracer:
         self.max_traces = int(max_traces)
         self.sample_every = int(sample_every)
         self._lock = threading.Lock()
+        self._grow_lock = threading.Lock()
         self._seq = 0
         self._roots_seen = 0
         self._sampled_out: set = set()
@@ -245,13 +258,26 @@ class Tracer:
         span.finish(at, status=status)
         return span
 
-    def end_trace(self, root: Span, end: float, status: str = "ok", **attributes: object) -> Span:
+    def end_trace(
+        self,
+        root: Span,
+        end: float,
+        status: str = "ok",
+        grow: Optional[Callable[[Span], None]] = None,
+        **attributes: object,
+    ) -> Span:
         """Close the root and move the trace to the completed deque.
 
         ``traces_completed`` counts every trace that ends -- sampled out or
         not -- so the started == completed invariant is independent of the
         sampling rate; only *retention* in the deque is subject to it, and
         shed/error traces override the sampling decision.
+
+        ``grow(root)``, when given, adds the root's remaining children.  It
+        runs once, on the first :meth:`traces` / :meth:`find_trace` that
+        returns the root, and never for a trace that is sampled out or
+        evicted unread.  ``end`` must already cover every span it will add:
+        the root is closed here, before they exist.
         """
         if not self.enabled or root is NULL_SPAN:
             return root
@@ -262,15 +288,32 @@ class Tracer:
                 sampled_out = root.trace_id in self._sampled_out
                 self._sampled_out.discard(root.trace_id)
                 if not sampled_out or root.status != "ok":
+                    root._grow = grow
                     self._completed.append(root)
                     self.traces_retained += 1
         return root
+
+    def _grown(self, roots: Iterable[Span]) -> None:
+        """Run each root's pending ``grow`` once, before any reader sees it.
+
+        Growth opens spans, which take ``_lock`` for their ids, so it runs
+        under its own lock; a second reader waits here until the tree is
+        whole instead of seeing it half grown.
+        """
+        with self._grow_lock:
+            for root in roots:
+                grow = root._grow
+                if grow is not None:
+                    root._grow = None
+                    grow(root)
 
     # ------------------------------------------------------------------
     def traces(self) -> List[Span]:
         """Completed traces, oldest first (bounded by ``max_traces``)."""
         with self._lock:
-            return list(self._completed)
+            roots = list(self._completed)
+        self._grown(roots)
+        return roots
 
     def find_trace(self, trace_id: str) -> Optional[Span]:
         """A completed or still-active trace by id."""
@@ -280,8 +323,11 @@ class Tracer:
                 return root
             for candidate in self._completed:
                 if candidate.trace_id == trace_id:
-                    return candidate
-        return None
+                    root = candidate
+                    break
+        if root is not None:
+            self._grown((root,))
+        return root
 
     def active_count(self) -> int:
         with self._lock:

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,7 +69,7 @@ from repro.serving.requests import (
 )
 from repro.durability.store import DurabilityConfig
 from repro.obs.calibrate import CalibratedEstimator
-from repro.obs.trace import NULL_SPAN, Span, Tracer
+from repro.obs.trace import Span, Tracer
 from repro.serving.scheduler import ShardScheduler
 from repro.serving.frequency import (
     FrequencyIngestReport,
@@ -341,84 +342,75 @@ class SketchServer:
                 device=self.config.device,
             )
 
-    def _finish_request_trace(
+    def _request_tree_grower(
         self,
-        root: Optional[Span],
-        *,
-        request_id: int,
-        lane: str,
         placed: "PlacedBatch",
+        *,
         batch_id: int,
         batch_size: int,
-        span_log: Optional[List[Dict[str, object]]],
+        span_log: List[Dict[str, object]],
         exec_start: float,
         exec_end: float,
         comm_seconds: float,
         executed: str,
         fallbacks: int,
-        failed: bool,
-        residual: float,
-    ) -> None:
-        """Grow and close one request's span tree around an executed batch.
+    ) -> Callable[..., None]:
+        """One executed batch's builder of its riders' span trees.
 
-        ``root`` is the runtime-created root (admission/queue context baked
-        in) or ``None`` on the synchronous path, where the trace starts at
-        execution.  One ``batch`` span fans into the rider's own ``solve``
-        child plus one ``solver:<name>`` child per planner-chain attempt, so
-        a fused batch's N traces share the ``batch_id`` attribute while each
-        request keeps exactly one complete tree.
+        Returns ``grow(root, residual)``, which adds a rider's ``queue``
+        (when it waited), ``plan``, ``placement``, ``batch`` and ``respond``
+        spans under its root.  The ``batch`` span fans into the rider's own
+        ``solve`` child plus one ``solver:<name>`` child per planner-chain
+        attempt, so a fused batch's N traces share the ``batch_id``
+        attribute while each request keeps exactly one complete tree.  The
+        tracer calls it on the trace's first read (see ``Tracer.end_trace``),
+        so it closes over the batch's scalar facts only -- never ``placed``,
+        whose first stage holds ``A`` and ``S1 A``.
         """
         tracer = self.tracer
-        if not tracer.enabled:
-            return
-        plan_ = placed.plan
-        if root is None:
-            root = tracer.start_trace(
-                "request", exec_start, request_id=request_id, lane=lane
+        plan_, spec = placed.plan, placed.spec
+        plan_attrs = {
+            "policy": self.config.policy,
+            "planned": plan_.solver,
+            "chain": "->".join(plan_.chain),
+            "cond_estimate": plan_.cond_estimate,
+        }
+        shard, cache_hit = placed.shard, placed.cache_hit
+        # Shape/problem attributes make solver spans self-describing:
+        # CalibratedEstimator.ingest() rebuilds the spec (and hence the
+        # calibration bucket) from the span alone.
+        spec_attrs = {
+            "d": spec.d, "n": spec.n, "nrhs": spec.nrhs,
+            "problem": spec.problem, "kind": spec.kind,
+            "regularization": spec.regularization,
+        }
+
+        def grow(root: Span, residual: float) -> None:
+            if root.start < exec_start:
+                tracer.start_span("queue", root, root.start).finish(exec_start)
+            tracer.event("plan", root, exec_start, **plan_attrs)
+            tracer.event("placement", root, exec_start, shard=shard, cache_hit=cache_hit)
+            batch_span = tracer.start_span(
+                "batch", root, exec_start,
+                batch_id=batch_id, batch_size=batch_size, shard=shard,
             )
-        elif root is not NULL_SPAN and root.start < exec_start:
-            tracer.start_span("queue", root, root.start).finish(exec_start)
-        tracer.event(
-            "plan",
-            root,
-            exec_start,
-            policy=self.config.policy,
-            planned=plan_.solver,
-            chain="->".join(plan_.chain),
-            cond_estimate=plan_.cond_estimate,
-        )
-        tracer.event(
-            "placement", root, exec_start, shard=placed.shard, cache_hit=placed.cache_hit
-        )
-        batch_span = tracer.start_span(
-            "batch", root, exec_start,
-            batch_id=batch_id, batch_size=batch_size, shard=placed.shard,
-        )
-        spec = placed.spec
-        for hop in span_log or ():
-            # Shape/problem attributes make solver spans self-describing:
-            # CalibratedEstimator.ingest() rebuilds the spec (and hence the
-            # calibration bucket) from the span alone.
-            attempt = tracer.start_span(
-                f"solver:{hop['solver']}", batch_span, float(hop["start"]),
-                solver=hop["solver"], fallback_hop=hop["hop"],
-                d=spec.d, n=spec.n, nrhs=spec.nrhs,
-                problem=spec.problem, kind=spec.kind,
-                regularization=spec.regularization,
+            for hop in span_log:
+                attempt = tracer.start_span(
+                    f"solver:{hop['solver']}", batch_span, float(hop["start"]),
+                    solver=hop["solver"], fallback_hop=hop["hop"], **spec_attrs,
+                )
+                if hop["reason"]:
+                    attempt.set(reason=hop["reason"])
+                attempt.finish(float(hop["end"]), status="error" if hop["failed"] else "ok")
+            tracer.start_span("solve", batch_span, exec_start).finish(
+                exec_end, solver=executed, relative_residual=residual
             )
-            if hop["reason"]:
-                attempt.set(reason=hop["reason"])
-            attempt.finish(float(hop["end"]), status="error" if hop["failed"] else "ok")
-        tracer.start_span("solve", batch_span, exec_start).finish(
-            exec_end, solver=executed, relative_residual=residual
-        )
-        batch_span.finish(exec_end, executed_solver=executed, fallbacks=fallbacks)
-        tracer.start_span("respond", root, exec_end).finish(
-            exec_end + comm_seconds, comm_seconds=comm_seconds
-        )
-        tracer.end_trace(
-            root, exec_end + comm_seconds, status="error" if failed else "ok"
-        )
+            batch_span.finish(exec_end, executed_solver=executed, fallbacks=fallbacks)
+            tracer.start_span("respond", root, exec_end).finish(
+                exec_end + comm_seconds, comm_seconds=comm_seconds
+            )
+
+        return grow
 
     # ------------------------------------------------------------------
     # request intake
@@ -905,31 +897,42 @@ class SketchServer:
         }
         if ridge:
             extra["regularization"] = spec.regularization
+        if tracing:
+            # Each rider's root is opened (sync path) and closed here; the
+            # spans below it grow only if the trace is read.
+            tracer = self.tracer
+            lane = "ridge" if ridge else "solve"
+            trace_status = "error" if result.failed else "ok"
+            grow = self._request_tree_grower(
+                placed,
+                batch_id=batch_id,
+                batch_size=batch.size,
+                span_log=span_log,
+                exec_start=exec_start,
+                exec_end=exec_end,
+                comm_seconds=comm_seconds,
+                executed=executed,
+                fallbacks=fallbacks,
+            )
         responses = []
         for j, req in enumerate(batch.requests):
             self.telemetry.record_request(latency, solver=executed)
+            residual = self._column_residual(result, j, batch.size)
             if tracing:
-                self._finish_request_trace(
-                    roots.get(req.request_id) if roots else None,
-                    request_id=req.request_id,
-                    lane="ridge" if ridge else "solve",
-                    placed=placed,
-                    batch_id=batch_id,
-                    batch_size=batch.size,
-                    span_log=span_log,
-                    exec_start=exec_start,
-                    exec_end=exec_end,
-                    comm_seconds=comm_seconds,
-                    executed=executed,
-                    fallbacks=fallbacks,
-                    failed=bool(result.failed),
-                    residual=self._column_residual(result, j, batch.size),
+                root = roots.get(req.request_id) if roots else None
+                if root is None:
+                    root = tracer.start_trace(
+                        "request", exec_start, request_id=req.request_id, lane=lane
+                    )
+                tracer.end_trace(
+                    root, exec_end + comm_seconds, status=trace_status,
+                    grow=partial(grow, residual=residual),
                 )
             responses.append(
                 SolveResponse(
                     request_id=req.request_id,
                     x=self._column(result, j, batch.size),
-                    relative_residual=self._column_residual(result, j, batch.size),
+                    relative_residual=residual,
                     simulated_seconds=latency,
                     compute_seconds=compute_seconds,
                     comm_seconds=comm_seconds,

@@ -127,3 +127,41 @@ class TestTimingMetadata:
     def test_peaks_exposed(self, model):
         assert model.peak_bandwidth() == H100_SXM5.memory_bandwidth
         assert model.peak_flops(8) == H100_SXM5.peak_flops_fp64
+
+
+class TestEstimateMemo:
+    def test_equal_requests_share_one_timing(self, model):
+        first = model.estimate(
+            KernelRequest(name="k", kclass=KernelClass.ATOMIC, bytes_read=1e6, flops=1e5)
+        )
+        again = model.estimate(
+            KernelRequest(name="k", kclass=KernelClass.ATOMIC, bytes_read=1e6, flops=1e5)
+        )
+        assert again is first
+
+    def test_phase_override_still_relabels_a_memoised_request(self, model):
+        req = KernelRequest(name="k", kclass=KernelClass.STREAM, bytes_read=64.0, phase="default")
+        plain = model.estimate(req)
+        relabelled = model.estimate(req, phase="override")
+        assert plain.phase == "default"
+        assert relabelled.phase == "override"
+        assert relabelled.seconds == plain.seconds
+        assert model.estimate(req).phase == "default"
+
+    def test_memo_never_exceeds_its_cap(self, model):
+        from repro.gpu.kernels import COST_MEMO_CAP
+
+        for i in range(COST_MEMO_CAP + 16):
+            timing = model.estimate(
+                KernelRequest(name="k", kclass=KernelClass.STREAM, bytes_read=float(i))
+            )
+            assert timing.bytes_moved == float(i)
+            assert len(model._memo) <= COST_MEMO_CAP
+
+    def test_memo_is_per_device(self):
+        req = KernelRequest(name="k", kclass=KernelClass.STREAM, bytes_read=1e9)
+        fast = KernelCostModel(H100_SXM5).estimate(req)
+        slow = KernelCostModel(
+            H100_SXM5.with_overrides(memory_bandwidth=H100_SXM5.memory_bandwidth / 10)
+        ).estimate(req)
+        assert slow.seconds > fast.seconds

@@ -186,3 +186,37 @@ class TestCostEstimates:
         assert apriori["sketch_precond_lsqr"] > apriori["rand_cholqr"]
         flops = caps["normal_equations"].flop_estimate(spec)
         assert flops["arithmetic"] > 0 and flops["read_writes"] > 0
+
+
+class TestDryRunMemo:
+    def test_a_new_device_never_reads_a_dead_devices_cost(self):
+        """The memo is keyed on the device's value, not its address: a slow
+        device allocated where a dead fast one lived gets its own cost."""
+        from repro.gpu.device import H100_SXM5
+
+        spec = SolveSpec(d=2048, n=16, nrhs=1, seed=3)
+        solver = get_solver("normal_equations")
+        fast_cost = solver.estimate_seconds(spec, H100_SXM5)
+        for i in range(64):
+            fast = H100_SXM5.with_overrides(name=f"fast-{i}")
+            assert solver.estimate_seconds(spec, fast) == fast_cost
+            del fast
+            slow = H100_SXM5.with_overrides(
+                name=f"slow-{i}", memory_bandwidth=H100_SXM5.memory_bandwidth / 2500
+            )
+            assert solver.estimate_seconds(spec, slow) > fast_cost, f"iteration {i}"
+            del slow
+
+    def test_memo_is_bounded_by_the_cost_model_cap(self, monkeypatch):
+        import repro.linalg.registry as registry
+        from repro.gpu.device import H100_SXM5
+        from repro.gpu.kernels import COST_MEMO_CAP
+
+        assert registry.COST_MEMO_CAP is COST_MEMO_CAP
+        monkeypatch.setattr(registry, "COST_MEMO_CAP", 16)
+        spec = SolveSpec(d=256, n=4, nrhs=1)
+        solver = get_solver("normal_equations")
+        for i in range(40):
+            device = H100_SXM5.with_overrides(sync_overhead=1e-6 * (1 + i))
+            solver.estimate_seconds(spec, device)
+            assert len(registry._DRYRUN_COSTS) <= 16

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.obs.trace import NULL_SPAN, Span, Tracer
@@ -126,3 +128,98 @@ def test_as_dict_round_trip():
 def test_tracer_rejects_bad_capacity():
     with pytest.raises(ValueError):
         Tracer(max_traces=0)
+
+
+def _growing_trace(tracer, start, calls):
+    """End a root whose single child is grown on read; count the growths."""
+    root = tracer.start_trace("request", start)
+
+    def grow(r):
+        calls.append(r.trace_id)
+        tracer.start_span("solve", r, start).finish(start + 0.5)
+
+    tracer.end_trace(root, start + 1.0, grow=grow)
+    return root
+
+
+def test_grow_runs_once_on_first_read():
+    tracer = Tracer()
+    calls = []
+    root = _growing_trace(tracer, 0.0, calls)
+    assert root.children == [] and calls == []  # closed, not yet grown
+    assert root.end == 1.0 and tracer.traces_completed == 1
+    assert tracer.traces() == [root]
+    assert [s.name for s in root.walk()] == ["request", "solve"]
+    assert root.is_complete()
+    assert tracer.traces() == [root]
+    assert tracer.find_trace(root.trace_id) is root
+    assert calls == [root.trace_id]  # read three times, grown once
+
+
+def test_find_trace_grows_too():
+    tracer = Tracer()
+    calls = []
+    root = _growing_trace(tracer, 0.0, calls)
+    assert tracer.find_trace(root.trace_id) is root
+    assert calls == [root.trace_id]
+    assert root.find("solve") is not None
+    tracer.traces()
+    assert calls == [root.trace_id]
+
+
+def test_grown_span_ids_are_numbered_at_growth():
+    tracer = Tracer()
+    first = _growing_trace(tracer, 0.0, [])
+    second = tracer.start_trace("request", 2.0)
+    tracer.end_trace(second, 3.0)
+    tracer.traces()
+    child = first.children[0]
+    assert child.parent_id == first.span_id and child.trace_id == first.trace_id
+    ids = [first.span_id, second.span_id, child.span_id]
+    assert len(set(ids)) == 3
+    assert int(child.span_id[1:], 16) > int(second.span_id[1:], 16)
+
+
+def test_evicted_and_sampled_out_traces_never_grow():
+    calls = []
+    tracer = Tracer(max_traces=4)
+    roots = [_growing_trace(tracer, float(i), calls) for i in range(64)]
+    assert tracer.traces() == roots[-4:]
+    assert calls == [r.trace_id for r in roots[-4:]]
+
+    calls = []
+    sampled = Tracer(sample_every=8)
+    roots = [_growing_trace(sampled, float(i), calls) for i in range(64)]
+    kept = sampled.traces()
+    assert kept == roots[::8]
+    assert calls == [r.trace_id for r in kept]
+    assert sampled.traces_completed == 64
+
+
+def test_concurrent_readers_never_see_a_half_grown_tree():
+    tracer = Tracer()
+    entered = threading.Event()
+    release = threading.Event()
+    root = tracer.start_trace("request", 0.0)
+
+    def grow(r):
+        tracer.start_span("queue", r, 0.0).finish(0.5)
+        entered.set()
+        release.wait(5.0)
+        tracer.start_span("solve", r, 0.5).finish(1.0)
+
+    tracer.end_trace(root, 1.0, grow=grow)
+    seen = []
+    first = threading.Thread(target=lambda: seen.append(tracer.traces()))
+    first.start()
+    assert entered.wait(5.0)
+    second = threading.Thread(target=lambda: seen.append(tracer.traces()))
+    second.start()
+    second.join(0.2)
+    assert second.is_alive()  # waits for the first reader's growth
+    release.set()
+    first.join(5.0)
+    second.join(5.0)
+    assert len(seen) == 2
+    for traces in seen:
+        assert [s.name for s in traces[0].walk()] == ["request", "queue", "solve"]

@@ -41,6 +41,15 @@ def test_dump_trace_prints_a_waterfall(capsys):
     assert capsys.readouterr().out
 
 
+def test_dump_trace_matches_the_golden(capsys):
+    # The slowest canary trace is a runtime request with every span the
+    # server grows on read: admission, queue, plan, placement, batch with
+    # its solver and solve children, and respond.
+    golden = Path(__file__).parent / "data" / "canary_dump_trace.txt"
+    assert main(["--dump-trace"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_canary_output_repeats_within_one_process(capsys):
     # The canary admits each phase with the runtime paused, so batching --
     # and every simulated number printed -- is independent of thread timing.

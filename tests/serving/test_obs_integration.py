@@ -10,11 +10,14 @@ lock-safe under concurrent reset.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.serving import AsyncSketchServer, DeadlineExceededError
 from repro.serving.requests import AdmissionError
 from repro.serving.server import ServerConfig, SketchServer
@@ -319,3 +322,112 @@ def test_stream_recorders_and_reset_are_lock_safe():
     # The counters still work after the storm.
     telemetry.record_stream_ingest(10, 1e-5)
     assert telemetry.stream_rows >= 10
+
+
+def _count_start_span(monkeypatch):
+    """Count ``Tracer.start_span`` calls (events go through it too)."""
+    calls = []
+    original = Tracer.start_span
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tracer, "start_span", counting)
+    return calls
+
+
+def test_unread_trace_keeps_no_request_matrix_alive():
+    # The adaptive policy probes, so the placed batch's first stage holds
+    # A and S1 A: a tree builder that captured it (or the batch) pins A.
+    rng = np.random.default_rng(10)
+    server = SketchServer(ServerConfig(shards=1, seed=0, policy="adaptive"))
+    a = rng.standard_normal((512, 12))
+    b = a @ np.ones(12)
+    ref = weakref.ref(a)
+    response = server.solve(a, b)
+    residual = response.relative_residual
+    del a, b, response
+    gc.collect()
+    assert server.tracer.traces_retained == 1
+    assert ref() is None, "a retained, unread trace pins the request matrix"
+    # The tree still grows on read, from the batch's scalar facts alone.
+    (root,) = server.tracer.traces()
+    assert root.is_complete()
+    assert root.find("solve").attributes["relative_residual"] == residual
+
+
+def test_request_trees_grow_on_first_read_only(monkeypatch):
+    rng = np.random.default_rng(11)
+    calls = _count_start_span(monkeypatch)
+    server = SketchServer(ServerConfig(shards=1, seed=0, max_batch=8))
+    for _ in range(4):
+        server.submit(rng.standard_normal((256, 12)), rng.standard_normal(256))
+    server.flush()
+    assert calls == []  # served, traced, not yet grown
+    traces = server.tracer.traces()
+    assert len(traces) == 4
+    grown = len(calls)
+    per_tree = [sum(1 for _ in root.walk()) - 1 for root in traces]
+    assert grown == sum(per_tree) > 0
+    server.tracer.traces()
+    for root in traces:
+        assert server.tracer.find_trace(root.trace_id) is root
+    assert len(calls) == grown  # read again: nothing grows twice
+
+
+def test_evicted_and_sampled_out_request_trees_never_grow(monkeypatch):
+    rng = np.random.default_rng(12)
+    matrices = [rng.standard_normal((256, 12)) for _ in range(4)]
+    calls = _count_start_span(monkeypatch)
+    for config, kept in (
+        (ServerConfig(shards=1, seed=0, max_batch=8, trace_capacity=4), 4),
+        (ServerConfig(shards=1, seed=0, max_batch=8, trace_sample=16), 4),
+    ):
+        del calls[:]
+        server = SketchServer(config)
+        for i in range(64):
+            server.submit(matrices[i % 4], rng.standard_normal(256))
+        server.flush()
+        assert server.tracer.traces_completed == 64
+        assert calls == []
+        traces = server.tracer.traces()
+        assert len(traces) == kept
+        assert len(calls) == sum(sum(1 for _ in root.walk()) - 1 for root in traces)
+
+
+def test_concurrent_trace_readers_see_only_whole_trees():
+    rng = np.random.default_rng(13)
+    runtime = AsyncSketchServer(shards=2, seed=0, workers=1, queue_depth=128)
+    stop = threading.Event()
+    errors = []
+
+    def reader():
+        try:
+            while not stop.is_set():
+                for root in runtime.tracer.traces():
+                    if not root.is_complete():
+                        errors.append(f"half-grown tree {root.trace_id}")
+                    elif root.find("batch") is None:
+                        errors.append(f"tree {root.trace_id} missing its batch span")
+        except Exception as exc:  # pragma: no cover - the failure being tested
+            errors.append(exc)
+
+    readers = [threading.Thread(target=reader) for _ in range(2)]
+    for t in readers:
+        t.start()
+    try:
+        futures = []
+        for _ in range(48):
+            a = rng.standard_normal((256, 12))
+            futures.append(runtime.submit(a, rng.standard_normal(256)))
+        runtime.drain()
+        for f in futures:
+            assert f.exception() is None
+    finally:
+        stop.set()
+        for t in readers:
+            t.join()
+        runtime.stop()
+    assert errors == []
+    assert all(root.is_complete() for root in runtime.tracer.traces())
