@@ -19,7 +19,7 @@ from repro.core.srht import SRHT
 from repro.durability.codec import decode_record
 from repro.durability.session import FREQUENCY_SESSION_KIND, serialize_frequency_session
 from repro.gpu.executor import GPUExecutor
-from repro.linalg.conditioning import estimate_spectrum_bounds
+from repro.linalg.conditioning import _singular_values, estimate_spectrum_bounds
 from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
 from repro.serving import SketchServer
 from repro.streaming.state import STREAM_CAPACITY
@@ -105,6 +105,24 @@ def test_wallclock_spectrum_probe(benchmark):
     bounds = benchmark(estimate_spectrum_bounds, a, seed=0)
     assert bounds.first_stage.y.shape == (8192, 64)
     assert bounds[0] >= bounds[1] > 0
+
+
+def test_wallclock_spectrum_r_reduction(benchmark):
+    """The probe's blocked R reduction alone: ``_singular_values`` of an
+    8192 x 64 first-stage sketch (eight 1024-row ``dgeqrt`` blocks)."""
+    m = np.random.default_rng(9).standard_normal((8192, 64)) * np.geomspace(1.0, 1e-8, 64)
+    svals = benchmark(_singular_values, m)
+    np.testing.assert_allclose(svals, np.linalg.svd(m, compute_uv=False), rtol=1e-10)
+
+
+def test_wallclock_rand_cholqr_trsm(benchmark, executor):
+    """rand_cholQR's preconditioning ``A0 = A R0^{-1}`` on a C-order 65536 x 64 matrix."""
+    rng = np.random.default_rng(10)
+    a = executor.place_readonly(rng.standard_normal((1 << 16, 64)))
+    r = executor.to_device(np.triu(rng.standard_normal((64, 64))) + 64 * np.eye(64))
+    a0 = benchmark(executor.solver.trsm, a, r)
+    assert a0.data.flags.c_contiguous
+    np.testing.assert_allclose(a0.data[:512] @ r.data, a.data[:512], atol=1e-12)
 
 
 def test_wallclock_adaptive_solve(benchmark):

@@ -255,6 +255,15 @@ class SimSolver:
         This is the preconditioning step ``A0 = A R0^{-1}`` of rand_cholQR
         (Algorithms 4-5); it streams the full d x n matrix, so at the paper's
         sizes it is one of the dominant costs of that solver.
+
+        Numerically ``A`` is copied into the output once and
+        ``solve_triangular(R, Z^T, trans="T", overwrite_b=True)`` solves the
+        output's F-contiguous transpose in place: the same LAPACK ``trtrs``
+        call as solving ``A^T`` directly, without its internal copy of ``A``,
+        so the result is bit-identical for every input layout and order
+        label, and scipy's checks (non-finite ``A`` or ``R``: ``ValueError``;
+        zero on ``R``'s diagonal: ``LinAlgError``) are unchanged.  The input
+        is only read.
         """
         d, n = a.shape
         if r.shape != (n, n):
@@ -274,8 +283,15 @@ class SimSolver:
         )
 
         if self._ex.numeric and a.is_numeric and r.is_numeric:
-            # Solve R^T Z^T = A^T  =>  Z = A R^{-1}
-            out.data[...] = sla.solve_triangular(r.data, a.data.T, lower=False, trans="T").T
+            # Solve R^T Z^T = A^T in place  =>  Z = A R^{-1}.  ``empty`` stores
+            # every label row-major, so z.T is the F-contiguous n x d operand
+            # trtrs overwrites; when A's dtype differs from R's, trtrs solves a
+            # widened copy instead, which is cast back into the output.
+            z = out.data
+            z[...] = a.data
+            zt = sla.solve_triangular(r.data, z.T, lower=False, trans="T", overwrite_b=True)
+            if not np.shares_memory(zt, z):
+                z[...] = zt.T
         return out
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Literal, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrt
 
 from repro.core.countsketch import CountSketch, SketchProduct
 from repro.core.multisketch import first_stage_dim
@@ -180,6 +181,11 @@ def estimate_spectrum_bounds(
     The singular values of ``S1 A`` come from :func:`_singular_values`: a
     blocked R reduction when the sketch is taller than one block, a direct
     SVD when it fits one.
+
+    Raises ``ValueError`` when ``A`` holds a NaN or an infinity.  The check
+    reads the small matrix the SVD runs on, not ``A``: every row of ``A``
+    enters ``S1 A`` with weight ``+-1``, so a non-finite entry cannot come
+    out finite.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
@@ -187,7 +193,7 @@ def estimate_spectrum_bounds(
     d, n = a.shape
     k = min(d, max(first_stage_dim(d, n, oversampling), n + 4))
     if k >= d:
-        svals = np.linalg.svd(a, compute_uv=False)
+        svals = _finite_svd(a)
         first_stage = None
     else:
         first_stage = CountSketch(d, k, seed=seed).host_product(a)
@@ -198,18 +204,35 @@ def estimate_spectrum_bounds(
 def _singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of a tall ``k x n`` matrix via a blocked R reduction.
 
-    Each block of ``max(16 n, 1024)`` rows is reduced to its ``n x n`` QR
-    factor ``R``; one more QR of the stacked factors gives an ``R`` with the
-    singular values of ``m`` (``m = Q R`` with orthonormal ``Q``), and the
-    SVD runs on that ``n x n`` matrix only.  Blocks of at least ``16 n``
-    rows shrink the stack 16x; a matrix that fits one block (below 1024
-    rows the direct SVD is already cheap) is SVD'd directly.
+    Each block of ``max(16 n, 1024)`` rows is reduced to its upper-triangular
+    QR factor ``R`` by LAPACK ``dgeqrt`` (recursive compact-WY Householder,
+    level-3 BLAS; no ``Q`` is formed); one more such reduction of the
+    stacked factors gives an ``R`` with the singular values of ``m``
+    (``m = Q R`` with orthonormal ``Q``), and the SVD runs on that
+    ``n x n`` matrix only.  A last block shorter than ``n`` contributes its
+    ``rows x n`` trapezoidal factor.  Blocks of at least ``16 n`` rows
+    shrink the stack 16x; a matrix that fits one block (below 1024 rows the
+    direct SVD is already cheap) is SVD'd directly.
     """
     k, n = m.shape
     block = max(16 * n, 1024)
     if k > block:
-        factors = [np.linalg.qr(m[i:i + block], mode="r") for i in range(0, k, block)]
-        m = np.linalg.qr(np.vstack(factors), mode="r")
+        factors = [_r_factor(m[i:i + block]) for i in range(0, k, block)]
+        m = _r_factor(np.vstack(factors))
+    return _finite_svd(m)
+
+
+def _r_factor(m: np.ndarray) -> np.ndarray:
+    """The ``min(rows, n) x n`` upper-triangular QR factor of ``m``, by ``dgeqrt``."""
+    rows, n = m.shape
+    qr, _, _ = dgeqrt(min(32, rows, n), m)
+    return np.triu(qr[:n])
+
+
+def _finite_svd(m: np.ndarray) -> np.ndarray:
+    """Singular values of the probe's reduced matrix, refusing a non-finite ``A``."""
+    if not np.isfinite(m).all():
+        raise ValueError("estimate_spectrum_bounds: A must not contain infs or NaNs")
     return np.linalg.svd(m, compute_uv=False)
 
 

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from repro.core.multisketch import count_gauss
+from repro.gpu.arrays import DeviceArray
 from repro.gpu.solver import CholeskyFailedError
+from repro.linalg import registry
+from repro.linalg.rand_cholqr import rand_cholqr_lstsq
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,110 @@ class TestSolver:
         qtb = analytic_executor.solver.ormqr(factors, analytic_executor.empty((100,)))
         assert qtb.shape == (10,)
         assert not qtb.is_numeric
+
+
+class TestTrsmContract:
+    """``SimSolver.trsm`` keeps the contract of the LAPACK ``trtrs`` solve
+    ``solve_triangular(R, A^T, trans="T")^T``: its values, its checks, and
+    never writing its input."""
+
+    D, N = 3000, 24
+
+    def _operands(self, rng):
+        a = rng.standard_normal((self.D, self.N))
+        r = np.triu(rng.standard_normal((self.N, self.N))) + self.N * np.eye(self.N)
+        return a, r
+
+    @staticmethod
+    def _reference(a, r):
+        return sla.solve_triangular(r, a.T, lower=False, trans="T").T
+
+    @pytest.mark.parametrize("r_layout", ["C", "F"])
+    @pytest.mark.parametrize("a_layout", ["C", "F", "strided"])
+    def test_c_labelled_output_is_bit_identical_to_trtrs(self, executor, rng, a_layout, r_layout):
+        a, r_np = self._operands(rng)
+        if a_layout == "F":
+            a = np.asfortranarray(a)
+        elif a_layout == "strided":
+            a = np.repeat(a, 2, axis=0)[::2]
+            assert not (a.flags.c_contiguous or a.flags.f_contiguous)
+        r_np = np.asfortranarray(r_np) if r_layout == "F" else r_np
+        a_dev = DeviceArray(a.shape, a.dtype, "C", a, "A", None, executor)
+        r = executor.to_device(r_np)
+        assert r.data.flags.f_contiguous == (r_layout == "F")
+        out = executor.solver.trsm(a_dev, r)
+        assert out.order == "C"
+        assert np.array_equal(out.data, self._reference(a, r.data))
+
+    def test_placed_f_contiguous_input_is_bit_identical_to_trtrs(self, executor, rng):
+        """``place_readonly`` keeps an F-contiguous array under a ``"C"`` label."""
+        a, r_np = self._operands(rng)
+        a = np.asfortranarray(a)
+        a_dev = executor.place_readonly(a, order="C")
+        assert a_dev.data.flags.f_contiguous
+        out = executor.solver.trsm(a_dev, executor.to_device(r_np))
+        assert np.array_equal(out.data, self._reference(a, r_np))
+
+    def test_f_labelled_output_matches_within_rounding(self, executor, rng):
+        a, r_np = self._operands(rng)
+        out = executor.solver.trsm(executor.to_device(a, order="F"), executor.to_device(r_np))
+        assert out.order == "F"
+        np.testing.assert_allclose(out.data, self._reference(a, r_np), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.data @ r_np, a, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_readonly_input_is_never_written(self, executor, rng, layout):
+        a, r_np = self._operands(rng)
+        a = np.asfortranarray(a) if layout == "F" else a
+        before = a.copy()
+        a_dev = executor.place_readonly(a)
+        executor.solver.trsm(a_dev, executor.to_device(r_np))
+        assert np.array_equal(a, before)
+        assert not a_dev.data.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["A", "R"])
+    def test_non_finite_operand_raises_value_error(self, executor, rng, bad, operand):
+        a, r_np = self._operands(rng)
+        if operand == "A":
+            a[1234, 7] = bad
+        else:
+            r_np[3, 9] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            executor.solver.trsm(executor.to_device(a), executor.to_device(r_np))
+
+    def test_zero_diagonal_raises_linalg_error(self, executor, rng):
+        a, r_np = self._operands(rng)
+        r_np[6, 6] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match=r"singular matrix: resolution failed at diagonal 6$"):
+            executor.solver.trsm(executor.to_device(a), executor.to_device(r_np))
+
+    @pytest.mark.parametrize("a_dtype, r_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_mixed_dtypes_match_trtrs_cast_into_the_output(self, executor, rng, a_dtype, r_dtype):
+        a, r_np = self._operands(rng)
+        a, r_np = a.astype(a_dtype), r_np.astype(r_dtype)
+        out = executor.solver.trsm(executor.place_readonly(a), executor.to_device(r_np))
+        assert out.data.dtype == a_dtype
+        assert np.array_equal(out.data, self._reference(a, r_np).astype(a_dtype))
+
+    def test_float32_rand_cholqr_solve_matches_float64_residual(self, rng):
+        """The registry builds R0 in float64 while a float32 ``A`` keeps its dtype."""
+        a = rng.standard_normal((4096, 16)) @ np.diag(np.logspace(0, 3, 16))
+        b = rng.standard_normal(4096)
+        result = registry.solve(a.astype(np.float32), b, solver="rand_cholqr")
+        assert not result.failed
+        x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
+        ratio = np.linalg.norm(a @ result.x - b) / np.linalg.norm(a @ x_ls - b)
+        assert ratio == pytest.approx(1.0, abs=1e-6)
+
+    def test_zero_diagonal_fails_rand_cholqr_lstsq(self, executor, rng):
+        """A zero column of ``A`` puts an exact zero on ``R0``'s diagonal."""
+        a = rng.standard_normal((2048, 8))
+        a[:, 5] = 0.0
+        sketch = count_gauss(2048, 8, executor=executor, seed=2)
+        result = rand_cholqr_lstsq(a, rng.standard_normal(2048), sketch)
+        assert result.failed
+        assert result.failure_reason.startswith("rand_cholQR breakdown: singular matrix")
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,89 @@ class TestSpectrumProbe:
         assert (p.solver, p.chain) == (solver, chain)
 
 
+class TestSingularValueEdgeShapes:
+    """``_singular_values`` on the block layouts the probe can meet (n = 8: 1024-row blocks)."""
+
+    BLOCK = 1024
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            BLOCK + 3,  # the last block is shorter than n
+            3 * BLOCK,  # k an exact multiple of the block
+            BLOCK - 24,  # a single block: a direct SVD
+        ],
+    )
+    def test_matches_full_svd(self, rng, k):
+        m = rng.standard_normal((k, 8)) * np.geomspace(1.0, 1e-4, 8)
+        np.testing.assert_allclose(
+            _singular_values(m), np.linalg.svd(m, compute_uv=False), rtol=1e-10
+        )
+
+    def test_zero_column_has_zero_smin(self, rng):
+        """A zero trailing column leaves the reduced R's last row and column
+        exactly zero, so its SVD finds an exact zero."""
+        m = rng.standard_normal((3 * self.BLOCK + 5, 8))
+        m[:, -1] = 0.0
+        svals = _singular_values(m)
+        assert svals.min() == 0.0
+        np.testing.assert_allclose(svals[:-1], np.linalg.svd(m, compute_uv=False)[:-1], rtol=1e-10)
+        a = matrix_with_condition(8192, 32, 1e3, seed=1)  # k1 = 2048: two blocks
+        a[:, -1] = 0.0
+        assert estimate_condition(a) == float("inf")
+
+
+class TestNonFiniteProbe:
+    """Any non-finite entry of ``A`` is one typed error at the probe."""
+
+    SHAPES = [(64, 8), (4096, 16), (8192, 32)]  # exact SVD, one block, two blocks
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (17, 5), (-1, -1)])
+    def test_non_finite_entry_raises_value_error(self, rng, shape, bad, where):
+        a = rng.standard_normal(shape)
+        a[where] = bad
+        with pytest.raises(ValueError, match="A must not contain infs or NaNs"):
+            estimate_spectrum_bounds(a)
+
+    @pytest.mark.parametrize("shape", SHAPES[1:])
+    def test_opposite_infinities_in_one_bucket_raise_value_error(self, rng, shape):
+        """``+inf`` and ``-inf`` summed into one sketch row give a NaN there."""
+        d, n = shape
+        sketch = CountSketch(d, 2 * n * n, seed=0)
+        row_map, signs = sketch.row_map, np.where(sketch.signs, 1.0, -1.0)
+        i = 3
+        j = int(np.flatnonzero(row_map == row_map[i])[1])
+        a = rng.standard_normal(shape)
+        a[i, 2], a[j, 2] = np.inf * signs[i], -np.inf * signs[j]
+        with pytest.raises(ValueError, match="A must not contain infs or NaNs"):
+            estimate_spectrum_bounds(a)
+        with pytest.raises(ValueError, match="A must not contain infs or NaNs"):
+            estimate_condition(a)
+
+
+class TestCheapestAccurateRoutes:
+    @pytest.mark.parametrize(
+        "cond, solver",
+        [
+            (1e2, "normal_equations"),
+            (1e4, "normal_equations"),
+            (1e6, "qr"),
+            (1e8, "qr"),
+            (1e12, "qr"),
+        ],
+    )
+    def test_route_table(self, cond, solver):
+        """Routes recorded with the ``np.linalg.qr`` R reduction.
+
+        At 16384 x 64 the probe takes the blocked reduction (k1 = 8192 < d);
+        at 8192 x 64 it would be an exact SVD.
+        """
+        p = plan(matrix_with_condition(16384, 64, cond, seed=5), policy="cheapest_accurate")
+        assert p.solver == solver
+
+
 class TestPolicies:
     def test_normalize(self):
         for p in POLICIES:

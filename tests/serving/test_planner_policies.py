@@ -143,6 +143,16 @@ class TestAdaptiveRouting:
         assert resp.extra["planned"] == resp.executed_solver
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_adaptive_probe_raises_one_typed_error(self, rng, bad):
+        a = rng.standard_normal((4096, 16))
+        a[7, 3] = bad
+        server = SketchServer(policy="adaptive", shards=1, seed=0)
+        with pytest.raises(ValueError, match="A must not contain infs or NaNs"):
+            server.solve(a, rng.standard_normal(4096))
+
+
 class TestFallbackTelemetry:
     def test_runtime_fallback_recorded(self, hard):
         a, b = hard
