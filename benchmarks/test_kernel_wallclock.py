@@ -20,7 +20,9 @@ from repro.durability.codec import decode_record
 from repro.durability.session import FREQUENCY_SESSION_KIND, serialize_frequency_session
 from repro.gpu.executor import GPUExecutor
 from repro.linalg.conditioning import _singular_values, estimate_spectrum_bounds
+from repro.linalg.lstsq import qr_solve
 from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
+from repro.problems.ridge import dense_ridge_reference, ridge_qr
 from repro.serving import SketchServer
 from repro.streaming.state import STREAM_CAPACITY
 from repro.workloads.streams import zipf_stream
@@ -123,6 +125,24 @@ def test_wallclock_rand_cholqr_trsm(benchmark, executor):
     a0 = benchmark(executor.solver.trsm, a, r)
     assert a0.data.flags.c_contiguous
     np.testing.assert_allclose(a0.data[:512] @ r.data, a.data[:512], atol=1e-12)
+
+
+def test_wallclock_qr_route(benchmark):
+    """The Householder-QR reference solve (GEQRF + ORMQR + TRSV) on 16384 x 64."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((16384, 64))
+    b = a @ np.ones(64) + 0.01 * rng.standard_normal(16384)
+    result = benchmark(qr_solve, a, b)
+    np.testing.assert_allclose(result.x, np.linalg.lstsq(a, b, rcond=None)[0], rtol=1e-10)
+
+
+def test_wallclock_ridge_qr(benchmark):
+    """``ridge_qr`` on ``[A; sqrt(lam) I]`` for a 2048 x 16 ``A`` and lam = 10."""
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2048, 16))
+    b = rng.standard_normal(2048)
+    result = benchmark(ridge_qr, a, b, 10.0)
+    np.testing.assert_allclose(result.x, dense_ridge_reference(a, b, 10.0), rtol=1e-10)
 
 
 def test_wallclock_adaptive_solve(benchmark):

@@ -13,12 +13,15 @@ each least-squares method uses:
 The cost model charges the standard LAPACK flop counts; the numeric mode uses
 NumPy/SciPy factorisations so failure modes (e.g. Cholesky breaking down on a
 numerically indefinite Gram matrix, the mechanism behind Figure 8's normal
-equations curve) are faithfully reproduced.
+equations curve) are faithfully reproduced.  The QR kernels do what they are
+charged for: ``geqrf`` runs LAPACK ``geqrf`` and keeps the Householder
+reflectors, ``ormqr`` applies them with LAPACK ``ormqr``, and no explicit
+``Q`` is built unless a caller reads :attr:`QRFactors.q`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,19 +40,73 @@ class CholeskyFailedError(np.linalg.LinAlgError):
     """
 
 
+def _lapack(name: str, *arrays: np.ndarray):
+    """The LAPACK routine ``name`` for the arrays' common dtype (``d``/``s`` prefix)."""
+    return sla.get_lapack_funcs((name,), arrays)[0]
+
+
+def _check_info(name: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed with info={info}")
+
+
+#: Rows per block of a transposing copy into F-order.  A block of 256 rows
+#: stays in cache while its columns are scattered, which numpy's one-pass
+#: copy of a row-major array does not: on one core 65536 x 64 float64 took
+#: 53 ms that way and 17 ms in blocks, 2064 x 16 35 us and 21 us.
+_COPY_BLOCK_ROWS = 256
+
+
+def _fortran_copy(a: np.ndarray) -> np.ndarray:
+    """An F-order copy of the 2-D array ``a`` (the work array LAPACK overwrites)."""
+    if a.flags.f_contiguous:
+        return np.array(a, order="F")
+    out = np.empty(a.shape, dtype=a.dtype, order="F")
+    for i in range(0, a.shape[0], _COPY_BLOCK_ROWS):
+        out[i:i + _COPY_BLOCK_ROWS] = a[i:i + _COPY_BLOCK_ROWS]
+    return out
+
+
 @dataclass
 class QRFactors:
     """Result of :meth:`SimSolver.geqrf`: the implicit QR factorisation.
 
-    ``q`` holds the (economy) orthogonal factor in numeric mode; a real GEQRF
-    would keep Householder reflectors instead, but the arithmetic charged is
-    the reflector-based count, and ORMQR consumes this object the same way.
+    In numeric mode ``reflectors`` holds the ``k x n`` LAPACK ``geqrf``
+    output (F-order; the Householder vectors lie below its diagonal) and
+    ``tau`` their scalar factors -- ``Q`` in factored form, which
+    :meth:`SimSolver.ormqr` applies directly.  Both are ``None`` in analytic
+    mode.
     """
 
-    q: Optional[DeviceArray]
     r: DeviceArray
     rows: int
     cols: int
+    reflectors: Optional[DeviceArray] = None
+    tau: Optional[np.ndarray] = None
+    _q: Optional[DeviceArray] = field(default=None, init=False, repr=False)
+
+    @property
+    def q(self) -> Optional[DeviceArray]:
+        """The explicit economy ``Q`` (``k x n``); ``None`` in analytic mode.
+
+        Formed on first read by LAPACK ``orgqr`` from the reflectors and
+        cached.  It is not charged to the simulated clock (the charged GEQRF
+        keeps only the reflectors) and holds no device allocation of its own.
+        """
+        if self._q is None and self.reflectors is not None:
+            refl = self.reflectors.data
+            orgqr = _lapack("orgqr", refl)
+            _, work, info = orgqr(refl, self.tau, lwork=-1)
+            _check_info("orgqr", info)
+            q_np, _, info = orgqr(refl, self.tau, lwork=max(1, int(work[0])))
+            _check_info("orgqr", info)
+            # Stored row-major like every executor allocation, so the GEMMs
+            # that read Q see the operand layout any device array has.
+            self._q = DeviceArray(
+                q_np.shape, q_np.dtype, "F", np.ascontiguousarray(q_np),
+                label=self.reflectors.label, handle=None, executor=None,
+            )
+        return self._q
 
 
 class SimSolver:
@@ -99,12 +156,15 @@ class SimSolver:
         FLOPs follow the Householder count ``2 k n^2 - 2 n^3 / 3``; this is
         the term that penalises the CountSketch-only sketch-and-solve solver
         in Figure 5, because its sketch has ``k = 2 n^2`` rows.
+
+        Numerically LAPACK ``geqrf`` factors an F-order copy of ``Y`` (``Y``
+        is only read); the factors keep its reflectors, and ``R`` is the
+        upper triangle of its first ``n`` rows.
         """
         k, n = y.shape
         if k < n:
             raise ValueError("geqrf expects a tall (k >= n) matrix")
         r = self._ex.empty((n, n), dtype=y.dtype, order="F", label=f"{label}_R")
-        q: Optional[DeviceArray] = None
 
         self._ex.launch(
             KernelRequest(
@@ -118,12 +178,19 @@ class SimSolver:
             )
         )
 
-        if self._ex.numeric and y.is_numeric:
-            q_np, r_np = np.linalg.qr(y.data, mode="reduced")
-            q = self._ex.empty((k, n), dtype=y.dtype, order="F", label=f"{label}_Q")
-            q.data[...] = q_np
-            r.data[...] = r_np
-        return QRFactors(q=q, r=r, rows=k, cols=n)
+        if not (self._ex.numeric and y.is_numeric):
+            return QRFactors(r=r, rows=k, cols=n)
+        # LAPACK factors in place, so ``Y`` is copied once into an F-order
+        # work array.  It becomes the reflector storage: Q in factored form,
+        # accounted as the factorisation's k x n device allocation.
+        work = _fortran_copy(y.data)
+        lwork, info = _lapack("geqrf_lwork", work)(k, n)
+        _check_info("geqrf", info)
+        work, tau, _, info = _lapack("geqrf", work)(work, lwork=max(1, int(lwork)), overwrite_a=1)
+        _check_info("geqrf", info)
+        r.data[...] = np.triu(work[:n])
+        reflectors = self._ex._adopt(work, work, "F", f"{label}_Q")
+        return QRFactors(r=r, rows=k, cols=n, reflectors=reflectors, tau=tau)
 
     # ------------------------------------------------------------------
     def ormqr(
@@ -137,7 +204,9 @@ class SimSolver:
         """Apply ``Q^T`` (from :meth:`geqrf`) to a vector or block ``b``.
 
         Returns only the first ``n`` rows of ``Q^T b``, which is what the
-        triangular solve needs.
+        triangular solve needs.  Numerically LAPACK ``ormqr`` applies the
+        reflectors to an F-order copy of ``b`` (``b`` is only read) in the
+        wider of the two dtypes, so ``b`` is never downcast.
         """
         k, n = factors.rows, factors.cols
         if b.shape[0] != k:
@@ -159,9 +228,19 @@ class SimSolver:
         )
 
         if self._ex.numeric and b.is_numeric:
-            if factors.q is None:
+            if factors.reflectors is None:
                 raise RuntimeError("numeric ORMQR requires numeric QR factors")
-            out.data[...] = factors.q.data.T @ b.data
+            refl, tau = factors.reflectors.data, factors.tau
+            dtype = np.result_type(refl, b.data)
+            if refl.dtype != dtype:
+                refl, tau = refl.astype(dtype, order="F"), tau.astype(dtype)
+            c = np.array(b.data.reshape(k, nrhs), dtype=dtype, order="F")
+            ormqr = _lapack("ormqr", refl, c)
+            _, work, info = ormqr("L", "T", refl, tau, c, -1, overwrite_c=1)
+            _check_info("ormqr", info)
+            c, _, info = ormqr("L", "T", refl, tau, c, max(1, int(work[0])), overwrite_c=1)
+            _check_info("ormqr", info)
+            out.data[...] = c[:n].reshape(out_shape)
         return out
 
     # ------------------------------------------------------------------

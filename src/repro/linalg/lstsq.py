@@ -249,7 +249,9 @@ def sketch_and_solve(
     ``Y = S A`` and ``z = S b`` are formed with the given sketch operator,
     then the reduced problem ``min_x ||z - Y x||_2`` is solved with a QR-based
     solve (GEQRF + ORMQR + TRSV), exactly as in the paper's implementation
-    (GELS was avoided because it was significantly slower).
+    (GELS was avoided because it was significantly slower).  GEQRF keeps its
+    Householder reflectors and ORMQR applies them to ``z``; no explicit ``Q``
+    is formed.
 
     ``b`` may also be a ``d x m`` block of right-hand sides, in which case the
     whole batch is solved against one sketch of ``A``: ``Z = S B`` is a single
@@ -321,7 +323,8 @@ def qr_solve(
     outside its stability envelope.
 
     ``b`` may be a ``d x m`` block of right-hand sides (one GEQRF, block
-    ORMQR, one TRSM).
+    ORMQR, one TRSM).  ORMQR applies GEQRF's Householder reflectors to ``b``
+    directly, so the ``d x n`` orthogonal factor is never formed.
     """
     if executor is None:
         executor = GPUExecutor(numeric=True, track_memory=False)

@@ -51,6 +51,7 @@ from repro.core.base import SketchOperator
 from repro.gpu.arrays import DeviceArray
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.gpu.executor import GPUExecutor
+from repro.gpu.timing import TimeBreakdown
 from repro.linalg.conditioning import estimate_condition, estimate_spectrum_bounds
 from repro.linalg.lstsq import LeastSquaresResult
 from repro.linalg.registry import (
@@ -384,6 +385,7 @@ def execute_plan(
     attempts = []
     reasons = []
     last_result: Optional[LeastSquaresResult] = None
+    start_mark = executor.mark() if executor is not None else 0
 
     def _log_attempt(name: str, start: float, failed: bool, reason: Optional[str]) -> None:
         if span_log is None:
@@ -421,8 +423,22 @@ def execute_plan(
         reasons.append(f"{name}: {result.failure_reason}" if result.failure_reason else name)
         _log_attempt(name, attempt_start, True, result.failure_reason)
         last_result = result
-    if last_result is None:  # pragma: no cover - chain is never empty
-        raise RuntimeError("solve plan had no executable links")
+    if last_result is None:
+        # Every link raised: a failed result carries the whole chain's reasons
+        # instead of an exception taking the caller's batch down with it.
+        breakdown = (
+            executor.breakdown_since(start_mark) if executor is not None else TimeBreakdown()
+        )
+        last_result = LeastSquaresResult(
+            method=attempts[-1] if attempts else "",
+            x=None,
+            residual_norm=float("inf"),
+            relative_residual=float("inf"),
+            breakdown=breakdown,
+            total_seconds=breakdown.total(),
+            failed=True,
+            failure_reason="; ".join(reasons) or "solve plan had no executable links",
+        )
     return last_result.record_attempt_chain(attempts, reasons)
 
 

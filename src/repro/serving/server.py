@@ -895,6 +895,8 @@ class SketchServer:
             "planned": plan_.solver,
             "cond_estimate": plan_.cond_estimate,
         }
+        if result.failed:
+            extra["failure_reason"] = result.failure_reason
         if ridge:
             extra["regularization"] = spec.regularization
         if tracing:

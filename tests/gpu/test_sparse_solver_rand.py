@@ -243,6 +243,114 @@ class TestTrsmContract:
         assert result.failure_reason.startswith("rand_cholQR breakdown: singular matrix")
 
 
+class TestQRContract:
+    """``SimSolver.geqrf``/``ormqr`` keep the values of numpy's Householder QR
+    (within rounding: numpy and scipy may bundle different LAPACK builds),
+    never write their inputs, and charge the reflector-count cost model."""
+
+    SHAPES = [(32, 16), (128, 64), (2064, 16), (16, 16), (40, 1)]
+
+    @staticmethod
+    def _place(executor, y, layout):
+        if layout == "C":
+            return executor.to_device(y)
+        if layout == "F":
+            dev = executor.to_device(np.asfortranarray(y))
+            assert dev.data.flags.f_contiguous
+            return dev
+        if layout == "strided":
+            strided = np.repeat(y, 2, axis=0)[::2]
+            assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+            return DeviceArray(strided.shape, strided.dtype, "C", strided, "Y", None, executor)
+        return executor.place_readonly(y)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "readonly"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_r_matches_numpy_qr(self, executor, rng, shape, layout):
+        y = rng.standard_normal(shape)
+        before = y.copy()
+        y_dev = self._place(executor, y, layout)
+        r = executor.solver.geqrf(y_dev).r.data
+        r_ref = np.linalg.qr(y, mode="r")
+        np.testing.assert_allclose(r, r_ref, rtol=1e-12, atol=1e-12 * np.abs(r_ref).max())
+        assert not np.tril(r, -1).any()
+        assert np.array_equal(y, before)
+        assert np.array_equal(y_dev.data, before)
+
+    @pytest.mark.parametrize("rhs", ["vector", "C block", "F block"])
+    def test_ormqr_matches_explicit_qt_b(self, executor, rng, rhs):
+        y = rng.standard_normal((2064, 16))
+        b = rng.standard_normal(2064) if rhs == "vector" else rng.standard_normal((2064, 5))
+        if rhs == "F block":
+            b = np.asfortranarray(b)
+        b_before = b.copy()
+        b_dev = executor.place_readonly(b)
+        factors = executor.solver.geqrf(executor.place_readonly(y))
+        out = executor.solver.ormqr(factors, b_dev)
+        expected = np.linalg.qr(y)[0].T @ b
+        assert out.shape == expected.shape and out.dtype == b.dtype
+        assert np.linalg.norm(out.data - expected) <= 1e-12 * np.linalg.norm(b)
+        assert np.array_equal(b, b_before)
+
+    def test_float32_factors_apply_to_float64_b_in_float64(self, executor, rng):
+        y = rng.standard_normal((128, 8))
+        b = rng.standard_normal(128)
+        factors = executor.solver.geqrf(executor.to_device(y.astype(np.float32)))
+        out = executor.solver.ormqr(factors, executor.to_device(b))
+        assert out.dtype == np.float64
+        expected = np.linalg.qr(y.astype(np.float32).astype(np.float64))[0].T @ b
+        assert np.linalg.norm(out.data - expected) <= 1e-5 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_q_is_orthonormal_and_reproduces_y(self, executor, rng, shape):
+        y = rng.standard_normal(shape)
+        factors = executor.solver.geqrf(executor.to_device(y))
+        q = factors.q
+        assert q is factors.q
+        assert q.shape == shape
+        assert np.linalg.norm(q.data.T @ q.data - np.eye(shape[1])) <= 1e-13
+        np.testing.assert_allclose(
+            q.data @ factors.r.data, y, rtol=0, atol=1e-12 * np.linalg.norm(y)
+        )
+
+    # (shape, nrhs, dtype) -> [(name, phase, flops, bytes moved, seconds)], as
+    # charged on the H100 by the explicit-Q implementation this replaced.
+    PINNED_CHARGES = {
+        ((2064, 16), None, np.float64): [
+            ("geqrf", "GEQRF", 1054037.3333333333, 530432.0, 5.263896517412936e-06),
+            ("ormqr", "ORMQR", 131584.0, 280832.0, 5.139717412935324e-06),
+        ],
+        ((32, 16), 3, np.float64): [
+            ("geqrf", "GEQRF", 13653.333333333334, 10240.0, 5.005094527363185e-06),
+            ("ormqr", "ORMQR", 4608.0, 5248.0, 5.002610945273632e-06),
+        ],
+        ((128, 64), None, np.float32): [
+            ("geqrf", "GEQRF", 873813.3333333334, 81920.0, 5.108845706693241e-06),
+            ("ormqr", "ORMQR", 24576.0, 33536.0, 5.016684577114428e-06),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED_CHARGES))
+    def test_charges_are_pinned(self, executor, rng, case):
+        (k, n), nrhs, dtype = case
+        y = executor.to_device(rng.standard_normal((k, n)).astype(dtype))
+        b_shape = (k,) if nrhs is None else (k, nrhs)
+        b = executor.to_device(rng.standard_normal(b_shape).astype(dtype))
+        mark = executor.mark()
+        executor.solver.ormqr(executor.solver.geqrf(y), b)
+        records = executor.breakdown_since(mark).records
+        got = [(t.name, t.phase, t.flops, t.bytes_moved) for t in records]
+        want = self.PINNED_CHARGES[case]
+        assert got == [w[:4] for w in want]
+        assert [t.seconds for t in records] == pytest.approx([w[4] for w in want], rel=1e-12)
+
+    def test_device_memory_is_pinned(self, small_executor):
+        y = small_executor.to_device(np.ones((2064, 16)))
+        before = small_executor.memory.in_use
+        small_executor.solver.geqrf(y)
+        assert small_executor.memory.in_use - before == (2064 * 16 + 16 * 16) * 8
+
+
 # ---------------------------------------------------------------------------
 # cuRAND
 # ---------------------------------------------------------------------------

@@ -303,6 +303,25 @@ class TestFallbackExecution:
         assert "Cholesky" in result.failure_reason
         assert result.extra["attempted"] == "normal_equations"
 
+    def test_every_link_raising_returns_a_failed_result(self):
+        """A zero column puts an exact zero on R's diagonal, so each QR-based
+        link's triangular solve raises; the plan still answers."""
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((400, 6))
+        a[:, 2] = 0.0
+        b = rng.standard_normal(400)
+        result = plan_and_execute(a, b, policy="fixed", solver="sketch_and_solve")
+        assert result.failed and result.x is None
+        assert result.attempted_solvers == ("sketch_and_solve",)
+        assert result.failure_reason.startswith("sketch_and_solve: singular matrix")
+
+        result = execute_plan(self._forced_chain("sketch_and_solve", "qr"), a, b)
+        assert result.failed and result.x is None
+        assert result.attempted_solvers == ("sketch_and_solve", "qr")
+        reasons = result.failure_reason.split("; ")
+        assert [r.split(":")[0] for r in reasons] == ["sketch_and_solve", "qr"]
+        assert all("singular" in r for r in reasons)
+
     def test_successful_first_link_records_no_fallback(self):
         a = matrix_with_condition(D, N, 10.0, seed=7)
         b = a @ np.ones(N)

@@ -31,6 +31,13 @@ class TestRangeFinder:
         qh = q.to_host()
         assert np.allclose(qh.T @ qh, np.eye(qh.shape[1]), atol=1e-10)
 
+    def test_q_is_numpys_q_of_the_sketch(self, problem, executor):
+        """``Q`` (formed from GEQRF's reflectors on first read) is numpy's
+        economy Q of ``A Omega``, signs included, within rounding."""
+        q, op = randomized_range_finder(problem.a, RANK, executor=executor, seed=3)
+        q_ref = np.linalg.qr(problem.a @ op.matrix.data.T)[0]
+        np.testing.assert_allclose(q.to_host(), q_ref, rtol=0, atol=1e-12)
+
     def test_power_iteration_tightens_the_error(self, problem):
         flat = lowrank_approx(problem.a, RANK, power_iters=0, seed=3)
         sharp = lowrank_approx(problem.a, RANK, power_iters=2, seed=3)

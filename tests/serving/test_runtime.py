@@ -265,6 +265,20 @@ def test_future_semantics(problem):
         assert future.result() is response
 
 
+def test_future_resolves_with_a_failed_response_when_every_link_raises(problem):
+    a, b = problem
+    singular = a.copy()
+    singular[:, 2] = 0.0
+    with AsyncSketchServer(shards=1, workers=1, seed=0) as runtime:
+        future = runtime.submit(singular, b)
+        response = future.result(timeout=30.0)
+        assert future.exception() is None
+        assert response.extra["failed"] == 1.0 and response.x is None
+        assert "singular" in response.extra["failure_reason"]
+        # The runtime keeps serving.
+        assert runtime.solve(a, b).relative_residual < 0.05
+
+
 def test_shed_future_reports_typed_error(problem):
     a, b = problem
     runtime = AsyncSketchServer(shards=1, workers=1, seed=0)

@@ -75,6 +75,24 @@ class TestCorrectness:
         assert got == ids
 
 
+    def test_singular_request_fails_alone_in_its_flush(self, rng):
+        """A zero column makes every link of the plan raise; only that
+        request's response fails and its neighbours are still answered."""
+        mats = [rng.standard_normal((400, 6)) for _ in range(3)]
+        mats[1][:, 2] = 0.0
+        server = SketchServer()
+        for a in mats:
+            server.submit(a, a @ np.ones(6) + 0.01 * rng.standard_normal(400))
+        responses = server.flush()
+        assert len(responses) == 3 and server.pending == 0
+        assert [r.extra["failed"] for r in responses] == [0.0, 1.0, 0.0]
+        assert responses[1].x is None
+        reason = responses[1].extra["failure_reason"]
+        assert "sketch_and_solve" in reason and "singular" in reason
+        for r in (responses[0], responses[2]):
+            assert r.relative_residual < 0.05
+
+
 class TestCachingAndBatching:
     def test_repeated_shape_traffic_hits_cache(self, rng, problem):
         a, x_true = problem
