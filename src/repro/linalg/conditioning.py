@@ -11,8 +11,9 @@ random orthonormal factors and a chosen singular-value profile.
 The module also holds the planner's spectrum probe,
 :func:`estimate_spectrum_bounds`: the multisketch's first-stage CountSketch
 (``k1 = 2 n^2`` rows at the default oversampling) evaluated on the host,
-whose product ``S1 A`` the serving layer hands on to the batch's sketch
-solver so that ``A`` is sketched once per solve.
+whose product ``S1 A`` the planner hands on to the solve's sketch solver
+(:func:`repro.linalg.planner.execute_plan`) so that ``A`` is sketched once
+per solve.
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ def estimate_condition(
     of ``S A`` lies within ``(1 +/- eps)`` of the corresponding singular value
     of ``A``, so ``kappa(S A)`` estimates ``kappa(A)`` up to a constant
     factor -- at the cost of one pass over ``A`` plus the singular values of
-    the small ``k x n`` sketch, instead of an SVD of the full matrix.  This is the
-    condition probe :func:`repro.linalg.planner.plan` uses to route a problem
-    to the cheapest solver that is still stable for it.
+    the small ``k x n`` sketch, instead of an SVD of the full matrix.  It is
+    the ratio of :func:`estimate_spectrum_bounds`, the probe
+    :func:`repro.linalg.planner.plan` runs to route a problem to the
+    cheapest solver that is still stable for it.
 
     The sketch is the multisketch's own first stage, evaluated on the host
     (see :func:`estimate_spectrum_bounds`): planning must stay off the

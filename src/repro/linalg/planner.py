@@ -4,13 +4,14 @@ The registry (:mod:`repro.linalg.registry`) says what each solver *can* do;
 this module decides what each request *should* use:
 
 1. probe the spectrum with one cheap sketched estimate
-   (:func:`repro.linalg.conditioning.estimate_condition` /
-   :func:`~repro.linalg.conditioning.estimate_spectrum_bounds`): the
+   (:func:`~repro.linalg.conditioning.estimate_spectrum_bounds`): the
    multisketch's own first-stage CountSketch to ``k1 = 2 n^2`` rows -- one
    pass over ``A`` -- plus a blocked R reduction and an ``n x n`` SVD, off
-   the simulated clock like every other planning step.  The serving layer
-   hands the probed ``S1 A`` on to the batch's sketch solver
-   (:meth:`~repro.core.base.SketchOperator.with_first_stage`);
+   the simulated clock like every other planning step.  The plan keeps the
+   probe (:attr:`SolvePlan.probe`), and :func:`execute_plan` hands its
+   ``S1 A`` on to every sketch solver of the chain
+   (:meth:`~repro.core.base.SketchOperator.with_first_stage`), so a routed
+   solve reads ``A`` once for the probe and the sketch together;
 2. keep the solvers of the spec's *problem class* (plain least squares, or
    ridge when ``spec.regularization > 0``) whose declared stability floor
    and distortion meet the spec's accuracy target at that conditioning --
@@ -28,9 +29,10 @@ this module decides what each request *should* use:
 Policies
 --------
 ``"fixed"``
-    Use exactly the requested solver, no probing, no fallback -- the
-    pre-registry behaviour, and the baseline the routing benchmark compares
-    against.
+    Use exactly the requested solver, no fallback -- the pre-registry
+    behaviour, and the baseline the routing benchmark compares against.
+    Only a ridge spec handed its matrix is probed, so the plan still
+    reports the conditioning it was served at.
 ``"cheapest_accurate"``
     Cheapest admissible solver at the estimated conditioning; remaining
     admissible solvers form the fallback chain in increasing cost order.
@@ -42,7 +44,7 @@ Policies
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -52,7 +54,7 @@ from repro.gpu.arrays import DeviceArray
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.gpu.executor import GPUExecutor
 from repro.gpu.timing import TimeBreakdown
-from repro.linalg.conditioning import estimate_condition, estimate_spectrum_bounds
+from repro.linalg.conditioning import SpectrumBounds, estimate_spectrum_bounds
 from repro.linalg.lstsq import LeastSquaresResult
 from repro.linalg.registry import (
     SolveSpec,
@@ -125,6 +127,12 @@ class SolvePlan:
         ranking input; useful for telemetry and tests).
     reason:
         One-line human-readable justification.
+    probe:
+        The spectrum probe this plan ran (its ``first_stage`` is the
+        ``S1 A`` that :func:`execute_plan` hands to the sketch solvers), or
+        ``None`` when the spec already carried the estimates or no matrix
+        was given.  It holds ``A`` alive, so keep a plan no longer than the
+        solve it was made for.
     """
 
     solver: str
@@ -135,48 +143,42 @@ class SolvePlan:
     policy: str
     costs: Dict[str, float]
     reason: str = ""
+    probe: Optional[SpectrumBounds] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.chain or self.chain[0] != self.solver:
             raise ValueError("plan chain must start with the chosen solver")
 
 
-def _probe_spectrum(a: Optional[ArrayLike], spec: SolveSpec) -> Tuple[float, Optional[float]]:
-    """``(kappa, smax)`` for planning: the spec's estimates, else one sketched probe.
+def _probe_spectrum(
+    a: Optional[ArrayLike], spec: SolveSpec
+) -> Tuple[float, Optional[float], Optional[SpectrumBounds]]:
+    """``(kappa, smax, probe)`` for planning: the spec's estimates, else one sketched probe.
 
     ``smax`` is only needed to place the ridge lambda on the singular-value
     scale (:meth:`~repro.linalg.registry.SolveSpec.effective_condition`);
     it comes from the same sketched SVD as the condition estimate, so ridge
     planning costs no extra passes over ``A``.  ``None`` means unknown
     (shape-only planning), which leaves the effective conditioning at the
-    unit scale.
+    unit scale.  ``probe`` is the probe's result, ``None`` when nothing was
+    probed.
     """
-    if a is None:
-        a_np = None
-    else:
-        a_np = a.data if isinstance(a, DeviceArray) else np.asarray(a)
-    if spec.cond_estimate is not None:
-        smax = spec.smax_estimate
-        if smax is None and spec.regularization > 0.0 and a_np is not None:
-            # A ridge floor evaluated with the default unit smax can be off
-            # by orders of magnitude; with the matrix in hand, one probe
-            # fills the scale even when the caller supplied kappa.
-            smax, _ = estimate_spectrum_bounds(
-                a_np, oversampling=spec.oversampling, seed=spec.seed
-            )
-        return float(spec.cond_estimate), smax
-    if a_np is None:  # no matrix / analytic-mode handle: nothing to probe
-        return 1.0, spec.smax_estimate
-    if spec.regularization > 0.0:
-        smax, smin = estimate_spectrum_bounds(
-            a_np, oversampling=spec.oversampling, seed=spec.seed
-        )
-        cond = float("inf") if smin == 0.0 else smax / smin
-        return cond, smax
-    return (
-        estimate_condition(a_np, oversampling=spec.oversampling, seed=spec.seed),
-        spec.smax_estimate,
+    cond, smax = spec.cond_estimate, spec.smax_estimate
+    # A ridge floor evaluated with the default unit smax can be off by
+    # orders of magnitude; with the matrix in hand, one probe fills the
+    # scale even when the caller supplied kappa.
+    known = cond is not None and (smax is not None or spec.regularization == 0.0)
+    if known or a is None:  # nothing missing, or nothing to probe (analytic handle)
+        return (1.0 if cond is None else float(cond)), smax, None
+    probe = estimate_spectrum_bounds(
+        a.data if isinstance(a, DeviceArray) else np.asarray(a),
+        oversampling=spec.oversampling,
+        seed=spec.seed,
     )
+    smax, smin = probe
+    if cond is None:
+        cond = float("inf") if smin == 0.0 else smax / smin
+    return float(cond), smax, probe
 
 
 def plan(
@@ -196,6 +198,8 @@ def plan(
     a:
         The coefficient matrix (host or device).  Optional when ``spec``
         already carries a ``cond_estimate`` or under the ``"fixed"`` policy.
+        When the plan has to probe it, the probe rides on the plan
+        (:attr:`SolvePlan.probe`) for :func:`execute_plan` to hand on.
     spec:
         The request; built via :meth:`SolveSpec.from_problem` from ``a`` and
         ``spec_overrides`` when omitted.
@@ -243,18 +247,22 @@ def plan(
                 f"({get_solver(name).capabilities.problem}) cannot serve a "
                 f"'{spec.problem}' spec: it would answer the wrong question"
             )
+        cond, probe = spec.cond_estimate, None
+        if spec.problem == "ridge" and cond is None and a is not None:
+            cond, _, probe = _probe_spectrum(a, spec)
         return SolvePlan(
             solver=name,
             chain=(name,),
             kind=spec.kind,
             embedding_dim=spec.embedding_dim,
-            cond_estimate=spec.cond_estimate if spec.cond_estimate is not None else float("nan"),
+            cond_estimate=cond if cond is not None else float("nan"),
             policy=policy,
             costs={name: _cost(name, spec)},
             reason=f"fixed routing to {name}",
+            probe=probe,
         )
 
-    cond, smax = _probe_spectrum(a, spec)
+    cond, smax, probe = _probe_spectrum(a, spec)
     spec = replace(spec, cond_estimate=cond, smax_estimate=smax)
     # All floor comparisons happen at the conditioning the solver actually
     # faces: kappa(A) for least squares, the lambda-shifted effective
@@ -295,6 +303,7 @@ def plan(
                 f"no solver meets target {spec.accuracy_target:.1e} at "
                 f"effective kappa~{cond_eff:.1e}; serving best-effort, most robust first"
             ),
+            probe=probe,
         )
 
     by_cost = sorted(admissible, key=lambda n: (costs[n], order.index(n)))
@@ -347,6 +356,7 @@ def plan(
         policy=policy,
         costs=costs,
         reason=reason,
+        probe=probe,
     )
 
 
@@ -365,9 +375,17 @@ def execute_plan(
 
     ``operators`` maps solver names to pre-built sketch operators (the
     serving layer passes its cached ones); ``operator_provider`` is a
-    callable ``(solver_name) -> SketchOperator`` consulted next, and solvers
-    without either build their own from the spec.  Every attempted solver
-    and every failure reason is recorded on the returned result via
+    callable ``(solver_name) -> SketchOperator`` consulted next, and links
+    without either get one built from the spec
+    (:meth:`~repro.linalg.registry.RegisteredSolver.build_operator`).  Every
+    sketch operator takes the plan's probed ``S1 A``
+    (:meth:`~repro.core.base.SketchOperator.with_first_stage`): one whose
+    first stage is the probe's CountSketch serves that product instead of
+    reading ``A`` again, and any other operator (another kind, oversampling
+    or seed, a ridge operator over the augmented rows) is used as is.
+
+    Every attempted solver and every failure reason is recorded on the
+    returned result via
     :meth:`~repro.linalg.lstsq.LeastSquaresResult.record_attempt_chain`, so
     a rescued solve still reports what broke and a failed solve carries the
     last reason instead of swallowing it.
@@ -382,6 +400,8 @@ def execute_plan(
         a_np = a.data if isinstance(a, DeviceArray) else np.asarray(a)
         b_np = b.data if isinstance(b, DeviceArray) else np.asarray(b)
         spec = SolveSpec.from_problem(a_np, b_np, kind=plan_.kind)
+    first_stage = plan_.probe.first_stage if plan_.probe is not None else None
+    operator_executor = a._executor if executor is None and isinstance(a, DeviceArray) else executor
     attempts = []
     reasons = []
     last_result: Optional[LeastSquaresResult] = None
@@ -409,6 +429,10 @@ def execute_plan(
                 operator = operators[name]
             elif operator_provider is not None:
                 operator = operator_provider(name)
+            else:
+                operator = solver.build_operator(spec, executor=operator_executor)
+            if first_stage is not None:
+                operator = operator.with_first_stage(first_stage)
         attempts.append(name)
         attempt_start = executor.elapsed if executor is not None else 0.0
         try:

@@ -86,9 +86,6 @@ from repro.serving.cache import (
 )
 from repro.serving.requests import (
     LANES,
-    PRIORITY_HIGH,
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
     AdmissionError,
     DeadlineExceededError,
     LowRankResponse,
@@ -97,7 +94,6 @@ from repro.serving.requests import (
     SolveRequest,
     SolveResponse,
     normalize_kind,
-    normalize_lane,
     normalize_policy,
     normalize_solver,
 )
@@ -126,15 +122,11 @@ __all__ = [
     "DeadlineExceededError",
     "ElasticShardPolicy",
     "LANES",
-    "PRIORITY_HIGH",
-    "PRIORITY_LOW",
-    "PRIORITY_NORMAL",
     "PlacedBatch",
     "QueueFullError",
     "RuntimeConfig",
     "RuntimeFuture",
     "ScaleEvent",
-    "normalize_lane",
     "MicroBatch",
     "MicroBatcher",
     "CacheEntry",

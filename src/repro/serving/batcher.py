@@ -105,18 +105,18 @@ class MicroBatcher:
 
         The concurrent runtime's dispatcher pulls work incrementally -- one
         batch per worker wake-up -- instead of draining everything at once
-        the way :meth:`drain` does.  The group chosen is the
-        highest-priority one (smallest ``priority`` of its first request),
-        ties broken by arrival order; at most ``max_batch`` (defaulting to
+        the way :meth:`drain` does.  The group chosen is the oldest one (by
+        arrival of its first request); at most ``max_batch`` (defaulting to
         the batcher's own bound) requests are taken, leaving the remainder
-        queued as the same group.  Returns ``None`` when nothing is pending.
+        queued as the same group, in its place.  Returns ``None`` when
+        nothing is pending.
         """
         if not self._groups:
             return None
         limit = self.max_batch if max_batch is None else int(max_batch)
         if limit <= 0:
             raise ValueError("max_batch must be positive")
-        key = min(self._groups, key=lambda k: self._groups[k][0].priority)
+        key = next(iter(self._groups))
         reqs = self._groups[key]
         if len(reqs) <= limit:
             del self._groups[key]

@@ -22,15 +22,11 @@ __all__ = [
     "DeadlineExceededError",
     "LANES",
     "LowRankResponse",
-    "PRIORITY_HIGH",
-    "PRIORITY_LOW",
-    "PRIORITY_NORMAL",
     "QueueFullError",
     "SketchResponse",
     "SolveRequest",
     "SolveResponse",
     "normalize_kind",
-    "normalize_lane",
     "normalize_policy",
     "normalize_solver",
 ]
@@ -41,23 +37,6 @@ __all__ = [
 #: throughput work -- it must not starve solve traffic, and the weighted
 #: dispatch guarantees it cannot be starved either).
 LANES = ("solve", "ridge", "stream")
-
-#: Request priorities within a lane (smaller dispatches first).
-PRIORITY_HIGH = 0
-PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
-
-
-def normalize_lane(lane: str) -> str:
-    """Canonical admission-lane name (``"solve"``, ``"ridge"`` or ``"stream"``)."""
-    l = lane.lower()
-    if l in ("solve", "lstsq", "least_squares", "interactive"):
-        return "solve"
-    if l in ("ridge", "regularized"):
-        return "ridge"
-    if l in ("stream", "streaming", "ingest"):
-        return "stream"
-    raise ValueError(f"unknown admission lane '{lane}' (expected one of {LANES})")
 
 
 class AdmissionError(RuntimeError):
@@ -174,11 +153,6 @@ class SolveRequest:
         treats it as the request's *deadline*: a queued request whose
         projected completion exceeds the budget is shed with
         :class:`DeadlineExceededError` instead of being solved late.
-    priority:
-        Dispatch priority within the request's admission lane
-        (:data:`PRIORITY_HIGH` / :data:`PRIORITY_NORMAL` /
-        :data:`PRIORITY_LOW`; smaller dispatches first).  Ignored by the
-        synchronous server, which serves in submission order.
     regularization:
         The Tikhonov ``lam`` (non-negative; ``0`` is least squares).
     """
@@ -190,7 +164,6 @@ class SolveRequest:
     solver: str = "sketch_and_solve"
     accuracy_target: Optional[float] = None
     latency_budget: Optional[float] = None
-    priority: int = PRIORITY_NORMAL
     regularization: float = 0.0
 
     def __post_init__(self) -> None:
@@ -238,7 +211,6 @@ class SolveRequest:
             self.solver,
             self.accuracy_target,
             self.latency_budget,
-            self.priority,
             self.regularization,
         )
 

@@ -67,7 +67,6 @@ import numpy as np
 
 from repro.serving.requests import (
     LANES,
-    PRIORITY_NORMAL,
     AdmissionError,
     DeadlineExceededError,
     QueueFullError,
@@ -505,7 +504,6 @@ class AsyncSketchServer:
         solver: Optional[str] = None,
         accuracy_target: Optional[float] = None,
         latency_budget: Optional[float] = None,
-        priority: int = PRIORITY_NORMAL,
     ) -> RuntimeFuture:
         """Admit one least-squares request; returns its :class:`RuntimeFuture`.
 
@@ -522,7 +520,6 @@ class AsyncSketchServer:
                 solver=solver,
                 accuracy_target=accuracy_target,
                 latency_budget=latency_budget,
-                priority=priority,
             ),
         )
 
@@ -540,7 +537,6 @@ class AsyncSketchServer:
         solver: Optional[str] = None,
         accuracy_target: Optional[float] = None,
         latency_budget: Optional[float] = None,
-        priority: int = PRIORITY_NORMAL,
     ) -> RuntimeFuture:
         """Admit one ridge request into the ``ridge`` lane.
 
@@ -557,7 +553,6 @@ class AsyncSketchServer:
                 solver=solver,
                 accuracy_target=accuracy_target,
                 latency_budget=latency_budget,
-                priority=priority,
             ),
         )
 

@@ -314,14 +314,6 @@ class ShardScheduler:
         self._record(CommRecord(name=name, bytes_moved=float(nbytes), seconds=seconds))
         return seconds
 
-    def charge_replication(self, state_bytes: float, n_replicas: int) -> float:
-        """Charge broadcasting operator state to ``n_replicas`` shards."""
-        seconds = self.cost_model.broadcast_time(float(state_bytes), max(n_replicas, 1) + 1)
-        self._record(
-            CommRecord(name="operator_replication", bytes_moved=float(state_bytes), seconds=seconds)
-        )
-        return seconds
-
     def _record(self, record: CommRecord) -> None:
         with self._lock:
             self.records.append(record)

@@ -42,7 +42,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.countsketch import SketchProduct
 from repro.distributed.comm import CommCostModel
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.gpu.executor import GPUExecutor
@@ -59,7 +58,6 @@ from repro.serving.cache import (
     resolve_embedding_dim,
 )
 from repro.serving.requests import (
-    PRIORITY_NORMAL,
     LowRankResponse,
     SketchResponse,
     SolveRequest,
@@ -238,7 +236,7 @@ class PlacedBatch:
     these per in-flight dispatch: the plan's cost estimate
     (``plan.costs[plan.solver]``) is the service-time term of its
     deadline-shedding projection.  A placed batch holds the batch's
-    matrix (through ``first_stage``), so it is dropped once the batch ran.
+    matrix (through the plan's probe), so it is dropped once the batch ran.
     """
 
     plan: SolvePlan
@@ -246,10 +244,6 @@ class PlacedBatch:
     entry: Optional[CacheEntry]
     shard: int
     cache_hit: bool
-    #: The spectrum probe's first-stage product ``S1 A`` for this batch's
-    #: matrix, reused by every chain link whose operator starts with that
-    #: CountSketch.  It lives exactly as long as the batch.
-    first_stage: Optional[SketchProduct] = None
 
     @property
     def estimated_service_seconds(self) -> float:
@@ -305,9 +299,9 @@ class SketchServer:
         self.sessions = SessionTable(self, (self.streams, self.frequencies))
         self._next_id = 0
         self._batch_seq = 0
-        # Conditioning probes are pure functions of the matrix; memoise them
-        # per live matrix object (weakly referenced -- see _spectrum_estimate)
-        # so hot same-matrix traffic plans for free.
+        # Conditioning probes are pure functions of the matrix; memoise their
+        # (kappa, sigma_max) per live matrix object (weakly referenced -- see
+        # _spectrum_estimate) so hot same-matrix traffic plans for free.
         self._cond_cache: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
@@ -365,7 +359,7 @@ class SketchServer:
         attribute while each request keeps exactly one complete tree.  The
         tracer calls it on the trace's first read (see ``Tracer.end_trace``),
         so it closes over the batch's scalar facts only -- never ``placed``,
-        whose first stage holds ``A`` and ``S1 A``.
+        whose plan's probe holds ``A`` and ``S1 A``.
         """
         tracer = self.tracer
         plan_, spec = placed.plan, placed.spec
@@ -425,7 +419,6 @@ class SketchServer:
         solver: Optional[str] = None,
         accuracy_target: Optional[float] = None,
         latency_budget: Optional[float] = None,
-        priority: int = PRIORITY_NORMAL,
     ) -> SolveRequest:
         """Validate one least-squares request, or a ridge one when ``lam`` is given.
 
@@ -443,7 +436,6 @@ class SketchServer:
             solver=solver if solver is not None else ("" if lam else self.config.solver),
             accuracy_target=accuracy_target,
             latency_budget=latency_budget,
-            priority=priority,
             regularization=lam or 0.0,
         )
 
@@ -641,10 +633,8 @@ class SketchServer:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def _spectrum_estimate(
-        self, a: np.ndarray
-    ) -> Tuple[Optional[float], Optional[float], Optional[SketchProduct]]:
-        """Cached sketched ``(kappa, sigma_max, first_stage)`` probe for a live request matrix.
+    def _spectrum_estimate(self, a: np.ndarray) -> Optional[Tuple[float, Optional[float]]]:
+        """The memoised ``(kappa, sigma_max)`` of a live request matrix, or ``None``.
 
         Entries hold a weak reference to the probed array: ``id()`` values
         are reused by the allocator once a matrix dies, so a hit counts only
@@ -653,32 +643,20 @@ class SketchServer:
         served a stale estimate.  The reference's callback drops the entry
         when its array dies, so the memo holds live matrices only and a hot
         shared matrix is never evicted by one-shot traffic.  ``sigma_max``
-        rides along for free (the probe yields both spectrum extremes) and
         is what ridge routing uses to place the lambda on the spectrum's
-        scale.
-
-        ``first_stage`` is the probe's CountSketch product ``S1 A``
-        (:class:`~repro.linalg.conditioning.SpectrumBounds`) from a fresh
-        probe, ``None`` on a memo hit: the memo keeps the scalars only.  A
-        caller may change ``A`` in place between requests; a stale ``kappa``
-        only affects routing, but a stale product would corrupt answers, so
-        it is never kept past the batch that probed.
+        scale.  The memo keeps these scalars only, never the probe's
+        ``S1 A``: a caller may change ``A`` in place between requests, and a
+        stale ``kappa`` only affects routing while a stale product would
+        corrupt answers.
         """
-        if not self.config.numeric:
-            return None, None, None  # analytic traffic carries no numeric state to probe
-        key = (id(a), a.shape)
-        entry = self._cond_cache.get(key)
-        if entry is not None:
-            ref, value = entry
-            if ref() is a:
-                return value + (None,)
-        from repro.linalg.conditioning import estimate_spectrum_bounds
+        entry = self._cond_cache.get((id(a), a.shape))
+        if entry is not None and entry[0]() is a:
+            return entry[1]
+        return None
 
-        bounds = estimate_spectrum_bounds(
-            a, oversampling=self.config.oversampling, seed=self.config.seed
-        )
-        smax, smin = bounds
-        value = (float("inf") if smin == 0.0 else smax / smin, smax)
+    def _remember_spectrum(self, a: np.ndarray, value: Tuple[float, Optional[float]]) -> None:
+        """Memoise a fresh probe's ``(kappa, sigma_max)`` for ``a`` (see :meth:`_spectrum_estimate`)."""
+        key = (id(a), a.shape)
         cache = self._cond_cache
 
         def forget(ref, key=key):
@@ -689,28 +667,29 @@ class SketchServer:
                 cache.pop(key, None)
 
         cache[key] = (weakref.ref(a, forget), value)
-        return value + (getattr(bounds, "first_stage", None),)
 
-    def _plan_batch(
-        self, batch: MicroBatch
-    ) -> Tuple[SolvePlan, SolveSpec, Optional[SketchProduct]]:
+    def _plan_batch(self, batch: MicroBatch) -> Tuple[SolvePlan, SolveSpec]:
         """Build the batch's SolveSpec and route it per the server policy.
 
-        Returns the plan, the spec and the spectrum probe's first-stage
-        product (``None`` when nothing was probed, and always for ridge).
-        A ridge batch always probes -- ``sigma_max`` places the lambda on
-        the spectrum's scale -- but plans without the matrix, and its
-        operator embeds the ``(d + n)``-row augmented system, so the probe's
-        ``S1 A`` is of no use to it.
+        Every batch but a fixed-policy least-squares one is planned at its
+        spectrum: from the memo when this matrix was probed before,
+        otherwise by handing the matrix to :func:`plan`, which probes it
+        once and keeps the probe on the plan (its ``S1 A`` reaches the
+        batch's sketch solver through :func:`execute_plan`).  A ridge batch
+        is always probed -- ``sigma_max`` places the lambda on the
+        spectrum's scale, and even a pinned ridge response reports its
+        ``kappa``.  An analytic server has no numeric state to probe, so it
+        plans without the matrix and ranks optimistically on cost alone.
         """
         d, n = batch.a.shape
         first = batch.requests[0]
         ridge = first.regularization > 0.0
-        cond = smax = first_stage = None
-        if ridge:
-            cond, smax, _ = self._spectrum_estimate(batch.a)
-        elif self.config.policy != "fixed":
-            cond, _, first_stage = self._spectrum_estimate(batch.a)
+        policy = self.config.policy
+        if ridge and policy == "fixed" and not batch.solver:
+            policy = "cheapest_accurate"  # the default solver answers the wrong problem
+        probes = self.config.numeric and (ridge or policy != "fixed")
+        known = self._spectrum_estimate(batch.a) if probes else None
+        cond, smax = known if known is not None else (None, None)
         spec = SolveSpec(
             d=d,
             n=n,
@@ -732,28 +711,20 @@ class SketchServer:
             oversampling=self.config.oversampling,
             seed=self.config.seed,
         )
-        policy = self.config.policy
-        if ridge and policy == "fixed" and not batch.solver:
-            policy = "cheapest_accurate"  # the default solver answers the wrong problem
-        # An analytic server has no numeric state to probe (cond is None):
-        # pass no matrix so the planner ranks optimistically on cost alone
-        # instead of re-probing per batch outside the memoised cache.
-        matrix = None if ridge or cond is None else batch.a
         # Fixed routing runs the batch's solver; a ridge request's pinned
         # solver is also a preference under the adaptive policies.
         preferred = batch.solver if ridge or policy == "fixed" else None
-        return (
-            plan(
-                matrix,
-                spec,
-                policy=policy,
-                solver=preferred or None,
-                device=self.config.device,
-                cost_source=self._cost_source(),
-            ),
+        plan_ = plan(
+            batch.a if probes and known is None else None,
             spec,
-            first_stage,
+            policy=policy,
+            solver=preferred or None,
+            device=self.config.device,
+            cost_source=self._cost_source(),
         )
+        if plan_.probe is not None:
+            self._remember_spectrum(batch.a, (plan_.cond_estimate, plan_.probe[0]))
+        return plan_, spec
 
     def _shard_operator(self, key: Tuple, shard: int) -> "SketchOperator":
         """Operator for a fallback-chain link, bound to the batch's shard.
@@ -787,7 +758,7 @@ class SketchServer:
         is what lets the runtime hold its dispatch lock only for the cheap
         planning/placement step while the expensive solve runs outside it.
         """
-        plan_, spec, first_stage = planned if planned is not None else self._plan_batch(batch)
+        plan_, spec = planned if planned is not None else self._plan_batch(batch)
         needs_sketch = get_solver(plan_.solver).capabilities.needs_sketch
         entry: Optional[CacheEntry] = None
         cache_hit = False
@@ -800,14 +771,7 @@ class SketchServer:
             shard = entry.shard if built else self._place_warm_batch(entry, key)
         else:
             shard = self.scheduler.place()
-        return PlacedBatch(
-            plan=plan_,
-            spec=spec,
-            entry=entry,
-            shard=shard,
-            cache_hit=cache_hit,
-            first_stage=first_stage,
-        )
+        return PlacedBatch(plan=plan_, spec=spec, entry=entry, shard=shard, cache_hit=cache_hit)
 
     def _run_placed(
         self,
@@ -840,30 +804,16 @@ class SketchServer:
         exec_start = executor.elapsed
 
         rhs = batch.rhs_block() if batch.size > 1 else batch.requests[0].b
-        first_stage = placed.first_stage
-
-        def reusing(operator: "SketchOperator") -> "SketchOperator":
-            # Every link whose operator starts with the probe's CountSketch
-            # serves the probed S1 A instead of sketching A again.
-            return operator if first_stage is None else operator.with_first_stage(first_stage)
-
-        operators = (
-            {plan_.solver: reusing(entry.operator_for(shard))} if entry is not None else None
-        )
         result = execute_plan(
             plan_,
             batch.a,
             rhs,
             spec,
             executor=executor,
-            operators=operators,
-            operator_provider=lambda name: reusing(
-                self._shard_operator(
-                    self._batch_operator_key(
-                        batch.kind, spec, batch.a.dtype, name, plan_.embedding_dim
-                    ),
-                    shard,
-                )
+            operators={plan_.solver: entry.operator_for(shard)} if entry is not None else None,
+            operator_provider=lambda name: self._shard_operator(
+                self._batch_operator_key(batch.kind, spec, batch.a.dtype, name, plan_.embedding_dim),
+                shard,
             ),
             span_log=span_log,
         )
@@ -954,8 +904,52 @@ class SketchServer:
         return responses
 
     def _execute_batch(self, batch: MicroBatch) -> List[SolveResponse]:
-        """Plan, place and run one fused micro-batch (synchronous path)."""
-        return self._run_placed(batch, self._plan_and_place(batch))
+        """Plan, place and run one fused micro-batch (synchronous path).
+
+        A batch whose plan or solve raises on its input (a NaN in ``A``
+        trips the spectrum probe or a solver's finiteness check) answers
+        each rider with a failed response, so it cannot sink the other
+        batches of the flush.
+        """
+        try:
+            return self._run_placed(batch, self._plan_and_place(batch))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return self._failed_batch(batch, exc)
+
+    def _failed_batch(self, batch: MicroBatch, exc: Exception) -> List[SolveResponse]:
+        """Failed responses (``x=None``, ``extra["failure_reason"]``) for a batch that raised."""
+        self.telemetry.record_failure(batch.size)
+        lam = batch.requests[0].regularization
+        extra: Dict[str, object] = {"failed": 1.0, "failure_reason": f"{type(exc).__name__}: {exc}"}
+        if lam:
+            extra["regularization"] = lam
+        now = self.pool.min_load()
+        responses = []
+        for req in batch.requests:
+            if self.tracer.enabled:
+                root = self.tracer.start_trace(
+                    "request", now, request_id=req.request_id, lane="ridge" if lam else "solve"
+                )
+                self.tracer.end_trace(root, now, status="error", error=type(exc).__name__)
+            responses.append(
+                SolveResponse(
+                    request_id=req.request_id,
+                    x=None,
+                    relative_residual=float("inf"),
+                    simulated_seconds=0.0,
+                    compute_seconds=0.0,
+                    comm_seconds=0.0,
+                    shard=-1,
+                    batch_size=batch.size,
+                    cache_hit=False,
+                    kind=batch.kind,
+                    solver=batch.solver,
+                    extra=dict(extra),
+                    policy=self.config.policy,
+                    problem="ridge" if lam else "least_squares",
+                )
+            )
+        return responses
 
     @staticmethod
     def _column(result: LeastSquaresResult, j: int, size: int) -> Optional[np.ndarray]:

@@ -35,8 +35,8 @@ class TestGemm:
             executor.blas.gemm(a, b)
 
     def test_gemm_flop_accounting(self, executor):
-        a = executor.empty((10, 20))
-        b = executor.empty((20, 30))
+        a = executor.zeros((10, 20))
+        b = executor.zeros((20, 30))
         mark = executor.mark()
         executor.blas.gemm(a, b)
         record = executor.breakdown_since(mark).records[0]

@@ -18,7 +18,8 @@ import weakref
 import numpy as np
 import pytest
 
-import repro.linalg.conditioning as conditioning
+import repro.linalg
+import repro.linalg.planner as planner
 from repro.core.countsketch import CountSketch
 from repro.core.gaussian import GaussianSketch
 from repro.core.multisketch import count_gauss, first_stage_dim
@@ -266,10 +267,51 @@ class TestHandOff:
         assert resp.relative_residual < 1.01 * ref_residual
 
 
+class TestLibraryHandOff:
+    """``plan()`` keeps its probe and ``execute_plan()`` hands ``S1 A`` on, outside the server too."""
+
+    @pytest.mark.parametrize(
+        "cond, solver", [(1e6, "sketch_and_solve"), (1e8, "sketch_and_solve"), (1e12, "rand_cholqr")]
+    )
+    @pytest.mark.parametrize("entry", ["plan_and_execute", "repro.linalg.solve"])
+    def test_one_stage_zero_product_and_identical_answer(self, cond, solver, entry, stage0_products):
+        a, b = _problem(cond)
+        if entry == "plan_and_execute":
+            result = planner.plan_and_execute(a, b, policy="adaptive")
+        else:
+            result = repro.linalg.solve(a, b)
+        assert result.attempted_solvers == (solver,)
+        assert stage0_products == [first_stage_dim(D, N)]
+        del stage0_products[:]
+        assert result.x.tobytes() == _fresh_answer(a, b, solver).x.tobytes()
+
+    def test_plan_keeps_its_probe_only_when_it_probed(self):
+        a, _ = _problem(1e6)
+        probed = planner.plan(a, policy="adaptive")
+        assert probed.probe == estimate_spectrum_bounds(a)
+        assert probed.probe.first_stage.describes(a)
+        spec = registry.SolveSpec.from_problem(a, cond_estimate=probed.cond_estimate)
+        given = planner.plan(a, spec, policy="adaptive")
+        assert given.probe is None
+        # The probe is bookkeeping for the hand-off, not part of the decision.
+        assert given == probed and "probe" not in repr(probed)
+
+    def test_ridge_operators_recompute_over_the_augmented_rows(self, stage0_products):
+        a, b = _problem(1e12)
+        spec = registry.SolveSpec.from_problem(a, b, regularization=1e-20)
+        plan_ = planner.plan(a, spec, policy="fixed", solver="ridge_precond_lsqr")
+        assert stage0_products == [first_stage_dim(D, N)]  # a ridge spec is probed even when pinned
+        assert np.isfinite(plan_.cond_estimate)
+        result = planner.execute_plan(plan_, a, b, spec)
+        assert stage0_products == [first_stage_dim(D, N)]
+        fresh = registry.solve(a, b, spec, solver="ridge_precond_lsqr")
+        assert result.x.tobytes() == fresh.x.tobytes()
+
+
 def _probe_products(monkeypatch):
-    """Weak references to every first-stage product the server's probe returns."""
+    """Weak references to every first-stage product the planner's probe returns."""
     refs = []
-    real = conditioning.estimate_spectrum_bounds
+    real = planner.estimate_spectrum_bounds
 
     def recording(a, **kwargs):
         bounds = real(a, **kwargs)
@@ -277,7 +319,7 @@ def _probe_products(monkeypatch):
             refs.append(weakref.ref(bounds.first_stage.y))
         return bounds
 
-    monkeypatch.setattr(conditioning, "estimate_spectrum_bounds", recording)
+    monkeypatch.setattr(planner, "estimate_spectrum_bounds", recording)
     return refs
 
 

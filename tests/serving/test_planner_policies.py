@@ -98,17 +98,17 @@ class TestAdaptiveRouting:
 
     def test_one_shot_traffic_does_not_evict_a_live_matrix(self, easy, rng, monkeypatch):
         """Dead one-shot entries leave the memo; the shared matrix is probed once."""
-        import repro.linalg.conditioning as conditioning
+        import repro.linalg.planner as planner
 
         shared, b = easy
         probed = []
-        real = conditioning.estimate_spectrum_bounds
+        real = planner.estimate_spectrum_bounds
 
         def counting(a, **kwargs):
             probed.append(a is shared)
             return real(a, **kwargs)
 
-        monkeypatch.setattr(conditioning, "estimate_spectrum_bounds", counting)
+        monkeypatch.setattr(planner, "estimate_spectrum_bounds", counting)
         server = SketchServer(policy="cheapest_accurate", shards=1, seed=0)
         for _ in range(300):
             one_shot = rng.standard_normal((64, 4))
@@ -146,11 +146,34 @@ class TestAdaptiveRouting:
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_adaptive_probe_raises_one_typed_error(self, rng, bad):
+        """The probe's ValueError fails this request, with its message as the reason."""
         a = rng.standard_normal((4096, 16))
         a[7, 3] = bad
         server = SketchServer(policy="adaptive", shards=1, seed=0)
-        with pytest.raises(ValueError, match="A must not contain infs or NaNs"):
-            server.solve(a, rng.standard_normal(4096))
+        resp = server.solve(a, rng.standard_normal(4096))
+        assert resp.x is None and resp.extra["failed"] == 1.0
+        assert resp.extra["failure_reason"] == (
+            "ValueError: estimate_spectrum_bounds: A must not contain infs or NaNs"
+        )
+        assert server.stats()["failed_requests"] == 1.0
+
+    @pytest.mark.parametrize("policy", ["fixed", "cheapest_accurate"])
+    def test_one_malformed_request_does_not_sink_the_flush(self, rng, policy):
+        """The solver's finiteness check (fixed) or the probe (routed) raises
+        for the middle batch only; every request is still answered."""
+        mats = [rng.standard_normal((400, 6)) for _ in range(3)]
+        mats[1][5, 1] = np.nan
+        server = SketchServer(policy=policy, shards=1, seed=0)
+        for a in mats:
+            server.submit(a, a @ np.ones(6) + 0.01 * rng.standard_normal(400))
+        responses = server.flush()
+        assert len(responses) == 3 and server.pending == 0
+        assert [r.extra["failed"] for r in responses] == [0.0, 1.0, 0.0]
+        assert responses[1].x is None
+        assert responses[1].extra["failure_reason"].startswith("ValueError: ")
+        assert "NaN" in responses[1].extra["failure_reason"]
+        for r in (responses[0], responses[2]):
+            assert r.relative_residual < 0.05
 
 
 class TestFallbackTelemetry:

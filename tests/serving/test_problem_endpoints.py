@@ -61,6 +61,18 @@ class TestSolveRidgeEndpoint:
         assert resp.policy == "fixed"
         assert resp.executed_solver == "ridge_normal_equations"
 
+    def test_pinned_fixed_ridge_reports_its_probed_kappa_once(self, ridge_problem):
+        """The pinned plan still probes (kappa, sigma_max); the server memoises them."""
+        p = ridge_problem
+        server = SketchServer(shards=1, policy="fixed", seed=0)
+        first = server.solve_ridge(p.a, p.b, p.lam, solver="ridge_qr")
+        assert first.policy == "fixed" and first.executed_solver == "ridge_qr"
+        assert first.extra["cond_estimate"] == pytest.approx(p.cond, rel=0.5)
+        (entry,) = server._cond_cache.values()
+        assert entry[1] == (first.extra["cond_estimate"], pytest.approx(p.smax, rel=0.5))
+        again = server.solve_ridge(p.a, 2.0 * p.b, p.lam, solver="ridge_qr")
+        assert again.extra["cond_estimate"] == first.extra["cond_estimate"]
+
     def test_hard_ridge_rescued_by_fallback_chain(self, server):
         p = make_ridge_problem(D, N, cond=1e12, lam_rel=1e-20, seed=4)
         resp = server.solve_ridge(p.a, p.b, p.lam)

@@ -2,7 +2,7 @@
 
 The acceptance-level behaviour (2x throughput, shed-don't-violate, elastic
 up-then-down) lives in ``benchmarks/test_concurrent_runtime.py``; these
-tests pin the mechanisms: admission bounds, lane round-robin, priorities,
+tests pin the mechanisms: admission bounds, lane round-robin, batch pops,
 pause/resume, future semantics, per-session ordering and the elastic
 policy's decision table.
 """
@@ -24,9 +24,7 @@ from repro.serving import (
     RuntimeConfig,
     ShardScheduler,
     SolveRequest,
-    normalize_lane,
 )
-from repro.serving.requests import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL
 
 
 @pytest.fixture
@@ -58,14 +56,6 @@ def test_elastic_policy_validation():
         ElasticShardPolicy(min_shards=4, max_shards=2)
     with pytest.raises(ValueError):
         ElasticShardPolicy(queue_high=1.0, queue_low=2.0)
-
-
-def test_normalize_lane():
-    assert normalize_lane("lstsq") == "solve"
-    assert normalize_lane("ingest") == "stream"
-    assert normalize_lane("Ridge") == "ridge"
-    with pytest.raises(ValueError):
-        normalize_lane("bogus")
 
 
 def test_elastic_pool_provisioned_at_max():
@@ -208,29 +198,29 @@ def test_scheduler_set_active_records_events():
 
 
 # ---------------------------------------------------------------------------
-# batcher: incremental priority pops
+# batcher: incremental pops
 # ---------------------------------------------------------------------------
-def _request(rid, a, b, priority=PRIORITY_NORMAL):
-    return SolveRequest(request_id=rid, a=a, b=b, priority=priority)
+def _request(rid, a, b):
+    return SolveRequest(request_id=rid, a=a, b=b)
 
 
-def test_pop_batch_priority_and_remainder(problem):
+def test_pop_batch_oldest_group_and_remainder(problem):
     a, b = problem
     rng = np.random.default_rng(0)
     a2 = rng.standard_normal(a.shape)
     batcher = MicroBatcher(max_batch=2)
     for i in range(3):
-        batcher.add(_request(i, a, b, priority=PRIORITY_LOW))
-    batcher.add(_request(3, a2, b, priority=PRIORITY_HIGH))
-    # High priority pops first even though it arrived last.
-    first = batcher.pop_batch()
-    assert [r.request_id for r in first.requests] == [3]
+        batcher.add(_request(i, a, b))
+    batcher.add(_request(3, a2, b))
     # Oversized groups split, leaving the remainder queued.
+    first = batcher.pop_batch()
+    assert [r.request_id for r in first.requests] == [0, 1]
+    assert batcher.pending == 2
+    # The remainder keeps its group's place ahead of younger groups.
     second = batcher.pop_batch()
-    assert [r.request_id for r in second.requests] == [0, 1]
-    assert batcher.pending == 1
+    assert [r.request_id for r in second.requests] == [2]
     third = batcher.pop_batch()
-    assert [r.request_id for r in third.requests] == [2]
+    assert [r.request_id for r in third.requests] == [3]
     assert batcher.pop_batch() is None
 
 
@@ -485,14 +475,13 @@ def test_same_matrix_ridge_requests_fuse_and_match_unfused(problem, options):
         assert np.linalg.norm(resp.x - alone.x) <= 1e-10 * np.linalg.norm(alone.x)
 
 
-@pytest.mark.parametrize("differs", ["lam", "matrix", "accuracy_target", "priority"])
+@pytest.mark.parametrize("differs", ["lam", "matrix", "accuracy_target"])
 def test_ridge_requests_that_differ_stay_unfused(problem, differs):
     a, b = problem
     second = {
         "lam": (a, b, 0.2, {}),
         "matrix": (a.copy(), b, 0.1, {}),
         "accuracy_target": (a, b, 0.1, {"accuracy_target": 1e-3}),
-        "priority": (a, b, 0.1, {"priority": PRIORITY_HIGH}),
     }[differs]
     responses = _ridge_burst([(a, b, 0.1, {}), second])
     assert [r.batch_size for r in responses] == [1, 1]

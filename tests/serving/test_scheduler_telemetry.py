@@ -77,12 +77,6 @@ class TestShardScheduler:
         assert sched.comm_seconds() == pytest.approx(seconds)
         assert sched.comm_by_name() == {"result_return": pytest.approx(seconds)}
 
-    def test_replication_uses_broadcast_model(self):
-        model = CommCostModel(latency=1e-5, bandwidth=1e9)
-        sched = ShardScheduler(ExecutorPool(2, seed=0), cost_model=model)
-        seconds = sched.charge_replication(1e6, 1)
-        assert seconds == pytest.approx(model.broadcast_time(1e6, 2))
-
 
 class TestTelemetry:
     def test_percentiles(self):
