@@ -20,7 +20,7 @@ from repro.durability.codec import decode_record
 from repro.durability.session import FREQUENCY_SESSION_KIND, serialize_frequency_session
 from repro.gpu.executor import GPUExecutor
 from repro.linalg.conditioning import _singular_values, estimate_spectrum_bounds
-from repro.linalg.lstsq import qr_solve
+from repro.linalg.lstsq import block_residuals, qr_solve
 from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
 from repro.problems.ridge import dense_ridge_reference, ridge_qr
 from repro.serving import SketchServer
@@ -143,6 +143,17 @@ def test_wallclock_ridge_qr(benchmark):
     b = rng.standard_normal(2048)
     result = benchmark(ridge_qr, a, b, 10.0)
     np.testing.assert_allclose(result.x, dense_ridge_reference(a, b, 10.0), rtol=1e-10)
+
+
+def test_wallclock_block_residual(benchmark):
+    """A fused micro-batch's residual check: 2048 x 16 ``A``, 8 stacked right-hand sides."""
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((2048, 16))
+    b = np.stack([rng.standard_normal(2048) for _ in range(8)]).T
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    res, rel, columns = benchmark(block_residuals, a, b, x)
+    np.testing.assert_allclose(columns, np.linalg.norm(b - a @ x, axis=0) / np.linalg.norm(b, axis=0))
+    assert res == pytest.approx(np.linalg.norm(b - a @ x), rel=1e-13)
 
 
 def test_wallclock_adaptive_solve(benchmark):

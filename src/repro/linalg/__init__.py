@@ -31,6 +31,7 @@ planner and fallback machinery.
 
 from repro.linalg.lstsq import (
     LeastSquaresResult,
+    block_residuals,
     normal_equations,
     sketch_and_solve,
     qr_solve,
@@ -76,6 +77,7 @@ from repro.linalg.planner import (
 
 __all__ = [
     "LeastSquaresResult",
+    "block_residuals",
     "normal_equations",
     "sketch_and_solve",
     "qr_solve",

@@ -39,7 +39,7 @@ from repro.core.base import SketchOperator
 from repro.gpu.arrays import DeviceArray
 from repro.gpu.executor import GPUExecutor
 from repro.gpu.kernels import KernelClass, KernelRequest
-from repro.linalg.lstsq import LeastSquaresResult, _to_device
+from repro.linalg.lstsq import LeastSquaresResult, _to_device, block_residuals
 
 ArrayLike = Union[np.ndarray, DeviceArray]
 
@@ -113,7 +113,8 @@ def _lsqr_block(
         return sla.solve_triangular(r_np, a_np.T @ u, lower=False, trans="T")
 
     def normalise(block: np.ndarray) -> tuple:
-        norms = np.linalg.norm(block, axis=0)
+        # Column 2-norms, computed exactly as ``np.linalg.norm`` does along an axis.
+        norms = np.sqrt(np.add.reduce(block * block, axis=0))
         return block / np.where(norms > 0, norms, 1.0), norms
 
     u, beta = normalise(b_np.copy())
@@ -251,17 +252,12 @@ def sketch_preconditioned_lsqr(
             executor, a_np, b_np, r_np, tol=tol, max_iterations=max_iterations
         )
         breakdown = executor.breakdown_since(mark)
-        resid = b_np - a_np @ x_np
-        res = float(np.linalg.norm(resid))
-        nb = float(np.linalg.norm(b_np))
-        col_res = np.linalg.norm(resid, axis=0)
-        col_nb = np.linalg.norm(b_np, axis=0)
-        columns = np.where(col_nb > 0, col_res / np.where(col_nb > 0, col_nb, 1.0), col_res)
+        res, rel, columns = block_residuals(a_np, b_np, x_np)
         return LeastSquaresResult(
             method=f"blendenpik[{sketch.family}]",
             x=x_np,
             residual_norm=res,
-            relative_residual=res / nb if nb > 0 else res,
+            relative_residual=rel,
             breakdown=breakdown,
             total_seconds=breakdown.total(),
             extra={

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.gpu.device import DeviceSpec, H100_SXM5
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.trace import Span
 
 __all__ = ["CalibratedEstimator", "CalibrationKey", "shape_bucket"]
@@ -78,8 +78,15 @@ class CalibrationKey:
 
 @dataclass
 class _BucketState:
-    """Online state of one correction factor."""
+    """Online state of one correction factor, with its key's registry series.
 
+    The handles are resolved once, when the bucket opens, so an observation
+    does not look its labels up again (the rare clip still does: its series
+    appears only on the first clip).
+    """
+
+    samples_total: Counter
+    factor: Gauge
     ewma: float = 1.0
     samples: int = 0
     clipped: int = 0
@@ -198,7 +205,10 @@ class CalibratedEstimator:
         with self._lock:
             state = self._state.get(key)
             if state is None:
-                state = self._state[key] = _BucketState()
+                state = self._state[key] = _BucketState(
+                    self.registry.counter("calibration_samples_total", solver=key.solver),
+                    self.registry.gauge("calibration_factor", **key.labels()),
+                )
             predicted = analytic * (state.ewma if state.samples >= self.min_samples else 1.0)
             self._err_calibrated.observe(abs(predicted - measured) / measured)
             self._err_analytic.observe(abs(analytic - measured) / measured)
@@ -208,8 +218,8 @@ class CalibratedEstimator:
                 state.clipped += 1
                 self.registry.counter("calibration_clipped_total", solver=key.solver).inc()
             state.update(clipped, self.alpha)
-            self.registry.counter("calibration_samples_total", solver=key.solver).inc()
-            self.registry.gauge("calibration_factor", **key.labels()).set(state.ewma)
+            state.samples_total.inc()
+            state.factor.set(state.ewma)
         return clipped
 
     def ingest(self, root: Span) -> int:

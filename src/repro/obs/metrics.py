@@ -154,21 +154,38 @@ class Histogram:
         self._buckets: Dict[int, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (one lock, one bucket lookup).
+
+        The state afterwards equals ``count`` separate calls bit for bit:
+        ring slots, count, min/max, buckets, and ``sum`` by repeated addition.
+        """
         value = float(value)
+        count = int(count)
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
         if 0.0 < value < math.inf:
             key = math.ceil(math.log(value) / _LOG_GAMMA)
         else:
             key = _ZERO_BUCKET
         with self._lock:
-            self._ring[self._count % self.capacity] = value
-            self._count += 1
-            self._sum += value
+            cap = self.capacity
+            start = self._count % cap
+            if count == 1:
+                self._ring[start] = value
+            else:
+                # ``count >= cap`` fills the whole ring, as that many calls would.
+                stop = start + min(count, cap)
+                self._ring[start:stop] = value
+                self._ring[: max(stop - cap, 0)] = value
+            self._count += count
+            for _ in range(count):
+                self._sum += value
             if value < self._min:
                 self._min = value
             if value > self._max:
                 self._max = value
-            self._buckets[key] += 1
+            self._buckets[key] += count
 
     def observe_many(self, values: np.ndarray) -> None:
         """Vectorised bulk ingest; ring, aggregates and buckets all exact."""

@@ -49,7 +49,7 @@ from repro.gpu.arrays import DeviceArray
 from repro.gpu.executor import GPUExecutor
 from repro.gpu.kernels import KernelClass, KernelRequest
 from repro.linalg.iterative import sketch_preconditioned_lsqr
-from repro.linalg.lstsq import LeastSquaresResult, _to_device, qr_solve
+from repro.linalg.lstsq import LeastSquaresResult, _to_device, block_residuals, qr_solve
 from repro.linalg.registry import (
     RegisteredSolver,
     SolveSpec,
@@ -111,17 +111,12 @@ def ridge_residuals(
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    resid = b - a @ x
-    res_sq = np.sum(resid**2, axis=0) + lam * np.sum(x**2, axis=0)
-    nb = np.linalg.norm(b)
-    total = float(np.sqrt(np.sum(res_sq)))
-    rel = total / nb if nb > 0 else total
-    columns = None
     if b.ndim == 2:
-        col_nb = np.linalg.norm(b, axis=0)
-        col_res = np.sqrt(res_sq)
-        columns = np.where(col_nb > 0, col_res / np.where(col_nb > 0, col_nb, 1.0), col_res)
-    return total, rel, columns
+        return block_residuals(a, b, x, lam)
+    resid = b - a @ x
+    total = float(np.sqrt(np.sum(resid**2) + lam * np.sum(x**2)))
+    nb = np.linalg.norm(b)
+    return total, (total / nb if nb > 0 else total), None
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,13 @@ class MicroBatch:
         return self.requests[0].solver
 
     def rhs_block(self) -> np.ndarray:
-        """Stack the right-hand sides into the ``d x m`` block ``B``."""
-        return np.column_stack([req.b for req in self.requests])
+        """Stack the right-hand sides into the ``d x m`` block ``B``.
+
+        One copy, F-ordered (the transpose of the stacked rows), so the
+        residual check reads ``B^T`` as a C-contiguous view
+        (:func:`~repro.linalg.lstsq.block_residuals`).
+        """
+        return np.stack([req.b for req in self.requests]).T
 
 
 class MicroBatcher:

@@ -752,6 +752,7 @@ class AsyncSketchServer:
 
     def _dispatch_batch(self, lane: str, batch) -> None:
         items: Dict[int, _LaneItem] = {}
+        roots: Dict[int, Span] = {}
         try:
             with self._lock:
                 items = {
@@ -782,8 +783,18 @@ class AsyncSketchServer:
                 batch, placed, admitted_at=admitted_at, roots=roots
             )
             with self._lock:
+                # Every rider shares the batch's latency: record them all at once.
+                self.telemetry.record_lane_latency(
+                    lane, responses[0].simulated_seconds, count=len(responses)
+                )
                 for resp in responses:
-                    self.telemetry.record_lane_latency(lane, resp.simulated_seconds)
+                    items.pop(resp.request_id).future._resolve(resp)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            # The batch's input made the plan or the solve raise (a NaN trips
+            # the spectrum probe): answer each rider with the failed response
+            # the synchronous server gives, closing its runtime-opened root.
+            with self._lock:
+                for resp in self.server._failed_batch(batch, exc, roots=roots):
                     items.pop(resp.request_id).future._resolve(resp)
         except Exception as exc:
             # A failed dispatch must never kill the worker or strand the

@@ -866,9 +866,10 @@ class SketchServer:
                 executed=executed,
                 fallbacks=fallbacks,
             )
+        # Every rider shares the batch's latency: record them all at once.
+        self.telemetry.record_request(latency, solver=executed, count=batch.size)
         responses = []
         for j, req in enumerate(batch.requests):
-            self.telemetry.record_request(latency, solver=executed)
             residual = self._column_residual(result, j, batch.size)
             if tracing:
                 root = roots.get(req.request_id) if roots else None
@@ -916,8 +917,14 @@ class SketchServer:
         except (ValueError, np.linalg.LinAlgError) as exc:
             return self._failed_batch(batch, exc)
 
-    def _failed_batch(self, batch: MicroBatch, exc: Exception) -> List[SolveResponse]:
-        """Failed responses (``x=None``, ``extra["failure_reason"]``) for a batch that raised."""
+    def _failed_batch(
+        self, batch: MicroBatch, exc: Exception, roots: Optional[Dict[int, Span]] = None
+    ) -> List[SolveResponse]:
+        """Failed responses (``x=None``, ``extra["failure_reason"]``) for a batch that raised.
+
+        ``roots`` maps request ids to runtime-created trace roots, which are
+        closed with error status; other riders get a fresh error trace.
+        """
         self.telemetry.record_failure(batch.size)
         lam = batch.requests[0].regularization
         extra: Dict[str, object] = {"failed": 1.0, "failure_reason": f"{type(exc).__name__}: {exc}"}
@@ -927,9 +934,11 @@ class SketchServer:
         responses = []
         for req in batch.requests:
             if self.tracer.enabled:
-                root = self.tracer.start_trace(
-                    "request", now, request_id=req.request_id, lane="ridge" if lam else "solve"
-                )
+                root = roots.get(req.request_id) if roots else None
+                if root is None:
+                    root = self.tracer.start_trace(
+                        "request", now, request_id=req.request_id, lane="ridge" if lam else "solve"
+                    )
                 self.tracer.end_trace(root, now, status="error", error=type(exc).__name__)
             responses.append(
                 SolveResponse(

@@ -161,13 +161,13 @@ class ServingTelemetry:
             self._m[(family, *values)] = metric
         return metric
 
-    # Request path.  ``solver`` is the solver that executed; a fallback hop is
-    # planned -> executed; a failure is a request whose whole chain failed.
-    def record_request(self, latency_seconds: float, solver: Optional[str] = None) -> None:
-        self._m["serving_request_latency_seconds"].observe(float(latency_seconds))
-        self._m["serving_requests_total"].inc()
+    # Request path: ``count`` requests of one latency (a batch's riders), run by ``solver``;
+    # a fallback hop is planned -> executed; a failure is a request whose whole chain failed.
+    def record_request(self, latency_seconds: float, solver: Optional[str] = None, count: int = 1) -> None:
+        self._m["serving_request_latency_seconds"].observe(float(latency_seconds), count)
+        self._m["serving_requests_total"].inc(count)
         if solver:
-            self._child("serving_solver_latency_seconds", solver).observe(float(latency_seconds))
+            self._child("serving_solver_latency_seconds", solver).observe(float(latency_seconds), count)
 
     def record_requests(self, latencies: Iterable[float]) -> None:
         arr = np.asarray(list(latencies) if not isinstance(latencies, np.ndarray) else latencies)
@@ -213,8 +213,8 @@ class ServingTelemetry:
         self._child("runtime_shed_by_reason_total", reason).inc(int(count))
         self._child("runtime_shed_total", lane).inc(int(count))
 
-    def record_lane_latency(self, lane: str, latency_seconds: float) -> None:
-        self._child("runtime_lane_latency_seconds", lane).observe(float(latency_seconds))
+    def record_lane_latency(self, lane: str, latency_seconds: float, count: int = 1) -> None:
+        self._child("runtime_lane_latency_seconds", lane).observe(float(latency_seconds), count)
 
     # Streaming sessions.  Re-solve seconds include eager (drift, warm-up)
     # re-solves inside an ingest; staleness is rows behind at query time.

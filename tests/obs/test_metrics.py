@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs.export import to_json, to_prometheus
 from repro.obs.metrics import ALPHA, Counter, Gauge, Histogram, MetricsRegistry
 from repro.serving.telemetry import ServingTelemetry
 
@@ -134,6 +135,57 @@ def test_histogram_observe_many_matches_observe():
     assert bulk.sum == pytest.approx(one.sum)
     assert bulk.min == pytest.approx(one.min)
     assert bulk.max == pytest.approx(one.max)
+
+
+def _histogram_state(hist):
+    """Every field as bytes or ints, so NaN samples compare too."""
+    floats = np.array([hist.sum, hist._min, hist._max]).tobytes()
+    return hist._ring.tobytes(), hist.count, floats, dict(hist._buckets)
+
+
+@pytest.mark.parametrize(
+    "prefill, count",
+    [(0, 1), (0, 5), (5, 8), (13, 7), (3, 16), (9, 40)],
+)
+@pytest.mark.parametrize("value", [0.1, 2.5e-3, 0.0, float("nan")])
+def test_histogram_observe_count_equals_repeated_calls(prefill, count, value):
+    """``observe(v, count=k)``: the state of k calls bit for bit, wrap included."""
+    rng = np.random.default_rng(prefill)
+    registries = MetricsRegistry(histogram_capacity=16), MetricsRegistry(histogram_capacity=16)
+    batched, looped = (r.histogram("latency_seconds", lane="solve") for r in registries)
+    for x in rng.lognormal(-3.0, 1.0, prefill):
+        batched.observe(x)
+        looped.observe(x)
+    batched.observe(value, count=count)
+    for _ in range(count):
+        looped.observe(value)
+    assert _histogram_state(batched) == _histogram_state(looped)
+    assert to_prometheus(registries[0]) == to_prometheus(registries[1])
+    assert to_json(registries[0]) == to_json(registries[1])
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_histogram_observe_rejects_a_count_below_one(count):
+    hist = Histogram(capacity=4)
+    with pytest.raises(ValueError):
+        hist.observe(1.0, count=count)
+    assert hist.count == 0 and hist.max == 0.0
+
+
+def test_telemetry_batch_recording_equals_per_rider_recording():
+    """One ``count=`` call per batch leaves the snapshot and the scrape of per-rider calls."""
+    batched, per_rider = ServingTelemetry(sample_capacity=8), ServingTelemetry(sample_capacity=8)
+    for latency, size in ((3e-4, 8), (5e-4, 3), (2e-4, 8)):
+        batched.record_request(latency, solver="qr", count=size)
+        batched.record_lane_latency("solve", latency, count=size)
+        for _ in range(size):
+            per_rider.record_request(latency, solver="qr")
+            per_rider.record_lane_latency("solve", latency)
+    for t in (batched, per_rider):
+        t.record_admission("solve")
+    assert batched.snapshot(1.0) == per_rider.snapshot(1.0)
+    assert to_prometheus(batched.registry) == to_prometheus(per_rider.registry)
+    assert to_json(batched.registry) == to_json(per_rider.registry)
 
 
 def test_histogram_observe_many_oversized_batch_keeps_tail():

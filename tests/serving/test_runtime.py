@@ -23,6 +23,7 @@ from repro.serving import (
     QueueFullError,
     RuntimeConfig,
     ShardScheduler,
+    SketchServer,
     SolveRequest,
 )
 
@@ -267,6 +268,30 @@ def test_future_resolves_with_a_failed_response_when_every_link_raises(problem):
         assert "singular" in response.extra["failure_reason"]
         # The runtime keeps serving.
         assert runtime.solve(a, b).relative_residual < 0.05
+
+
+def test_malformed_input_fails_the_same_way_as_the_sync_server():
+    """A NaN that trips the spectrum probe resolves the future with the sync
+    server's failed response; the runtime's own root closes with the error."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((400, 6))
+    a[5, 1] = np.nan
+    b = rng.standard_normal(400)
+    expected = SketchServer(policy="adaptive", shards=1, seed=0).solve(a, b)
+    with AsyncSketchServer(policy="adaptive", shards=1, workers=1, seed=0) as runtime:
+        response = runtime.submit(a, b).result(timeout=30.0)
+        assert response.x is None and response.relative_residual == float("inf")
+        assert response.extra == expected.extra
+        assert response.extra["failure_reason"] == (
+            "ValueError: estimate_spectrum_bounds: A must not contain infs or NaNs"
+        )
+        assert runtime.telemetry.failed_requests == 1
+        (root,) = runtime.tracer.traces()
+        assert root.status == "error" and root.attributes["error"] == "ValueError"
+        assert runtime.tracer.traces_started == runtime.tracer.traces_completed == 1
+        # The runtime keeps serving.
+        clean = rng.standard_normal((400, 6))
+        assert runtime.solve(clean, clean @ np.ones(6)).relative_residual < 1e-8
 
 
 def test_shed_future_reports_typed_error(problem):

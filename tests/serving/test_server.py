@@ -11,10 +11,12 @@ from repro.distributed.comm import CommRecord
 from repro.gpu.executor import GPUExecutor
 from repro.gpu.memory import Allocation
 from repro.gpu.timing import KernelTiming, SimClock
+from repro.obs.export import to_prometheus
 from repro.linalg.lstsq import sketch_and_solve
 from repro.serving import ServerConfig, SketchServer, naive_solve_loop
 from repro.serving.cache import build_operator
 from repro.serving.scheduler import ShardScheduler
+from repro.serving.telemetry import ServingTelemetry
 
 D, N = 2048, 8
 
@@ -205,6 +207,28 @@ class TestStatsAndComm:
         resp = server.solve(a, a @ x_true)
         assert resp.simulated_seconds == pytest.approx(resp.compute_seconds + resp.comm_seconds)
         assert resp.comm_seconds > 0
+
+    def test_fused_batch_telemetry_equals_per_rider_recording(self, rng, problem):
+        """The riders of a batch are recorded at once, as if one by one."""
+        a, x_true = problem
+        server = SketchServer(kind="multisketch", shards=1, max_batch=8, seed=0)
+        for _ in range(6):
+            server.submit(a, a @ x_true + 0.01 * rng.standard_normal(D))
+        responses = server.flush()
+        assert {r.batch_size for r in responses} == {6}
+        per_rider = ServingTelemetry()
+        for r in responses:
+            per_rider.record_request(r.simulated_seconds, solver=r.executed_solver)
+        per_rider.record_batch(6, responses[0].compute_seconds)
+        assert server.telemetry.snapshot(1.0) == per_rider.snapshot(1.0)
+        scrapes = [to_prometheus(t.registry).splitlines() for t in (server.telemetry, per_rider)]
+        # The server's registry also holds its cache, calibration and SLO series.
+        families = ("serving_request", "serving_solver_latency")
+        served, recorded = (
+            [line for line in lines if any(f in line for f in families)] for lines in scrapes
+        )
+        assert served
+        assert served == recorded
 
     def test_sketch_request_served_and_cached(self, rng, problem):
         a, _ = problem
