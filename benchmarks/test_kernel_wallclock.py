@@ -9,6 +9,7 @@ Gaussian sketch does O(d n k) work, and the FWHT-based SRHT sits in between.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from repro.core.countsketch import CountSketch, StreamingCountSketch
 from repro.core.frequency import FrequencySketch
@@ -125,6 +126,20 @@ def test_wallclock_rand_cholqr_trsm(benchmark, executor):
     a0 = benchmark(executor.solver.trsm, a, r)
     assert a0.data.flags.c_contiguous
     np.testing.assert_allclose(a0.data[:512] @ r.data, a.data[:512], atol=1e-12)
+
+
+def test_wallclock_rand_cholqr_precondition(benchmark, executor):
+    """rand_cholQR's blocked pass on a C-order 65536 x 64 matrix: ``trtri`` of
+    ``R0``, then ``A0 = A R0^{-1}``, ``A0^T A0`` and ``A0^T b`` per row block."""
+    rng = np.random.default_rng(14)
+    a = executor.place_readonly(rng.standard_normal((1 << 16, 64)))
+    b = executor.place_readonly(rng.standard_normal(1 << 16))
+    r = executor.to_device(np.triu(rng.standard_normal((64, 64))) + 64 * np.eye(64))
+    a0, gram, z = benchmark(executor.solver.precondition_gram, a, r, b)
+    assert not a0.is_numeric
+    a0_ref = sla.solve_triangular(r.data, a.data.T, trans="T").T
+    np.testing.assert_allclose(gram.data, a0_ref.T @ a0_ref, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(z, a0_ref.T @ b.data, rtol=1e-10, atol=1e-10)
 
 
 def test_wallclock_qr_route(benchmark):

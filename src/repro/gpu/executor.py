@@ -127,6 +127,23 @@ class GPUExecutor:
         data = np.empty(shape, dtype=dtype) if self.numeric else None
         return DeviceArray(shape, dtype, order, data, label, handle, self)
 
+    def reserve(
+        self,
+        shape: Tuple[int, ...],
+        dtype=np.float64,
+        order: str = "C",
+        label: str = "",
+    ) -> DeviceArray:
+        """Account a device array whose values never reach the host.
+
+        Charged to the memory tracker like :meth:`empty`, but the handle holds
+        no data in either mode: a kernel that only streams an intermediate
+        through the host keeps the simulated footprint without its buffer.
+        """
+        shape = tuple(int(s) for s in shape)
+        handle = self.memory.alloc_array(shape, dtype, label=label)
+        return DeviceArray(shape, dtype, order, None, label, handle, self)
+
     def zeros(
         self,
         shape: Tuple[int, ...],

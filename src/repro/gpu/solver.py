@@ -17,6 +17,15 @@ equations curve) are faithfully reproduced.  The QR kernels do what they are
 charged for: ``geqrf`` runs LAPACK ``geqrf`` and keeps the Householder
 reflectors, ``ormqr`` applies them with LAPACK ``ormqr``, and no explicit
 ``Q`` is built unless a caller reads :attr:`QRFactors.q`.
+
+In Algorithm 5's preconditioning the host does less than the charge says.
+:meth:`SimSolver.precondition_gram` charges the d x n TRSM
+``A0 = A R0^{-1}`` and the Gram matrix ``A0^T A0`` exactly as
+:meth:`SimSolver.trsm` and :meth:`~repro.gpu.blas.SimBLAS.gram` do, and
+accounts ``A0`` on the memory tracker; the host inverts ``R0`` once and
+forms ``G = A0^T A0`` and ``Z = A0^T B`` in one pass over cache-sized row
+blocks of ``A``, never holding ``A0``.  :meth:`SimSolver.trsm` itself keeps
+LAPACK ``trtrs``'s values bit for bit (Algorithm 4 must form ``Q``).
 """
 
 from __future__ import annotations
@@ -57,6 +66,15 @@ def _check_info(name: str, info: int) -> None:
 _COPY_BLOCK_ROWS = 256
 
 
+#: Bytes of ``A`` per row block of :func:`_preconditioned_gram` (2048 rows
+#: of a 64-column float64 matrix).  A block of ``A R^{-1}`` this size stays
+#: in cache between its GEMM and the Gram/``A0^T B`` updates that read it.
+#: At 65536 x 64 on one core of a 2-vCPU x86 host the pass took 36-58 ms,
+#: against 70-77 ms for the TRSM alone over a materialised ``A0``; 256 KiB to
+#: 2 MiB blocks all ran within a few percent of each other.
+_PRECONDITION_BLOCK_BYTES = 1 << 20
+
+
 def _fortran_copy(a: np.ndarray) -> np.ndarray:
     """An F-order copy of the 2-D array ``a`` (the work array LAPACK overwrites)."""
     if a.flags.f_contiguous:
@@ -65,6 +83,44 @@ def _fortran_copy(a: np.ndarray) -> np.ndarray:
     for i in range(0, a.shape[0], _COPY_BLOCK_ROWS):
         out[i:i + _COPY_BLOCK_ROWS] = a[i:i + _COPY_BLOCK_ROWS]
     return out
+
+
+def _preconditioned_gram(a: np.ndarray, r: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``G = A0^T A0`` and ``Z = A0^T B`` for ``A0 = A R^{-1}``, reading ``A`` once.
+
+    ``R`` (upper triangular; its strictly lower part is ignored) is inverted
+    once with LAPACK ``trtri``; each row block of ``A`` is multiplied by the
+    inverse into one reused buffer, whose Gram matrix and product with the
+    matching rows of ``B`` are added into ``G`` and ``Z``.  The pass works in
+    ``result_type(A, R)`` (``Z`` also widens to ``B``'s dtype).
+
+    Raises ``ValueError`` ("infs or NaNs") for a non-finite ``R``, ``G`` or
+    ``Z``: a non-finite entry of ``A`` always reaches ``G``'s diagonal,
+    because ``R^{-1}`` has a nonzero diagonal.  Raises ``LinAlgError`` for a
+    zero on ``R``'s diagonal, with LAPACK ``trtrs``'s message.
+    """
+    dtype = np.result_type(a, r)
+    r = np.asarray_chkfinite(r).astype(dtype, copy=False)
+    rinv, info = _lapack("trtri", r)(r, lower=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    _check_info("trtri", info)
+    rinv = np.triu(rinv)
+
+    d, n = a.shape
+    rows = max(1, _PRECONDITION_BLOCK_BYTES // (n * dtype.itemsize))
+    buf = np.empty((min(rows, d), n), dtype=dtype)
+    g = np.zeros((n, n), dtype=dtype)
+    z = np.zeros((n,) + b.shape[1:], dtype=np.result_type(dtype, b))
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite G or Z raises below
+        for i in range(0, d, rows):
+            a0 = buf[:min(rows, d - i)]
+            np.matmul(a[i:i + rows], rinv, out=a0)
+            g += a0.T @ a0
+            z += a0.T @ b[i:i + rows]
+    if not (np.isfinite(g).all() and np.isfinite(z).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return g, z
 
 
 @dataclass
@@ -332,8 +388,9 @@ class SimSolver:
         """Solve ``X R = A`` for X, i.e. compute ``A @ R^{-1}`` for upper-triangular R.
 
         This is the preconditioning step ``A0 = A R0^{-1}`` of rand_cholQR
-        (Algorithms 4-5); it streams the full d x n matrix, so at the paper's
-        sizes it is one of the dominant costs of that solver.
+        (Algorithm 4, and the charge of Algorithm 5's :meth:`precondition_gram`);
+        it streams the full d x n matrix, so at the paper's sizes it is one of
+        the dominant costs of that solver.
 
         Numerically ``A`` is copied into the output once and
         ``solve_triangular(R, Z^T, trans="T", overwrite_b=True)`` solves the
@@ -344,22 +401,9 @@ class SimSolver:
         zero on ``R``'s diagonal: ``LinAlgError``) are unchanged.  The input
         is only read.
         """
-        d, n = a.shape
-        if r.shape != (n, n):
-            raise ValueError("trsm expects R to be n x n matching A's column count")
-        out = self._ex.empty((d, n), dtype=a.dtype, order=a.order, label=label)
-
-        self._ex.launch(
-            KernelRequest(
-                name="trsm",
-                kclass=KernelClass.GEMM,
-                bytes_read=float(d * n + n * n) * a.itemsize,
-                bytes_written=float(d * n) * a.itemsize,
-                flops=float(d) * n * n,
-                dtype_size=a.itemsize,
-                phase=phase,
-            )
-        )
+        self._check_trsm_shapes(a, r)
+        out = self._ex.empty(a.shape, dtype=a.dtype, order=a.order, label=label)
+        self._launch_trsm(a, phase)
 
         if self._ex.numeric and a.is_numeric and r.is_numeric:
             # Solve R^T Z^T = A^T in place  =>  Z = A R^{-1}.  ``empty`` stores
@@ -372,6 +416,69 @@ class SimSolver:
             if not np.shares_memory(zt, z):
                 z[...] = zt.T
         return out
+
+    def precondition_gram(
+        self,
+        a: DeviceArray,
+        r: DeviceArray,
+        b: DeviceArray,
+        *,
+        phase: str = "TRSM",
+        label: str = "A_preconditioned",
+    ) -> Tuple[DeviceArray, DeviceArray, Optional[np.ndarray]]:
+        """rand_cholQR's preconditioning: ``A0 = A R^{-1}``, ``G = A0^T A0`` and ``Z = A0^T B``.
+
+        Charged exactly as :meth:`trsm` followed by
+        :meth:`~repro.gpu.blas.SimBLAS.gram` (phase ``"Gram matrix"``): the
+        same two launches, and the d x n ``A0`` allocation on the memory
+        tracker.  Returns ``(A0, G, Z)``.  The ``A0`` handle holds no host
+        data: the host forms ``G`` and ``Z`` in one blocked pass over ``A``
+        (:func:`_preconditioned_gram`), so ``Z`` comes back as a host array
+        (``None`` in analytic mode).  The caller charges its ``A0^T B``
+        launch where its algorithm orders it (Algorithm 5: after POTRF) and
+        takes the values from ``Z``.
+
+        ``G`` and ``Z`` match the TRSM path within rounding, not bit for bit:
+        the host multiplies by ``R``'s ``trtri`` inverse instead of solving
+        row by row.  The checks are :meth:`trsm`'s: a non-finite ``A``, ``R``
+        or ``B`` raises ``ValueError``, a zero on ``R``'s diagonal raises
+        ``LinAlgError`` after the TRSM launch and before the Gram launch.
+        ``A`` and ``B`` are only read.
+        """
+        self._check_trsm_shapes(a, r)
+        if b.shape[0] != a.shape[0]:
+            raise ValueError(
+                f"precondition_gram dimension mismatch: A has {a.shape[0]} rows, B has {b.shape[0]}"
+            )
+        a0 = self._ex.reserve(a.shape, dtype=a.dtype, order=a.order, label=label)
+        self._launch_trsm(a, phase)
+        g = z = None
+        if self._ex.numeric and a.is_numeric and r.is_numeric and b.is_numeric:
+            g, z = _preconditioned_gram(a.data, r.data, b.data)
+        gram = self._ex.blas.gram(a0, phase="Gram matrix")
+        if g is not None:
+            gram.data[...] = g
+        return a0, gram, z
+
+    @staticmethod
+    def _check_trsm_shapes(a: DeviceArray, r: DeviceArray) -> None:
+        _, n = a.shape
+        if r.shape != (n, n):
+            raise ValueError("trsm expects R to be n x n matching A's column count")
+
+    def _launch_trsm(self, a: DeviceArray, phase: str) -> None:
+        d, n = a.shape
+        self._ex.launch(
+            KernelRequest(
+                name="trsm",
+                kclass=KernelClass.GEMM,
+                bytes_read=float(d * n + n * n) * a.itemsize,
+                bytes_written=float(d * n) * a.itemsize,
+                flops=float(d) * n * n,
+                dtype_size=a.itemsize,
+                phase=phase,
+            )
+        )
 
     # ------------------------------------------------------------------
     def householder_qr_solve(

@@ -180,7 +180,11 @@ def _residuals(
     if b.data.ndim == 2:
         res, rel, columns = block_residuals(a.data, b.data, x_host)
         return res, rel, x_host, columns
-    res = float(np.linalg.norm(b.data - a.data @ x_host))
+    # b - A x in A x's buffer (unless b widens it); sqrt(r . r) is exactly
+    # np.linalg.norm's 2-norm of a real vector.
+    r = a.data @ x_host
+    r = np.subtract(b.data, r, out=r if r.dtype == np.result_type(b.data, r) else None)
+    res = float(np.sqrt(r.dot(r)))
     nb = float(np.linalg.norm(b.data))
     return res, (res / nb if nb > 0 else res), x_host, None
 

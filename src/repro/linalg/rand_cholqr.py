@@ -13,6 +13,15 @@ mathematically equivalent to the "preconditioned normal equations" of
 to the normal equations it is stable for ill-conditioned problems; the price
 is that it touches the full ``d x n`` matrix several times, making it the
 slowest of the three randomized options in Figure 5.
+
+The simulated clock charges Algorithm 5 exactly that way: a d x n TRSM for
+``A0``, a Gram GEMM and an ``A0^T b`` GEMV over it, with ``A0`` accounted on
+the device.  The host does less: :meth:`~repro.gpu.solver.SimSolver.precondition_gram`
+inverts ``R0`` once and forms ``A0^T A0`` and ``A0^T b`` in one pass over
+row blocks of ``A``, so ``A0`` is never held and ``A`` is read once.  That
+moves ``x`` at rounding level against a row-wise triangular solve, at the
+same accuracy up to ``kappa(A) = 1e14``.  Algorithm 4 must form ``Q``, so it
+keeps :meth:`~repro.gpu.solver.SimSolver.trsm`.
 """
 
 from __future__ import annotations
@@ -79,8 +88,8 @@ def rand_cholqr_lstsq(
 
     1. ``Y = S A``                       (Matrix sketch)
     2. ``[~, R0] = qr(Y, 0)``            (GEQRF)
-    3. ``A0 = A R0^{-1}``                (TRSM)
-    4. ``G = A0^T A0``, ``z = A0^T b``   (Gram matrix / AT*b)
+    3. ``A0 = A R0^{-1}``                (TRSM; charged, never held on the host)
+    4. ``G = A0^T A0``, ``z = A0^T b``   (Gram matrix / AT*b; one blocked host pass)
     5. ``R1 = chol(G)``                  (POTRF)
     6. ``R = R1 R0``                     (R update)
     7. ``y = R^{-T} z'`` and ``x = R^{-1} y`` via two TRSVs, where
@@ -120,21 +129,22 @@ def rand_cholqr_lstsq(
         sketch.generate()
         y = sketch.apply(a_dev, phase="Matrix sketch")
         factors = solver.geqrf(y, phase="GEQRF")
-        a0 = solver.trsm(a_dev, factors.r, phase="TRSM", label="A_preconditioned")
-        gram = blas.gram(a0, phase="Gram matrix")
+        # Charges the TRSM and the Gram GEMM; the host forms G and Z = A0^T B
+        # in one blocked pass, so a0 holds no data and the AT*b launch below
+        # only charges, taking its values from Z.
+        a0, gram, z_host = solver.precondition_gram(a_dev, factors.r, b_dev, phase="TRSM")
         r1 = solver.potrf(gram, phase="POTRF")
         if multi_rhs:
             z = blas.gemm(a0, b_dev, trans_a=True, phase="AT*b", label="A0TB")
-            # Solve (R1^T R1) W = Z, then X = R0^{-1} W, blockwise.
-            w1 = solver.trsm_left(r1, z, transpose=True, phase="TRSV", label="forward_solve")
-            w = solver.trsm_left(r1, w1, transpose=False, phase="TRSV", label="preconditioned_solution")
-            x_dev = solver.trsm_left(factors.r, w, transpose=False, phase="TRSV", label="solution")
         else:
             z = blas.gemv(a0, b_dev, trans_a=True, phase="AT*b", label="A0Tb")
-            # Solve (R1^T R1) w = z, then x = R0^{-1} w.
-            w1 = solver.trsv(r1, z, transpose=True, phase="TRSV", label="forward_solve")
-            w = solver.trsv(r1, w1, transpose=False, phase="TRSV", label="preconditioned_solution")
-            x_dev = solver.trsv(factors.r, w, transpose=False, phase="TRSV", label="solution")
+        if z_host is not None:
+            z.data[...] = z_host
+        # Solve (R1^T R1) w = z, then x = R0^{-1} w (TRSMs over a block B).
+        tri = solver.trsm_left if multi_rhs else solver.trsv
+        w1 = tri(r1, z, transpose=True, phase="TRSV", label="forward_solve")
+        w = tri(r1, w1, transpose=False, phase="TRSV", label="preconditioned_solution")
+        x_dev = tri(factors.r, w, transpose=False, phase="TRSV", label="solution")
     except np.linalg.LinAlgError as exc:
         failed, reason = True, f"rand_cholQR breakdown: {exc}"
 

@@ -86,6 +86,23 @@ def test_vector_path_of_residuals_is_unchanged():
     assert np.array_equal(x_host, x)
 
 
+@pytest.mark.parametrize("dtypes", [(np.float64, np.float64), (np.float32, np.float64)])
+@pytest.mark.parametrize("d", [7, 2048, 65536 + 1])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_vector_residual_is_bit_identical_to_norm(order, d, dtypes):
+    """The in-place vector residual equals ``np.linalg.norm(b - a @ x)`` bit for bit."""
+    a_dtype, b_dtype = dtypes
+    rng = np.random.default_rng(d)
+    a = np.asarray(rng.standard_normal((d, 4)), dtype=a_dtype, order=order)
+    x = rng.standard_normal(4).astype(a_dtype)
+    b = (a @ x + 0.1 * rng.standard_normal(d)).astype(b_dtype)
+    ex = GPUExecutor(numeric=True, track_memory=False)
+    res, rel, _, _ = _residuals(ex, ex.place_readonly(a), ex.place_readonly(b), ex.place_readonly(x))
+    expected = float(np.linalg.norm(b - a @ x))
+    assert res == expected
+    assert rel == expected / float(np.linalg.norm(b))
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_solvers_report_the_helper(order):
     """Each multi-RHS caller reports exactly what the helper computes for its x."""
