@@ -113,6 +113,14 @@ def as_weight_array(weights, batch: int, dtype=np.float64) -> np.ndarray:
     return w
 
 
+def _integral_counters(counters: np.ndarray, items_seen: int) -> bool:
+    """Whether every counter is an integer of magnitude <= ``items_seen``."""
+    return bool(
+        np.abs(counters).max(initial=0) <= items_seen
+        and np.array_equal(counters, np.trunc(counters))
+    )
+
+
 class FrequencySketch:
     """``depth x width`` signed-counter table answering frequency queries.
 
@@ -204,6 +212,11 @@ class FrequencySketch:
     def items_seen(self) -> int:
         """Stream items consumed so far (merge adds, restore reinstates)."""
         return self._items_seen
+
+    @property
+    def integral(self) -> bool:
+        """Whether every counter is an integer of magnitude <= ``items_seen``."""
+        return self._integral
 
     @property
     def numeric(self) -> bool:
@@ -494,11 +507,7 @@ class FrequencySketch:
             raise ValueError("numeric snapshot is missing its table payload")
         self._items_seen = int(state["items_seen"])
         if self.numeric:
-            table = self._table.data
-            self._integral = bool(
-                np.abs(table).max(initial=0) <= self._items_seen
-                and np.array_equal(table, np.trunc(table))
-            )
+            self._integral = _integral_counters(self._table.data, self._items_seen)
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(
@@ -544,6 +553,8 @@ class ExactFrequencyLevel:
         self._ex = executor
         self._counts = executor.zeros((self._domain,), dtype=self._dtype, label="freq_counts")
         self._items_seen = 0
+        # The same invariant and rules as FrequencySketch._integral.
+        self._integral = True
 
     @property
     def domain(self) -> int:
@@ -558,6 +569,11 @@ class ExactFrequencyLevel:
     def items_seen(self) -> int:
         """Stream items consumed so far (merge adds, restore reinstates)."""
         return self._items_seen
+
+    @property
+    def integral(self) -> bool:
+        """Whether every counter is an integer of magnitude <= ``items_seen``."""
+        return self._integral
 
     @property
     def numeric(self) -> bool:
@@ -589,6 +605,7 @@ class ExactFrequencyLevel:
             return
         w = None if weights is None else as_weight_array(weights, batch, self._dtype)
         self._items_seen += batch
+        self._integral = self._integral and weights is None
         if self.numeric:
             self._counts.data += np.bincount(idx, w, minlength=self._domain)
         itemsize = self._dtype.itemsize
@@ -621,6 +638,7 @@ class ExactFrequencyLevel:
         if self.numeric:
             self._counts.data += other._counts.data
         self._items_seen += other._items_seen
+        self._integral = self._integral and other._integral
         nbytes = float(self._domain) * self._dtype.itemsize
         self._charge("frequency_exact_merge", KernelClass.STREAM, 2.0 * nbytes, nbytes, float(self._domain))
 
@@ -628,6 +646,7 @@ class ExactFrequencyLevel:
         """Scale every counter in place (exponential-decay hook)."""
         if self.numeric:
             self._counts.data *= float(alpha)
+        self._integral = False
         nbytes = float(self._domain) * self._dtype.itemsize
         self._charge("frequency_exact_scale", KernelClass.STREAM, nbytes, nbytes, float(self._domain))
 
@@ -662,6 +681,8 @@ class ExactFrequencyLevel:
         elif state.get("numeric") and self.numeric:
             raise ValueError("numeric snapshot is missing its counts payload")
         self._items_seen = int(state["items_seen"])
+        if self.numeric:
+            self._integral = _integral_counters(self._counts.data, self._items_seen)
         nbytes = float(self._domain) * self._dtype.itemsize
         self._charge("frequency_exact_restore", KernelClass.STREAM, 0.0, nbytes, 0.0)
 
@@ -892,13 +913,6 @@ class HierarchicalFrequencySketch:
         return {
             "branch": self._branch,
             "levels": [s.state_dict() for s in self._levels],
-        }
-
-    def _live_state(self) -> dict:
-        """:meth:`state_dict` holding each level's live table (see the flat one)."""
-        return {
-            "branch": self._branch,
-            "levels": [s._live_state() for s in self._levels],
         }
 
     def load_state(self, state: dict) -> None:

@@ -21,8 +21,11 @@ Four record kinds, all carried by :mod:`repro.durability.codec`:
     A frequency session: its plan's operating point, ``exact_levels`` and
     seed (enough to rebuild the engine), the engine's ``state_dict`` with
     each level's counters as a raw array -- a sketch level's
-    ``depth x width`` table, an exact level's 1-D count vector -- and the
-    same serving metadata (``durable_seq`` etc.).  A record whose plan
+    ``depth x width`` table, an exact level's 1-D count vector, stored as
+    int32 while every counter is an integer that fits and as float64
+    otherwise -- and the same serving metadata (``durable_seq`` etc.).
+    Records written before the int32 encoding hold float64 tables and
+    restore as before.  A record whose plan
     carries no ``exact_levels`` was written before exact levels existed:
     it decodes as ``exact_levels = 0`` (every level a sketch) and keeps
     restoring bit-identically.
@@ -127,27 +130,38 @@ def decode_wal_batch(payload: bytes) -> Tuple[int, np.ndarray, np.ndarray]:
     return seq, rows, targets
 
 
+#: Exclusive bound on ``items_seen`` for an int32 table: every counter of an
+#: integral level has magnitude <= ``items_seen``, so below it each one fits.
+_INT32_ITEMS = 2**31
+
+
 def _encode_engine_state(engine: FrequencyEngine) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Split an engine's ``state_dict`` into JSON meta + raw counter tables.
 
     A flat engine is one level whose table is stored as ``table``; level
     ``i`` of a hierarchical engine is stored as ``level_<i>`` (a sketch's
-    2-D table or an exact level's 1-D count vector).  The tables
-    are the engine's live counters, not copies: the caller encodes them
-    before the engine is written again.
+    2-D table or an exact level's 1-D count vector).  A level whose
+    counters are all integers of magnitude <= ``items_seen`` (its
+    ``integral`` flag; unweighted sessions keep it) with ``items_seen``
+    below ``2**31`` is stored as int32: half the bytes and half the
+    checksum, and the cast back on restore is exact.  The codec's manifest
+    records each array's dtype, so no meta field says which.  Otherwise the
+    table is the engine's live counters, not a copy: the caller encodes
+    them before the engine is written again.
     """
-    state = engine._live_state()
     hierarchical = isinstance(engine, HierarchicalFrequencySketch)
     arrays: Dict[str, np.ndarray] = {}
     levels = []
-    for i, level in enumerate(state["levels"] if hierarchical else [state]):
-        level = dict(level)
+    for i, sketch in enumerate(engine.levels if hierarchical else (engine,)):
+        level = sketch._live_state()
         table = level.pop("table")
         if table is not None:
+            if sketch.integral and sketch.items_seen < _INT32_ITEMS:
+                table = table.astype(np.int32)
             arrays[f"level_{i}" if hierarchical else "table"] = table
         levels.append(level)
     if hierarchical:
-        return {"hierarchical": True, "branch": state["branch"], "levels": levels}, arrays
+        return {"hierarchical": True, "branch": engine.branch, "levels": levels}, arrays
     return dict(levels[0], hierarchical=False), arrays
 
 

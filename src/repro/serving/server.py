@@ -42,6 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.blas import set_blas_threads
 from repro.distributed.comm import CommCostModel
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.gpu.executor import GPUExecutor
@@ -172,10 +173,19 @@ class ServerConfig:
         least-recently-used session of either kind (passivated when
         durable, terminal otherwise).  ``None`` means unbounded.
     session_ttl_seconds:
-        Idle lifetime of a session of either kind on its shard's simulated
-        clock; sessions idle longer are evicted on the next open or
-        resurrection of any session (or an explicit
+        Idle lifetime of a session of either kind on the pool's makespan
+        (one server-wide simulated clock, so a session on a shard that gets
+        no work still ages); sessions idle longer are evicted on the next
+        open or resurrection of any session (or an explicit
         ``sessions.sweep_expired()``).  ``None`` disables TTL.
+    blas_threads:
+        Thread count of the OpenBLAS pools NumPy and SciPy load, set when
+        the server is built (:func:`repro.blas.set_blas_threads`; its
+        ``blas_threads`` gauge is in :data:`repro.blas.PROCESS_METRICS`).
+        The setting is process-wide: it holds for every server, solver and
+        thread of the process, and the last server built wins.  One thread
+        (default) is what every measured number assumes; ``None`` leaves
+        the process's pools as they are.
     """
 
     kind: str = "multisketch"
@@ -200,6 +210,7 @@ class ServerConfig:
     durability: Optional[DurabilityConfig] = None
     max_sessions: Optional[int] = None
     session_ttl_seconds: Optional[float] = None
+    blas_threads: Optional[int] = 1
 
     def __post_init__(self) -> None:
         self.kind = normalize_kind(self.kind)
@@ -225,6 +236,8 @@ class ServerConfig:
             raise ValueError("max_sessions must be at least 1 (or None for unbounded)")
         if self.session_ttl_seconds is not None and self.session_ttl_seconds <= 0.0:
             raise ValueError("session_ttl_seconds must be positive (or None to disable)")
+        if self.blas_threads is not None and self.blas_threads < 1:
+            raise ValueError("blas_threads must be at least 1 (or None to leave BLAS alone)")
 
 
 @dataclass
@@ -260,6 +273,8 @@ class SketchServer:
         elif overrides:
             raise ValueError("pass either a ServerConfig or keyword overrides, not both")
         self.config = config
+        if config.blas_threads is not None:
+            set_blas_threads(config.blas_threads)
         self.pool = ExecutorPool(
             config.shards,
             device=config.device,

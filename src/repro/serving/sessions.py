@@ -5,8 +5,9 @@ Stream sessions (:mod:`repro.serving.streaming`) and frequency sessions
 shard, and both live the same life, owned here once:
 
 * **One table per server.**  :class:`SessionTable` holds every session of
-  every kind, so ``max_sessions``, the TTL sweep (idleness on each
-  session's own shard clock) and LRU eviction bound the whole population.
+  every kind, so ``max_sessions``, the TTL sweep (idleness on one
+  server-wide simulated clock, the pool's makespan) and LRU eviction bound
+  the whole population.
   Opening *and* resurrecting a session first makes room under them.
 * **Write-ahead before fold.**  A batch is validated, framed into the
   session's WAL and only then folded: a crash can only lose work the caller
@@ -79,8 +80,12 @@ class SessionTable:
         return self.owner[session_id]._restore_one(session_id)[0]
 
     def touch(self, session) -> None:
-        """Stamp a session's last use with its shard clock (the TTL input)."""
-        session.last_used = self._server.pool[session.shard].elapsed
+        """Stamp a session's last use with the pool's makespan (the TTL input).
+
+        One server-wide clock, so a session idles while *any* shard works:
+        a session whose own shard gets no work still expires.
+        """
+        session.last_used = self._server.pool.makespan()
 
     def admit(self) -> None:
         """Make room for one more live session: TTL sweep, then the LRU cap."""
@@ -123,10 +128,8 @@ class SessionTable:
         ttl = self._server.config.session_ttl_seconds
         if ttl is None:
             return 0
-        pool = self._server.pool
-        expired = [
-            sid for sid, s in self.live.items() if pool[s.shard].elapsed - s.last_used > ttl
-        ]
+        now = self._server.pool.makespan()
+        expired = [sid for sid, s in self.live.items() if now - s.last_used > ttl]
         for session_id in expired:
             self.evict(session_id, reason="ttl")
         return len(expired)

@@ -79,8 +79,8 @@ class StreamSession:
     """One live streaming session: its engine, shard binding and counters.
 
     ``cache_key`` is ``None`` for sessions whose window summary carries no
-    operator state to pin (``mode="fd"``).  ``last_used`` is the session's
-    shard clock at its last touch (the TTL policy's input); ``durable_seq``
+    operator state to pin (``mode="fd"``).  ``last_used`` is the pool's
+    makespan at its last touch (the TTL policy's input); ``durable_seq``
     numbers the next WAL batch and ``wal_batches`` counts appends since the
     last checkpoint.
     """

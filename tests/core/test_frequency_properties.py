@@ -513,3 +513,51 @@ def test_l2_estimate_matches_the_squared_sum_on_a_weighted_table():
     for _ in range(4):
         sketch.update(rng.integers(0, 1 << 12, 2048), rng.standard_normal(2048) * 1e3)
     assert sketch.l2_estimate() == pytest.approx(_energy_reference(sketch.table()), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the integral flag: one contract for sketch and exact levels
+# ---------------------------------------------------------------------------
+LEVEL_KINDS = {
+    "sketch": lambda: FrequencySketch(1 << 10, 64, 3, seed=5),
+    "exact": lambda: ExactFrequencyLevel(1 << 10),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEVEL_KINDS))
+def test_integral_flag_follows_updates_merges_scale_and_restore(kind):
+    make = LEVEL_KINDS[kind]
+    ids = np.array([1, 5, 5, 900])
+    level = make()
+    assert level.integral  # fresh
+    level.update(ids)
+    assert level.integral  # unweighted keeps it
+    weighted = make()
+    weighted.update(ids, [1.0, 1.0, -1.0, 1.0])
+    assert not weighted.integral  # any weighted update clears it, integral or not
+
+    merged = make()
+    merged.merge_from(level)
+    assert merged.integral  # True AND True
+    merged.merge_from(weighted)
+    assert not merged.integral  # ANDed
+
+    scaled = make()
+    scaled.update(ids)
+    scaled.scale(3.0)
+    assert not scaled.integral  # scale clears it, even to integers
+
+    # load_state recomputes it from the counters and items_seen (the scaled
+    # counters are integers above items_seen).
+    for source, expected in ((level, True), (weighted, True), (scaled, False)):
+        clone = make()
+        clone.load_state(source.state_dict())
+        assert clone.integral is expected
+    for weights in ([0.5, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0]):  # fractional; above items_seen
+        source = make()
+        source.update(ids, weights)
+        clone = make()
+        clone.load_state(source.state_dict())
+        assert not clone.integral
+    with pytest.raises(AttributeError):
+        level.integral = False  # read-only

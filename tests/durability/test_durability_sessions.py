@@ -12,8 +12,9 @@ resurrection bound and serve the *mixed* population.  The contracts here:
   clean after rejected appends;
 * the concurrent runtime serves passivated sessions of both kinds;
 * the durable formats are byte-for-byte those of earlier releases, except
-  the frequency checkpoint, which gained exact hierarchy levels -- and a
-  store written before that still restores with the same answers.
+  the frequency checkpoint, which gained exact hierarchy levels and stores
+  integral counter tables as int32 (digested beside the others) -- and a
+  store written before either still restores with the same answers.
 """
 
 from __future__ import annotations
@@ -326,6 +327,30 @@ def test_checkpoint_and_wal_bytes_match_the_golden_digests():
     got["stream_checkpoint"] = digest(store.read_checkpoint(f"session-{sid}"))
     got["freq_checkpoint"] = digest(store.read_checkpoint(f"freq-session-{fid}"))
     assert got == GOLDEN_DIGESTS
+
+
+#: SHA-256 of a unit-weight frequency session's checkpoint.  Its counters
+#: are all integers, so every level is stored as int32; the mixed-weight
+#: session above keeps float64 tables and its digest.
+INT32_GOLDEN_DIGESTS = {
+    "freq_checkpoint_unit_weight": "b6d7e6462193539f1d875393a6fe7749f38aec9f98ba6a06f4fed2ad16693bd1",
+}
+
+
+def test_unit_weight_frequency_checkpoint_matches_its_golden_digest():
+    store = MemoryCheckpointStore()
+    server = SketchServer(
+        shards=2, seed=7,
+        durability=DurabilityConfig(store=store, checkpoint_interval_batches=100),
+    )
+    fid = server.open_frequency_stream(1 << 10, phi=0.05, need_ranges=True, seed=13)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        server.append_items(fid, rng.integers(0, 1 << 10, 200))
+    server.save()
+    blob = store.read_checkpoint(f"freq-session-{fid}")
+    got = {"freq_checkpoint_unit_weight": hashlib.sha256(blob).hexdigest()}
+    assert got == INT32_GOLDEN_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ The eviction contract has two halves:
   without one, eviction is terminal and a later touch raises ``KeyError``
   exactly like a closed session.
 
-TTL idleness runs on the session's own shard clock (the simulated timeline
-all serving latencies live on), so the tests age sessions by doing real
-work on their shard, not by sleeping.
+TTL idleness runs on the pool's makespan (one server-wide simulated clock,
+the timeline all serving latencies live on), so the tests age sessions by
+doing real work on some shard, not by sleeping.
 """
 
 from __future__ import annotations
@@ -102,6 +102,21 @@ def test_ttl_sweep_runs_on_the_shard_clock():
     _open(server)  # admission-side sweep fires here
     assert busy not in server.streams and third in server.streams
     assert server.telemetry.eviction_counts() == {"ttl": 2}
+
+
+def test_ttl_expires_a_session_whose_shard_stays_idle():
+    server = SketchServer(shards=2, seed=0, session_ttl_seconds=1e-6)
+    busy, idle = _open(server), _open(server)
+    shards = {sid: server.streams.session(sid).shard for sid in (busy, idle)}
+    assert sorted(shards.values()) == [0, 1]
+    idle_clock = server.pool[shards[idle]].elapsed
+    _feed(server, busy, seed=8, batches=50)
+    # No work landed on the idle session's shard; the pool's makespan moved.
+    assert server.pool[shards[idle]].elapsed == idle_clock
+    assert server.pool.makespan() - idle_clock > 1e-6
+    assert server.streams.sweep_expired() == 1
+    assert idle not in server.streams and busy in server.streams
+    assert server.telemetry.eviction_counts() == {"ttl": 1}
 
 
 # ---------------------------------------------------------------------------
