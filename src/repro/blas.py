@@ -6,18 +6,16 @@ the cores, and every solve pays for it (on a 2-core host, a stream of small
 served solves ran 6-9x slower with both default pools than with one thread
 per library).  The serving stack therefore sets the count itself instead of
 relying on ``OPENBLAS_NUM_THREADS`` being exported before the process started:
-:class:`~repro.serving.server.ServerConfig` ``blas_threads`` applies
-:func:`set_blas_threads` when a server is built.
+building a :class:`~repro.serving.server.SketchServer`, and ``repro-serve``
+before any work, apply :func:`set_blas_threads` with :data:`SERVED_THREADS`.
+The count is process-wide: it holds for every server, solver and thread of
+the process.  :func:`blas_threads` reads the live counts.
 
 The thread get/set symbols are looked up through ``ctypes`` in the shared
 libraries shipped next to each package (``numpy.libs`` / ``scipy.libs``),
 so no extra dependency is needed.  A library exporting none of the known
 symbols (another BLAS vendor) is reported as ``None``; setting the count
 then warns once per process and leaves that library alone.
-
-The count is process-wide, so its gauge (``blas_threads{library=...}``)
-lives in the process registry :data:`PROCESS_METRICS`, not in any one
-server's registry.
 """
 
 from __future__ import annotations
@@ -29,15 +27,13 @@ import os
 import warnings
 from typing import Dict, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-
-__all__ = ["LIBRARIES", "PROCESS_METRICS", "blas_threads", "set_blas_threads"]
+__all__ = ["LIBRARIES", "SERVED_THREADS", "blas_threads", "set_blas_threads"]
 
 #: The packages whose bundled BLAS is managed, in report order.
 LIBRARIES = ("numpy", "scipy")
 
-#: Process-wide metrics: one ``blas_threads`` gauge per managed library.
-PROCESS_METRICS = MetricsRegistry()
+#: Threads per library in a serving process: what every measured number assumes.
+SERVED_THREADS = 1
 
 # Symbol stems, in lookup order: NumPy's 64-bit-integer scipy-openblas build,
 # SciPy's 32-bit one, then a plain OpenBLAS of either interface.
@@ -79,8 +75,7 @@ def set_blas_threads(threads: int) -> Dict[str, Optional[int]]:
     """Set every managed library's BLAS pool to ``threads``; returns the live counts.
 
     Process-wide: every server, solver and thread in the process shares
-    these pools.  The live counts are published as the
-    ``blas_threads{library=...}`` gauges of :data:`PROCESS_METRICS`.
+    these pools.
     """
     global _warned
     if threads < 1:
@@ -98,7 +93,4 @@ def set_blas_threads(threads: int) -> Dict[str, Optional[int]]:
             "its BLAS thread count is left as the process started it",
             stacklevel=2,
         )
-    for package, count in live.items():
-        if count is not None:
-            PROCESS_METRICS.gauge("blas_threads", library=package).set(count)
     return live

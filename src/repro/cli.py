@@ -14,14 +14,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.blas import set_blas_threads
+from repro.blas import SERVED_THREADS, set_blas_threads
 from repro.durability.store import DirectoryCheckpointStore, DurabilityConfig
 from repro.harness.experiments import concurrent_load, serving_throughput
 from repro.harness.report import format_table
 from repro.obs.export import render_critical_path, render_waterfall, to_json, to_prometheus
 from repro.obs.slo import SLOEngine, default_serving_slos
 from repro.serving.runtime import AsyncSketchServer
-from repro.serving.server import ServerConfig, SketchServer
+from repro.serving.server import SketchServer
 
 
 def _run_canary(args, *, slos: bool):
@@ -258,7 +258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     # Before any work: the demos' numbers assume the server's BLAS pool size.
-    set_blas_threads(ServerConfig.blas_threads)
+    set_blas_threads(SERVED_THREADS)
 
     if args.checkpoint_dir is not None:
         return _durability_demo(args)

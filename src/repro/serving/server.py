@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.blas import set_blas_threads
+from repro.blas import SERVED_THREADS, set_blas_threads
 from repro.distributed.comm import CommCostModel
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.gpu.executor import GPUExecutor
@@ -178,14 +178,6 @@ class ServerConfig:
         no work still ages); sessions idle longer are evicted on the next
         open or resurrection of any session (or an explicit
         ``sessions.sweep_expired()``).  ``None`` disables TTL.
-    blas_threads:
-        Thread count of the OpenBLAS pools NumPy and SciPy load, set when
-        the server is built (:func:`repro.blas.set_blas_threads`; its
-        ``blas_threads`` gauge is in :data:`repro.blas.PROCESS_METRICS`).
-        The setting is process-wide: it holds for every server, solver and
-        thread of the process, and the last server built wins.  One thread
-        (default) is what every measured number assumes; ``None`` leaves
-        the process's pools as they are.
     """
 
     kind: str = "multisketch"
@@ -210,7 +202,6 @@ class ServerConfig:
     durability: Optional[DurabilityConfig] = None
     max_sessions: Optional[int] = None
     session_ttl_seconds: Optional[float] = None
-    blas_threads: Optional[int] = 1
 
     def __post_init__(self) -> None:
         self.kind = normalize_kind(self.kind)
@@ -236,8 +227,6 @@ class ServerConfig:
             raise ValueError("max_sessions must be at least 1 (or None for unbounded)")
         if self.session_ttl_seconds is not None and self.session_ttl_seconds <= 0.0:
             raise ValueError("session_ttl_seconds must be positive (or None to disable)")
-        if self.blas_threads is not None and self.blas_threads < 1:
-            raise ValueError("blas_threads must be at least 1 (or None to leave BLAS alone)")
 
 
 @dataclass
@@ -273,8 +262,8 @@ class SketchServer:
         elif overrides:
             raise ValueError("pass either a ServerConfig or keyword overrides, not both")
         self.config = config
-        if config.blas_threads is not None:
-            set_blas_threads(config.blas_threads)
+        # Process-wide: the OpenBLAS pools of NumPy and SciPy (repro.blas).
+        set_blas_threads(SERVED_THREADS)
         self.pool = ExecutorPool(
             config.shards,
             device=config.device,

@@ -56,9 +56,10 @@ class RestoreReport:
 class SessionTable:
     """Every session of one server, across kinds.
 
-    ``live`` maps ids to in-memory sessions; ``owner`` maps every id the
-    server can still serve to its kind's manager.  A *passivated* session
-    is in ``owner`` but not in ``live``.  ``kinds`` is the restore order.
+    ``live`` maps ids to in-memory sessions, least recently used first;
+    ``owner`` maps every id the server can still serve to its kind's
+    manager.  A *passivated* session is in ``owner`` but not in ``live``.
+    ``kinds`` is the restore order.
     """
 
     def __init__(self, server, kinds: Sequence["DurableSessionManager"]) -> None:
@@ -80,20 +81,23 @@ class SessionTable:
         return self.owner[session_id]._restore_one(session_id)[0]
 
     def touch(self, session) -> None:
-        """Stamp a session's last use with the pool's makespan (the TTL input).
+        """Stamp a live session's last use and make it the most recent.
 
-        One server-wide clock, so a session idles while *any* shard works:
-        a session whose own shard gets no work still expires.
+        ``last_used`` is the pool's makespan (the TTL input): one
+        server-wide clock, so a session idles while *any* shard works and a
+        session whose own shard gets no work still expires.  Many touches
+        share one makespan, so recency is kept by order instead: the touched
+        session moves to the end of ``live``, whose first entry is the LRU.
         """
         session.last_used = self._server.pool.makespan()
+        self.live[session.session_id] = self.live.pop(session.session_id)
 
     def admit(self) -> None:
         """Make room for one more live session: TTL sweep, then the LRU cap."""
         self.sweep_expired()
         cap = self._server.config.max_sessions
         while cap is not None and len(self.live) >= cap:
-            lru = min(self.live.values(), key=lambda s: s.last_used)
-            self.evict(lru.session_id, reason="capacity")
+            self.evict(next(iter(self.live)), reason="capacity")
 
     def insert(self, manager: "DurableSessionManager", session) -> None:
         self.live[session.session_id] = session

@@ -119,6 +119,26 @@ def test_ttl_expires_a_session_whose_shard_stays_idle():
     assert server.telemetry.eviction_counts() == {"ttl": 1}
 
 
+def test_capacity_victim_is_the_least_recently_touched_on_a_lagging_shard():
+    server = SketchServer(shards=2, seed=0, max_sessions=3)
+    older, busy, newer = (_open(server) for _ in range(3))
+    shards = {sid: server.streams.session(sid).shard for sid in (older, busy, newer)}
+    assert shards[older] == shards[newer] != shards[busy]
+    _feed(server, busy, seed=4, batches=20)
+    # Touch the lagging shard's sessions in reverse insertion order.  Its
+    # clock stays below the busy shard's, so all three share one stamp.
+    _feed(server, newer, seed=5)
+    _feed(server, older, seed=6)
+    stamps = {server.streams.session(sid).last_used for sid in (older, busy, newer)}
+    assert stamps == {server.pool.makespan()}
+
+    _open(server)  # over cap: `busy` was touched first
+    assert busy not in server.streams and older in server.streams and newer in server.streams
+    _open(server)  # then `newer`; `older`, the most recent, survives both
+    assert newer not in server.streams and older in server.streams
+    assert server.telemetry.eviction_counts() == {"capacity": 2}
+
+
 # ---------------------------------------------------------------------------
 # durable half: passivation and resurrection
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""The served process sets its own BLAS pool (``ServerConfig.blas_threads``).
+"""The served process sets its own BLAS pool (``repro.blas.SERVED_THREADS``).
 
-Each case that reads the process's pools runs in a fresh subprocess with
+The case that reads the process's pools runs in a fresh subprocess with
 no pinning variables, so it sees the pools as the libraries start them,
 whatever the test process itself has set.
 """
@@ -17,8 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro.blas
-from repro.blas import blas_threads, set_blas_threads
-from repro.serving import ServerConfig
+from repro.blas import SERVED_THREADS, blas_threads, set_blas_threads
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 PINNING = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -36,33 +35,16 @@ def _fresh_process(code: str) -> dict:
 def test_building_a_server_pins_both_blas_pools_to_one_thread():
     got = _fresh_process(
         "import json\n"
-        "from repro.blas import PROCESS_METRICS, blas_threads\n"
+        "from repro.blas import blas_threads\n"
         "from repro.serving import SketchServer\n"
         "SketchServer(shards=1)\n"
-        "gauges = {g.labels['library']: g.value for g in PROCESS_METRICS.series('blas_threads')}\n"
-        "print(json.dumps({'after': blas_threads(), 'gauges': gauges}))\n"
+        "print(json.dumps(blas_threads()))\n"
     )
-    assert got["after"] == {"numpy": 1, "scipy": 1}
-    assert got["gauges"] == {"numpy": 1.0, "scipy": 1.0}
+    assert SERVED_THREADS == 1
+    assert got == {"numpy": 1, "scipy": 1}
 
 
-def test_blas_threads_none_leaves_the_process_alone():
-    got = _fresh_process(
-        "import json\n"
-        "from repro.blas import PROCESS_METRICS, blas_threads\n"
-        "from repro.serving import SketchServer\n"
-        "before = blas_threads()\n"
-        "SketchServer(shards=1, blas_threads=None)\n"
-        "gauges = PROCESS_METRICS.series('blas_threads')\n"
-        "print(json.dumps({'before': before, 'after': blas_threads(), 'gauges': len(gauges)}))\n"
-    )
-    assert got["after"] == got["before"]
-    assert got["gauges"] == 0
-
-
-def test_blas_threads_must_be_positive():
-    with pytest.raises(ValueError):
-        ServerConfig(blas_threads=0)
+def test_thread_count_must_be_positive():
     with pytest.raises(ValueError):
         set_blas_threads(0)
 

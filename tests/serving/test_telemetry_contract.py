@@ -94,7 +94,7 @@ def _run_trace() -> SketchServer:
     for _ in range(3):
         server.append_rows(first, *rows(40))
         server.append_rows(second, *rows(40))
-    server.query_solution(first)
+    server.query_solution(second)
     fid = server.open_frequency_stream(1 << 10, phi=0.05, need_ranges=True)  # passivates `first`
     for _ in range(3):
         server.append_items(fid, rng.zipf(1.3, 300) % (1 << 10))
