@@ -29,8 +29,8 @@ _PLANNER_PREFIXES = ("test_registry", "test_planner", "test_solver_routing")
 _STREAMING_PREFIXES = ("test_streaming",)
 
 #: Module-name prefixes that carry the ``runtime`` marker automatically
-#: (the concurrent serving runtime: admission queue, shedding, elastic
-#: scaling).  ``-m runtime`` runs the whole subset, and the CI fast step
+#: (the concurrent serving runtime: admission queue, lanes, shedding).
+#: ``-m runtime`` runs the whole subset, and the CI fast step
 #: includes it next to serving/planner/streaming.
 _RUNTIME_PREFIXES = ("test_runtime", "test_concurrent_runtime")
 

@@ -9,7 +9,7 @@ ISSUE 8's acceptance bar, pinned as benchmarks:
   a budget that the requests *actually* meet sheds nothing and violates
   nothing -- while the analytic projection, which overestimates this shape
   by ~1.6x, sheds those same requests falsely.
-* The committed perf record (``BENCH_26.json``) exists, validates against
+* The committed perf record (``BENCH_33.json``) exists, validates against
   the bench schema, and the exact gate accepts an identical copy but
   rejects one whose simulated field moved by one ulp.
 
@@ -129,8 +129,8 @@ def test_active_calibration_stops_false_shedding_with_zero_violations():
 
 
 def test_bench_record_exists_validates_and_passes_regression_gate():
-    record_path = REPO_ROOT / "BENCH_26.json"
-    assert record_path.exists(), "BENCH_26.json missing -- run tools/record_bench.py"
+    record_path = REPO_ROOT / "BENCH_33.json"
+    assert record_path.exists(), "BENCH_33.json missing -- run tools/record_bench.py"
     record = load_bench(record_path)
     assert validate_bench(record) == []
     import copy

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving import AsyncSketchServer, ElasticShardPolicy
+from repro.serving import AsyncSketchServer
 from repro.serving.server import ServerConfig, SketchServer
 
 pytestmark = pytest.mark.serving
@@ -76,22 +76,19 @@ def test_mixed_load_span_trees_are_complete_for_admitted_requests():
 
 
 def _drive_runtime_burst(tracing: bool, trace_sample: int = 1, workers: int = 1):
-    """One paused mixed-lane burst (solve, ridge, stream) through an elastic runtime.
+    """One paused mixed-lane burst (solve, ridge, stream) through a 4-shard runtime.
 
     Returns everything the simulated clock decided: each request's
     ``simulated_seconds`` in admission order, the queue-inclusive lane
-    percentiles, the per-shard batch counts and the scale-event timeline.
+    percentiles and the per-shard batch counts.
     """
     rng = np.random.default_rng(5)
     runtime = AsyncSketchServer(
         config=ServerConfig(
-            shards=2, seed=11, max_batch=4, tracing=tracing, trace_sample=trace_sample
+            shards=4, seed=11, max_batch=4, tracing=tracing, trace_sample=trace_sample
         ),
         workers=workers,
         queue_depth=64,
-        elastic=ElasticShardPolicy(
-            min_shards=1, max_shards=4, queue_high=2.0, cooldown_batches=1
-        ),
     )
     try:
         session = runtime.open_stream(12)
@@ -117,7 +114,6 @@ def _drive_runtime_burst(tracing: bool, trace_sample: int = 1, workers: int = 1)
             "simulated_seconds": [f.result().simulated_seconds for f in futures],
             "lanes": {k: v for k, v in stats.items() if k.startswith("lane_")},
             "batches_per_shard": runtime.scheduler.batches_per_shard,
-            "scale_events": runtime.scale_events(),
         }
     finally:
         runtime.stop()
@@ -147,5 +143,7 @@ def test_runtime_latencies_invariant_across_tracing_and_sampling_configs():
 def test_runtime_burst_is_independent_of_worker_count(tracing):
     """``workers`` selects nothing: the runtime dispatches on one thread."""
     one = _drive_runtime_burst(tracing, workers=1)
-    assert one["scale_events"], "the burst must exercise elastic scaling"
+    assert sum(1 for n in one["batches_per_shard"] if n) > 1, (
+        "the burst must land batches on more than one shard"
+    )
     assert _drive_runtime_burst(tracing, workers=8) == one

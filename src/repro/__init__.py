@@ -30,9 +30,8 @@ The package is organised as:
   p50/p95/p99 latency and throughput -- plus the *concurrent runtime*
   (:class:`~repro.serving.runtime.AsyncSketchServer`): a bounded admission
   queue with per-problem-class priority lanes, deadline-aware load
-  shedding with typed errors, one dispatcher thread placing sketches and
-  solves across shards, and elastic shard scaling driven by queue-depth
-  and p95-latency telemetry.
+  shedding with typed errors, and one dispatcher thread placing sketches
+  and solves across a fixed pool of shards.
 * :mod:`repro.streaming` -- the online engine: a
   :class:`~repro.streaming.solver.StreamingSolver` maintains the hashed
   CountSketch of a sliding / landmark / decayed window over a row stream
@@ -144,7 +143,6 @@ from repro.serving import (
     AdmissionError,
     AsyncSketchServer,
     DeadlineExceededError,
-    ElasticShardPolicy,
     IngestReport,
     LowRankResponse,
     MicroBatcher,
@@ -153,7 +151,6 @@ from repro.serving import (
     RestoreReport,
     RuntimeConfig,
     RuntimeFuture,
-    ScaleEvent,
     ServerConfig,
     ServingTelemetry,
     ShardScheduler,
@@ -228,7 +225,6 @@ __all__ = [
     "AdmissionError",
     "AsyncSketchServer",
     "DeadlineExceededError",
-    "ElasticShardPolicy",
     "LowRankResponse",
     "MicroBatcher",
     "OperatorCache",
@@ -236,7 +232,6 @@ __all__ = [
     "RestoreReport",
     "RuntimeConfig",
     "RuntimeFuture",
-    "ScaleEvent",
     "ServerConfig",
     "ServingTelemetry",
     "ShardScheduler",

@@ -274,7 +274,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_table(
             rows,
             columns=["mode", "requests", "requests_per_second", "speedup",
-                     "worst_relative_residual", "active_max", "scale_ups", "scale_downs",
+                     "worst_relative_residual", "shards",
                      "requests_shed", "queue_full_rejects", "deadline_violations"],
             title=(f"repro-serve concurrent demo: mixed lstsq+ridge+streaming load, "
                    f"one dispatcher, queue depth {args.queue_depth} "

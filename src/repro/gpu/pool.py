@@ -14,7 +14,7 @@ batch is the job of :class:`repro.serving.scheduler.ShardScheduler`.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.gpu.executor import GPUExecutor
@@ -80,50 +80,28 @@ class ExecutorPool:
         """Accumulated simulated busy seconds per shard."""
         return [ex.elapsed for ex in self._executors]
 
-    def least_loaded(self, among: Optional[Sequence[int]] = None) -> int:
-        """Index of the shard with the least accumulated simulated time.
-
-        ``among`` restricts the choice to a subset of shard indices -- the
-        elastic scheduler passes its *active* set, so scaled-out shards are
-        never handed work while they are parked.
-        """
+    def least_loaded(self) -> int:
+        """Index of the shard with the least accumulated simulated time
+        (the lowest index on a tie)."""
         loads = self.loads()
-        if among is None:
-            return loads.index(min(loads))
-        candidates = list(among)
-        if not candidates:
-            raise ValueError("least_loaded needs at least one candidate shard")
-        return min(candidates, key=lambda s: loads[s])
+        return loads.index(min(loads))
 
-    def makespan(self, among: Optional[Sequence[int]] = None) -> float:
+    def makespan(self) -> float:
         """Simulated completion time: the busiest shard's accumulated seconds.
 
         Shards execute concurrently, so the pool-level elapsed time of a
         workload is the maximum -- not the sum -- of the per-shard clocks.
-        ``among`` restricts the measurement to a subset of shards.
         """
-        loads = self.loads()
-        if among is None:
-            return max(loads)
-        candidates = list(among)
-        if not candidates:
-            return 0.0
-        return max(loads[s] for s in candidates)
+        return max(self.loads())
 
-    def min_load(self, among: Optional[Sequence[int]] = None) -> float:
+    def min_load(self) -> float:
         """Least-busy shard's accumulated seconds (earliest a new batch can start).
 
         The runtime stamps request admission with this value: in simulated
-        time, "now" for a newly admitted request is the soonest any
-        (active) shard could pick it up.
+        time, "now" for a newly admitted request is the soonest any shard
+        could pick it up.
         """
-        loads = self.loads()
-        if among is None:
-            return min(loads)
-        candidates = list(among)
-        if not candidates:
-            return 0.0
-        return min(loads[s] for s in candidates)
+        return min(self.loads())
 
     def total_busy_seconds(self) -> float:
         """Sum of simulated busy seconds across all shards."""

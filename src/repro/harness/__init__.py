@@ -10,8 +10,8 @@
   ``serving_throughput`` (batched vs naive), ``solver_policy`` (adaptive
   routing), ``streaming_drift`` (online engine), ``problem_classes``
   (ridge routing + low-rank accuracy, :mod:`repro.problems`) and
-  ``concurrent_load`` (the async runtime: admission control, deadline
-  shedding, elastic shard scaling vs the synchronous server) and
+  ``concurrent_load`` (the async runtime on a fixed shard pool: admission
+  control and deadline shedding vs the synchronous server) and
   ``perf_trajectory`` (the ``BENCH_<pr>.json`` payload recorded per PR,
   see :mod:`repro.obs.bench` and ``tools/record_bench.py``).
 * :mod:`repro.harness.report` -- plain-text renderers that print the same

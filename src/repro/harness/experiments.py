@@ -816,11 +816,13 @@ def concurrent_load(
       session's ingest) served by the plain :class:`SketchServer` at
       ``shards`` shards, one call at a time.
     * ``mode="concurrent"`` -- the *same* load admitted through an
-      :class:`~repro.serving.runtime.AsyncSketchServer` whose
-      :class:`~repro.serving.scheduler.ElasticShardPolicy` may grow the
-      active set to ``max_shards`` under the spike and shrink it back as
-      the queue drains.  ``speedup`` is its throughput over the
-      synchronous row's at equal accuracy (both worst residuals reported).
+      :class:`~repro.serving.runtime.AsyncSketchServer` on a fixed pool of
+      ``max_shards`` shards.  ``speedup`` is its throughput over the
+      synchronous row's at equal accuracy (both worst residuals reported):
+      ``max_shards`` simulated shards (8 by default) against the
+      synchronous row's ``shards`` (2), in simulated time.  The runtime
+      dispatches on one thread, so the extra shards add no wall-clock
+      parallelism.
     * ``mode="shedding"`` -- a single-shard runtime saturated with
       deadline-carrying traffic: requests whose projected completion
       exceeds ``shed_budget_batches`` typical batch times are shed with a
@@ -833,7 +835,6 @@ def concurrent_load(
     from repro.serving import (
         AsyncSketchServer,
         DeadlineExceededError,
-        ElasticShardPolicy,
         QueueFullError,
         SketchServer,
     )
@@ -885,24 +886,18 @@ def concurrent_load(
     )
 
     # -- concurrent runtime over the same load ------------------------------
-    elastic = ElasticShardPolicy(
-        min_shards=shards, max_shards=max_shards, queue_high=2.0, queue_low=1.0,
-        cooldown_batches=1,
-    )
     # The throughput phase admits the whole spike while paused, so its queue
     # must hold it; the *bound* is what the shedding phase exercises.
     spike = len(solve_traffic) + len(ridge_traffic) + len(stream_rows) + 1
     runtime = AsyncSketchServer(
-        shards=shards,
+        shards=max_shards,
         max_batch=max_batch,
         seed=seed,
         queue_depth=max(queue_depth, spike),
-        elastic=elastic,
     )
-    active_seen = [runtime.active_shards]
     # Admit the whole spike before dispatching any of it: the queue-depth
-    # spike (and therefore the scale-up) is deterministic, not a race
-    # between the submitting thread and the dispatcher.
+    # spike is deterministic, not a race between the submitting thread and
+    # the dispatcher.
     runtime.pause()
     futures = [runtime.submit(a, b) for a, b in solve_traffic]
     futures += [runtime.submit_ridge(a, b, lam) for a, b, lam in ridge_traffic]
@@ -913,11 +908,9 @@ def concurrent_load(
     concurrent_responses = [f.result(timeout=120.0) for f in futures]
     for f in stream_futures:
         f.result(timeout=120.0)
-    active_seen.append(max(e.to_shards for e in runtime.scale_events()) if runtime.scale_events() else runtime.active_shards)
     runtime.drain()
     runtime.close_stream(sid)
     rt_stats = runtime.stats()
-    events = runtime.scale_events()
     runtime.stop()
     rt_rps = rt_stats["requests_per_second"]
     rows.append(
@@ -930,12 +923,7 @@ def concurrent_load(
                 r.relative_residual for r in concurrent_responses
             ),
             "speedup": rt_rps / sync_rps if sync_rps > 0 else math.nan,
-            "shards": float(shards),
-            "max_shards": float(max_shards),
-            "active_max": float(max(active_seen)),
-            "active_final": float(rt_stats["active_shards"]),
-            "scale_ups": rt_stats["scale_ups"],
-            "scale_downs": rt_stats["scale_downs"],
+            "shards": rt_stats["shards"],
             "queue_depth_max": rt_stats.get("queue_depth_max", 0.0),
             "requests_shed": rt_stats.get("requests_shed", 0.0),
             "fallback_batches": rt_stats.get("fallback_batches", 0.0),

@@ -7,7 +7,7 @@ know data-dependent behaviour.  The canonical example in this repository is
 ``sketch_precond_lsqr``, whose analytic dry-run charges a fixed
 representative iteration count while the numeric solve stops at convergence
 -- so the analytic cost is systematically wrong by a shape-dependent factor.
-Deadline shedding and elastic scaling inherit that error verbatim.
+Deadline shedding inherits that error verbatim.
 
 :class:`CalibratedEstimator` closes the loop.  It consumes *measured*
 per-solver durations -- either directly from the serving layer's per-attempt

@@ -31,9 +31,8 @@ sketch operators and solvers into such a service:
   deadline-aware load shedding (typed
   :class:`~repro.serving.requests.QueueFullError` /
   :class:`~repro.serving.requests.DeadlineExceededError`), one dispatcher
-  thread placing sketch application and planner-routed solves across shards,
-  and an :class:`~repro.serving.scheduler.ElasticShardPolicy` growing and
-  shrinking the active shard set from queue-depth and p95 telemetry.
+  thread placing sketch application and planner-routed solves across a
+  fixed pool of shards.
 * :mod:`repro.serving.streaming` -- streaming sessions
   (``SketchServer.open_stream`` / ``append_rows`` / ``query_solution`` /
   ``close_stream``): a :class:`~repro.streaming.solver.StreamingSolver` per
@@ -104,7 +103,7 @@ from repro.serving.frequency import (
     FrequencySessionManager,
 )
 from repro.serving.runtime import AsyncSketchServer, RuntimeConfig, RuntimeFuture
-from repro.serving.scheduler import ElasticShardPolicy, ScaleEvent, ShardScheduler
+from repro.serving.scheduler import ShardScheduler
 from repro.serving.server import PlacedBatch, ServerConfig, SketchServer, naive_solve_loop
 from repro.serving.sessions import DurableSessionManager, RestoreReport, SessionTable
 from repro.serving.streaming import (
@@ -120,13 +119,11 @@ __all__ = [
     "AdmissionError",
     "AsyncSketchServer",
     "DeadlineExceededError",
-    "ElasticShardPolicy",
     "LANES",
     "PlacedBatch",
     "QueueFullError",
     "RuntimeConfig",
     "RuntimeFuture",
-    "ScaleEvent",
     "MicroBatch",
     "MicroBatcher",
     "CacheEntry",

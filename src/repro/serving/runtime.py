@@ -1,4 +1,4 @@
-"""Concurrent serving runtime: admission control, lanes, shedding, elastic shards.
+"""Concurrent serving runtime: admission control, lanes, shedding.
 
 The synchronous :class:`~repro.serving.server.SketchServer` answers one call
 at a time; this module turns it into a *runtime* that serves overlapping
@@ -23,35 +23,28 @@ traffic the way the ROADMAP's "heavy traffic from millions of users" demands:
   late; the shed shows up in telemetry (`shed_deadline`, per-lane counters).
 * **One dispatcher** -- a single thread takes units off the lanes and runs
   each to completion under one execution lock, placing it on the
-  earliest-free active shard of the :class:`~repro.gpu.pool.ExecutorPool`.
+  earliest-free shard of the :class:`~repro.gpu.pool.ExecutorPool`.
   Shards still overlap on the simulated clock, but the order in which their
   clocks advance is fixed by admission order and the lane weights, so every
   simulated number is a pure function of the load and the seed.  Admission
   runs on the callers' threads and never waits for a unit to execute.
-* **Elastic shard scaling** -- an
-  :class:`~repro.serving.scheduler.ElasticShardPolicy` grows the active
-  shard set when queue depth or p95 latency breach their thresholds and
-  shrinks it as load drains, every transition recorded as a
-  :class:`~repro.serving.scheduler.ScaleEvent`.
+  The pool is the server's fixed ``shards``.
 
 Latencies in lane telemetry are *queue-inclusive* on the simulated clock:
-admission stamps the request with the earliest instant any active shard
-could start it, and completion is the executing shard's clock after the
+admission stamps the request with the earliest instant any shard could
+start it, and completion is the executing shard's clock after the
 solve -- so queueing delay, the thing admission control exists to bound, is
 visible in ``lane_*_p95_seconds``.
 
 Quick start::
 
-    from repro.serving import AsyncSketchServer, ElasticShardPolicy
+    from repro.serving import AsyncSketchServer
 
-    runtime = AsyncSketchServer(
-        shards=2, queue_depth=64,
-        elastic=ElasticShardPolicy(min_shards=1, max_shards=8),
-    )
+    runtime = AsyncSketchServer(shards=8, queue_depth=64)
     futures = [runtime.submit(A, b, latency_budget=0.05) for b in batch]
     xs = [f.result() for f in futures]     # raises DeadlineExceededError if shed
     runtime.drain()
-    print(runtime.stats()["requests_per_second"], runtime.active_shards)
+    print(runtime.stats()["requests_per_second"])
     runtime.stop()
 """
 
@@ -59,7 +52,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -75,7 +68,6 @@ from repro.serving.requests import (
 )
 from repro.obs.trace import Span
 from repro.serving.batcher import MicroBatcher
-from repro.serving.scheduler import ElasticShardPolicy
 from repro.serving.server import ServerConfig, SketchServer
 
 __all__ = [
@@ -102,11 +94,6 @@ class RuntimeConfig:
         solve traffic half the dispatch slots, so bulk ridge or streaming
         ingest can never starve interactive solves -- and each lane has a
         nonzero weight, so nothing starves, full stop.
-    elastic:
-        Optional :class:`~repro.serving.scheduler.ElasticShardPolicy`.
-        When set, the executor pool is provisioned at ``max_shards`` and
-        the active set breathes between ``min_shards`` and ``max_shards``;
-        when ``None`` the active set is fixed at the server's ``shards``.
     """
 
     workers: int = 4
@@ -114,7 +101,6 @@ class RuntimeConfig:
     lane_weights: Dict[str, int] = field(
         default_factory=lambda: {"solve": 4, "ridge": 2, "stream": 2}
     )
-    elastic: Optional[ElasticShardPolicy] = None
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -206,9 +192,8 @@ class AsyncSketchServer:
     Construction accepts a :class:`~repro.serving.server.ServerConfig` (or
     its keyword overrides) mixed with :class:`RuntimeConfig` keywords::
 
-        AsyncSketchServer(shards=2, policy="cheapest_accurate",
-                          queue_depth=32,
-                          elastic=ElasticShardPolicy(max_shards=8))
+        AsyncSketchServer(shards=8, policy="cheapest_accurate",
+                          queue_depth=32)
 
     The wrapped server is exposed as :attr:`server` but must not be driven
     through its synchronous ``submit``/``flush`` API while the runtime is
@@ -231,11 +216,6 @@ class AsyncSketchServer:
         elif overrides:
             raise ValueError("pass either a ServerConfig or keyword overrides, not both")
 
-        if runtime.elastic is not None:
-            elastic = runtime.elastic
-            pool_size = max(config.shards, elastic.max_shards)
-            initial = min(max(config.shards, elastic.min_shards), elastic.max_shards)
-            config = replace(config, shards=pool_size, active_shards=initial)
         self.config = config
         self.runtime_config = runtime
         self.server = SketchServer(config)
@@ -250,11 +230,6 @@ class AsyncSketchServer:
         self._stop = False
         self._paused = False
         self._busy = False  # the dispatcher holds a unit
-        self._completed_since_scale = 0
-        # EWMA of recent per-dispatch service estimates (calibrated when the
-        # server's calibration mode is "active"): the service-time term of
-        # the proactive elastic policy's predicted queue-drain time.
-        self._service_ewma: Optional[float] = None
 
         # Lanes: solve and ridge requests live in MicroBatchers (so the
         # runtime keeps the multi-RHS amortisation for both); streaming
@@ -302,18 +277,13 @@ class AsyncSketchServer:
 
     @property
     def scheduler(self):
-        """The wrapped server's shard scheduler (scale events live here)."""
+        """The wrapped server's shard scheduler."""
         return self.server.scheduler
 
     @property
     def pool(self):
         """The wrapped server's executor pool."""
         return self.server.pool
-
-    @property
-    def active_shards(self) -> int:
-        """Current size of the elastic active shard set."""
-        return self.server.scheduler.active_shards
 
     @property
     def pending(self) -> int:
@@ -381,12 +351,7 @@ class AsyncSketchServer:
         self.stop(drain=exc_type is None)
 
     def drain(self, timeout: Optional[float] = None) -> None:
-        """Block until the queue is empty and no dispatch is in flight.
-
-        After the backlog clears, the elastic policy is evaluated with the
-        now-empty queue until it holds, so an idle runtime settles back to
-        ``min_shards`` (the scale-*down* half of the load-spike contract).
-        """
+        """Block until the queue is empty and no dispatch is in flight."""
         with self._work:
             ok = self._work.wait_for(
                 lambda: self._queue_depth_locked() == 0 and not self._busy,
@@ -394,19 +359,6 @@ class AsyncSketchServer:
             )
             if not ok:
                 raise TimeoutError("drain timed out with work still pending")
-            elastic = self.runtime_config.elastic
-            if elastic is not None:
-                while True:
-                    p95 = self.telemetry.recent_p95()
-                    target, reason = elastic.decide(self.active_shards, 0, p95)
-                    if target >= self.active_shards:
-                        # Only step *down* at drain time: a stale p95 breach
-                        # must not pin an idle runtime at max_shards.
-                        break
-                    self.scheduler.set_active(
-                        target, reason=f"drain: {reason}", queue_depth=0,
-                        p95_seconds=p95 if p95 is not None else 0.0,
-                    )
 
     def checkpoint(self, *, drain: bool = True, timeout: Optional[float] = None) -> Dict[int, int]:
         """Drain-then-checkpoint: a consistent durable snapshot of every session.
@@ -439,8 +391,8 @@ class AsyncSketchServer:
         return sum(lane.pending for lane in self._batch_lanes.values()) + stream_pending
 
     def _virtual_now_locked(self) -> float:
-        """Admission timestamp: the earliest instant any active shard is free."""
-        return self.server.pool.min_load(among=self.scheduler.active_set())
+        """Admission timestamp: the earliest instant any shard is free."""
+        return self.server.pool.min_load()
 
     def _admit_locked(self, lane: str) -> float:
         """Common admission gate; returns the admission timestamp."""
@@ -739,7 +691,6 @@ class AsyncSketchServer:
                 with self._work:
                     self._busy = False
                     self.telemetry.record_queue_depth(self._queue_depth_locked())
-                    self._maybe_scale_locked()
                     self._work.notify_all()
 
     # -- batching lanes (solve and ridge) -------------------------------
@@ -763,7 +714,7 @@ class AsyncSketchServer:
                 planned = self.server._plan_batch(batch)
                 budget = batch.requests[0].latency_budget
                 if budget is not None:
-                    # Earliest start on an active shard + service estimate
+                    # Earliest start on any shard + service estimate
                     # + result-return transfer: the same three terms the
                     # completed request's queue-inclusive latency is built
                     # from, so a saturated queue rejects late requests
@@ -778,7 +729,6 @@ class AsyncSketchServer:
                         self._shed_batch_locked(lane, batch, projected, budget, items)
                         return
                 placed = self.server._plan_and_place(batch, planned)
-                self._note_service_estimate_locked(placed.estimated_service_seconds)
             responses = self.server._run_placed(
                 batch, placed, admitted_at=admitted_at, roots=roots
             )
@@ -860,50 +810,6 @@ class AsyncSketchServer:
                     self._work.notify()
 
     # ------------------------------------------------------------------
-    # elastic scaling
-    # ------------------------------------------------------------------
-    def _note_service_estimate_locked(self, seconds: float) -> None:
-        """Fold one dispatch's service estimate into the drain-prediction EWMA."""
-        if seconds <= 0.0:
-            return
-        if self._service_ewma is None:
-            self._service_ewma = float(seconds)
-        else:
-            self._service_ewma = 0.7 * self._service_ewma + 0.3 * float(seconds)
-
-    def _predicted_drain_locked(self, depth: int) -> Optional[float]:
-        """Projected seconds to clear the backlog at current capacity."""
-        if self._service_ewma is None or depth <= 0:
-            return None
-        return depth * self._service_ewma / max(self.active_shards, 1)
-
-    def _maybe_scale_locked(self) -> None:
-        elastic = self.runtime_config.elastic
-        if elastic is None:
-            return
-        self._completed_since_scale += 1
-        if self._completed_since_scale < elastic.cooldown_batches:
-            return
-        depth = self._queue_depth_locked()
-        p95 = self.telemetry.recent_p95()
-        drain_prediction = (
-            self._predicted_drain_locked(depth) if elastic.proactive else None
-        )
-        if drain_prediction is not None:
-            self.server.metrics.gauge("runtime_predicted_drain_seconds").set(drain_prediction)
-        target, reason = elastic.decide(
-            self.active_shards, depth, p95, predicted_drain_seconds=drain_prediction
-        )
-        if target != self.active_shards:
-            self.scheduler.set_active(
-                target,
-                reason=reason,
-                queue_depth=depth,
-                p95_seconds=p95 if p95 is not None else 0.0,
-            )
-        self._completed_since_scale = 0
-
-    # ------------------------------------------------------------------
     # shutdown shedding
     # ------------------------------------------------------------------
     def _shed_backlog_locked(self, reason: str) -> None:
@@ -943,12 +849,8 @@ class AsyncSketchServer:
         out["queue_bound"] = float(self.runtime_config.queue_depth)
         return out
 
-    def scale_events(self):
-        """The scheduler's recorded :class:`ScaleEvent` timeline."""
-        return list(self.scheduler.scale_events)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AsyncSketchServer(queue_depth={self.runtime_config.queue_depth}, "
-            f"active_shards={self.active_shards}/{self.server.pool.size})"
+            f"shards={self.server.pool.size})"
         )

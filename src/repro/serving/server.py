@@ -114,12 +114,6 @@ class ServerConfig:
         operator the server builds.
     shards:
         Number of simulated GPU workers in the executor pool.
-    active_shards:
-        Initial size of the scheduler's *active* shard set (``None`` means
-        all of them).  The concurrent runtime provisions the pool at its
-        elastic maximum but starts with only this many shards taking new
-        work; the :class:`~repro.serving.scheduler.ElasticShardPolicy`
-        grows and shrinks the set from load telemetry.
     cache_capacity:
         Maximum number of live sketch operators across all shards.
     max_batch:
@@ -156,9 +150,8 @@ class ServerConfig:
         :class:`~repro.obs.calibrate.CalibratedEstimator` learns
         measured/analytic correction factors and scores itself in the
         registry, but planning and shedding still use analytic costs --
-        the shadow deployment), or ``"active"`` (planner ranking,
-        deadline-shedding projections and drain-time estimates all use
-        calibrated costs).
+        the shadow deployment), or ``"active"`` (planner ranking and
+        deadline-shedding projections use calibrated costs).
     durability:
         A :class:`~repro.durability.store.DurabilityConfig` to make every
         session -- streaming-solver and frequency alike -- crash-safe:
@@ -187,7 +180,6 @@ class ServerConfig:
     latency_budget: Optional[float] = None
     oversampling: float = 2.0
     shards: int = 2
-    active_shards: Optional[int] = None
     cache_capacity: int = 64
     max_batch: int = 32
     seed: int = 0
@@ -209,8 +201,6 @@ class ServerConfig:
         self.policy = normalize_policy(self.policy)
         if self.shards <= 0:
             raise ValueError("shards must be positive")
-        if self.active_shards is not None and not (1 <= self.active_shards <= self.shards):
-            raise ValueError("active_shards must be in [1, shards]")
         if self.oversampling <= 1.0:
             raise ValueError("oversampling must exceed 1")
         if self.accuracy_target <= 0.0:
@@ -247,11 +237,6 @@ class PlacedBatch:
     shard: int
     cache_hit: bool
 
-    @property
-    def estimated_service_seconds(self) -> float:
-        """Planner's analytic estimate of the batch's solve time."""
-        return float(self.plan.costs.get(self.plan.solver, 0.0))
-
 
 class SketchServer:
     """Batched, cached, sharded sketch-and-solve service."""
@@ -271,9 +256,7 @@ class SketchServer:
             seed=config.seed,
             track_memory=False,
         )
-        self.scheduler = ShardScheduler(
-            self.pool, cost_model=config.comm, active_shards=config.active_shards
-        )
+        self.scheduler = ShardScheduler(self.pool, cost_model=config.comm)
         self.cache = OperatorCache(capacity=config.cache_capacity)
         self.telemetry = ServingTelemetry()
         #: The metrics registry backing the telemetry -- the scrape surface
@@ -287,15 +270,13 @@ class SketchServer:
         )
         #: Online measured/analytic cost calibration (None when "off").
         #: In "observe" mode it learns and scores itself; in "active" mode
-        #: its predictions also drive planning, shedding and drain estimates.
+        #: its predictions also drive planning and shedding.
         self.calibration: Optional[CalibratedEstimator] = (
             CalibratedEstimator(self.metrics, device=config.device)
             if config.calibration != "off"
             else None
         )
         self.cache.listener = self._on_cache_event
-        self.scheduler.on_scale = self.telemetry.set_active_shards
-        self.telemetry.set_active_shards(self.scheduler.active_shards)
         self._batcher = MicroBatcher(max_batch=config.max_batch)
         self.streams = StreamingSessionManager(self)
         self.frequencies = FrequencySessionManager(self)
@@ -614,12 +595,8 @@ class SketchServer:
         """
         loads = self.pool.loads()
         owned = entry.shard_set()
-        active = set(self.scheduler.active_set())
-        # Prefer copies on active shards: a parked owner only runs the batch
-        # when no active shard has (or can be given) the state.
-        active_owned = [s for s in owned if s in active]
-        best_owned = min(active_owned or owned, key=lambda s: loads[s])
-        least = min(sorted(active), key=lambda s: loads[s])
+        best_owned = min(owned, key=lambda s: loads[s])
+        least = min(range(self.pool.size), key=lambda s: loads[s])
         # A replica is a rebuild from the seed; unseeded operators draw from
         # their executor's stream and are not reproducible, so they stay
         # pinned to their owning shard.
@@ -1238,10 +1215,6 @@ class SketchServer:
         out["comm_seconds"] = self.scheduler.comm_seconds()
         out["comm_bytes"] = self.scheduler.comm_bytes()
         out["shards"] = float(self.pool.size)
-        out["active_shards"] = float(self.scheduler.active_shards)
-        transitions = self.scheduler.scale_transitions()
-        out["scale_ups"] = float(transitions["up"])
-        out["scale_downs"] = float(transitions["down"])
         out["open_streams"] = float(len(self.streams))
         out["open_frequency_streams"] = float(len(self.frequencies))
         out["traces_completed"] = float(self.tracer.traces_completed)

@@ -80,7 +80,7 @@ _READS: Dict[str, Tuple[str, type]] = {
 
 #: Unlabelled gauges and histograms; the other :data:`_READS` families are counters.
 _GAUGES = (
-    "durability_passivated_sessions", "runtime_queue_depth_current", "runtime_active_shards",
+    "durability_passivated_sessions", "runtime_queue_depth_current",
 )
 _HISTOGRAMS = (
     "serving_request_latency_seconds", "serving_batch_size", "serving_batch_seconds",
@@ -140,8 +140,8 @@ class ServingTelemetry:
     """Accumulates per-request and per-batch measurements for one server.
 
     Records into ``registry`` (a private one when omitted); histogram rings
-    hold ``sample_capacity`` samples (at least the largest ``recent_p95()``
-    window).  No lock: registry primitives lock themselves.
+    hold ``sample_capacity`` samples.  No lock: registry primitives lock
+    themselves.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None, sample_capacity: int = 4096):
@@ -204,9 +204,6 @@ class ServingTelemetry:
     def record_queue_depth(self, depth: int) -> None:
         self._m["runtime_queue_depth"].observe(int(depth))
         self._m["runtime_queue_depth_current"].set(int(depth))
-
-    def set_active_shards(self, count: int) -> None:
-        self._m["runtime_active_shards"].set(int(count))
 
     def record_shed(self, lane: str, reason: str, count: int = 1) -> None:
         self._m["runtime_requests_shed_total"].inc(int(count))
@@ -336,10 +333,6 @@ class ServingTelemetry:
 
     def eviction_counts(self) -> Dict[str, int]:
         return self._counts("stream_sessions_evicted_by_reason_total")
-
-    def recent_p95(self, window: int = 64) -> Optional[float]:
-        """p95 of the last ``window`` request latencies: the elastic policy's signal."""
-        return self._m["serving_request_latency_seconds"].recent_percentile(95.0, int(window))
 
     def queue_depth_max(self) -> int:
         return int(self._m["runtime_queue_depth"].max)

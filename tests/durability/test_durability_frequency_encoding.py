@@ -15,10 +15,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.frequency import ExactFrequencyLevel, HierarchicalFrequencySketch
+from repro.core.frequency import (
+    ExactFrequencyLevel,
+    HierarchicalFrequencySketch,
+    _integral_counters,
+)
 from repro.durability import DurabilityConfig, MemoryCheckpointStore
-from repro.durability.codec import decode_record
-from repro.durability.session import deserialize_frequency_session, serialize_frequency_session
+from repro.durability.codec import decode_record, encode_record
+from repro.durability.session import (
+    FREQUENCY_SESSION_KIND,
+    deserialize_frequency_session,
+    serialize_frequency_session,
+)
 from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
 from repro.serving import SketchServer
 
@@ -145,6 +153,45 @@ def test_items_seen_at_2_pow_31_keeps_float64():
         level["items_seen"] = 2**31 - 1
     crafted.load_state(state)
     assert _round_trip(plan, crafted)[1] == {"<i4"}
+
+
+def _small_ints(shape) -> np.ndarray:
+    return np.random.default_rng(0).integers(-40, 41, shape, dtype=np.int32)
+
+
+def _int32_min(shape) -> np.ndarray:
+    table = np.zeros(shape, dtype=np.int32)
+    table.flat[7] = -(2**31)  # np.abs of this int32 overflows back to -2**31
+    return table
+
+
+#: Payload per restored table, ``items_seen`` per level, and the flag it earns.
+PAYLOADS = {
+    "int32": (_small_ints, 100, True),
+    "int32_over_items_seen": (lambda shape: np.full(shape, -41, dtype=np.int32), 40, False),
+    "int32_min_with_small_items_seen": (_int32_min, 5, False),
+    "integral_float64": (lambda shape: _small_ints(shape).astype(np.float64), 100, True),
+    "fractional_float64": (lambda shape: np.random.default_rng(0).random(shape), 100, False),
+}
+
+
+@pytest.mark.parametrize("need_ranges", [True, False], ids=["hierarchical", "flat"])
+@pytest.mark.parametrize("payload", sorted(PAYLOADS))
+def test_restored_integral_flag_matches_the_decoded_table(payload, need_ranges):
+    """An integer payload skips the trunc pass but must earn the same flag."""
+    fill, items_seen, expected = PAYLOADS[payload]
+    plan, engine = _engine(need_ranges)
+    _unit(engine, None)
+    record = decode_record(serialize_frequency_session(engine, plan, SEED, {}))
+    state = record.meta["state"]
+    for level in state["levels"] if state["hierarchical"] else (state,):
+        level["items_seen"] = items_seen
+    arrays = {name: fill(arr.shape) for name, arr in record.arrays.items()}
+    blob = encode_record(FREQUENCY_SESSION_KIND, record.meta, arrays)
+    restored, _plan, _seed, _meta = deserialize_frequency_session(blob)
+    for level in _levels(restored):
+        assert _counters(level).dtype == np.float64
+        assert level.integral == _integral_counters(_counters(level), items_seen) == expected
 
 
 def test_unit_weight_session_restores_through_the_server():

@@ -199,7 +199,7 @@ def test_histogram_observe_many_oversized_batch_keeps_tail():
 def test_histogram_million_records_stay_bounded():
     """Satellite regression: 1M records leave a fixed footprint.
 
-    ``recent_p95`` semantics are unchanged: the ring always holds the tail
+    Recent-window percentiles are unchanged: the ring always holds the tail
     in arrival order, so the last-window percentile is exact forever.
     """
     telemetry = ServingTelemetry(sample_capacity=4096)
@@ -214,9 +214,9 @@ def test_histogram_million_records_stay_bounded():
     assert len(hist) == 4096  # retained samples bounded by the ring
     assert hist._ring.nbytes == 4096 * 8  # the actual allocation is fixed
     assert telemetry.requests_served == 1_000_000
-    # recent_p95 window semantics preserved: exact over the last 64 samples.
+    # Recent-window p95 preserved: exact over the last 64 samples.
     expected = float(np.percentile(last_chunk[-64:], 95.0))
-    assert telemetry.recent_p95(window=64) == pytest.approx(expected)
+    assert hist.recent_percentile(95.0, 64) == pytest.approx(expected)
 
 
 def test_histogram_recent_percentile_window():

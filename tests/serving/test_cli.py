@@ -71,6 +71,8 @@ def test_workers_demo_prints_the_concurrent_table(capsys):
     out = capsys.readouterr().out
     assert "repro-serve concurrent demo" in out
     assert "deadline_violations" in out
+    header = next(line for line in out.splitlines() if "requests_per_second" in line)
+    assert "shards" in header.split()
 
 
 def test_console_script_targets_this_main():

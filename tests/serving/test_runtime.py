@@ -1,10 +1,9 @@
 """Unit tests for the concurrent serving runtime.
 
-The acceptance-level behaviour (2x throughput, shed-don't-violate, elastic
-up-then-down) lives in ``benchmarks/test_concurrent_runtime.py``; these
-tests pin the mechanisms: admission bounds, lane round-robin, batch pops,
-pause/resume, future semantics, per-session ordering and the elastic
-policy's decision table.
+The acceptance-level behaviour (2x throughput, shed-don't-violate) lives
+in ``benchmarks/test_concurrent_runtime.py``; these tests pin the
+mechanisms: admission bounds, lane round-robin, batch pops, pause/resume,
+future semantics and per-session ordering.
 """
 
 from __future__ import annotations
@@ -14,15 +13,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.gpu.pool import ExecutorPool
 from repro.serving import (
     AsyncSketchServer,
     DeadlineExceededError,
-    ElasticShardPolicy,
     MicroBatcher,
     QueueFullError,
     RuntimeConfig,
-    ShardScheduler,
     SketchServer,
     SolveRequest,
 )
@@ -48,154 +44,6 @@ def test_runtime_config_validation():
         RuntimeConfig(lane_weights={"solve": 4, "ridge": 2, "stream": 0})
     with pytest.raises(ValueError):
         RuntimeConfig(lane_weights={"solve": 1, "ridge": 1, "stream": 1, "bogus": 1})
-
-
-def test_elastic_policy_validation():
-    with pytest.raises(ValueError):
-        ElasticShardPolicy(min_shards=0)
-    with pytest.raises(ValueError):
-        ElasticShardPolicy(min_shards=4, max_shards=2)
-    with pytest.raises(ValueError):
-        ElasticShardPolicy(queue_high=1.0, queue_low=2.0)
-
-
-def test_elastic_pool_provisioned_at_max():
-    runtime = AsyncSketchServer(
-        shards=2, seed=0, elastic=ElasticShardPolicy(min_shards=1, max_shards=6)
-    )
-    try:
-        assert runtime.pool.size == 6
-        assert runtime.active_shards == 2  # starts at the configured shards
-    finally:
-        runtime.stop()
-
-
-# ---------------------------------------------------------------------------
-# elastic decision table
-# ---------------------------------------------------------------------------
-def test_elastic_decide_scales_up_on_queue_depth():
-    policy = ElasticShardPolicy(min_shards=1, max_shards=8, queue_high=4.0, queue_low=1.0)
-    target, reason = policy.decide(2, queue_depth=20)
-    assert target == 4 and "queue depth" in reason
-    # Doubling clamps at the maximum.
-    target, _ = policy.decide(6, queue_depth=60)
-    assert target == 8
-
-
-def test_elastic_decide_scales_up_on_latency_breach():
-    policy = ElasticShardPolicy(
-        min_shards=1, max_shards=4, queue_high=100.0, p95_budget=1e-3
-    )
-    target, reason = policy.decide(2, queue_depth=1, p95_seconds=5e-3)
-    assert target == 4 and "p95" in reason
-
-
-def test_elastic_decide_scales_down_one_step():
-    policy = ElasticShardPolicy(min_shards=1, max_shards=8, queue_high=4.0, queue_low=1.0)
-    assert policy.decide(4, queue_depth=0) == (3, "queue depth 0 under 1/shard")
-    # Holds at the floor.
-    assert policy.decide(1, queue_depth=0)[0] == 1
-    # Holds in the hysteresis band.
-    assert policy.decide(4, queue_depth=8)[0] == 4
-
-
-def test_elastic_decide_holds_down_while_latency_breached():
-    policy = ElasticShardPolicy(min_shards=1, max_shards=8, p95_budget=1e-3)
-    target, _ = policy.decide(4, queue_depth=0, p95_seconds=5e-3)
-    assert target == 8  # latency breach forces up even at zero queue
-
-
-def test_elastic_proactive_requires_drain_budget():
-    with pytest.raises(ValueError):
-        ElasticShardPolicy(proactive=True)
-    with pytest.raises(ValueError):
-        ElasticShardPolicy(proactive=True, drain_budget=0.0)
-
-
-def test_elastic_proactive_scales_up_on_predicted_drain():
-    policy = ElasticShardPolicy(
-        min_shards=1, max_shards=8, queue_high=100.0, proactive=True,
-        drain_budget=1e-3,
-    )
-    # Queue depth alone is nowhere near the reactive trigger; the predicted
-    # drain time is what forces the scale-up.
-    target, reason = policy.decide(2, queue_depth=4, predicted_drain_seconds=5e-3)
-    assert target == 4 and "predicted drain" in reason
-
-
-def test_elastic_proactive_blocks_scale_down():
-    policy = ElasticShardPolicy(
-        min_shards=1, max_shards=8, queue_high=4.0, queue_low=1.0,
-        proactive=True, drain_budget=1e-3,
-    )
-    # Would scale down reactively (empty queue) but the drain projection
-    # says the backlog will not clear in budget: hold.
-    target, _ = policy.decide(4, queue_depth=0, predicted_drain_seconds=5e-3)
-    assert target == 8  # breach forces up, not merely holds
-    # With a healthy projection the normal scale-down resumes.
-    target, _ = policy.decide(4, queue_depth=0, predicted_drain_seconds=1e-5)
-    assert target == 3
-
-
-def test_elastic_proactive_degrades_to_reactive_without_prediction():
-    policy = ElasticShardPolicy(
-        min_shards=1, max_shards=8, queue_high=4.0, queue_low=1.0,
-        proactive=True, drain_budget=1e-3,
-    )
-    # No EWMA yet (prediction None): behaves exactly like the reactive table.
-    assert policy.decide(2, queue_depth=20, predicted_drain_seconds=None)[0] == 4
-    assert policy.decide(4, queue_depth=0, predicted_drain_seconds=None)[0] == 3
-
-
-def test_runtime_exports_predicted_drain_gauge():
-    rng = np.random.default_rng(11)
-    runtime = AsyncSketchServer(
-        shards=1, seed=0, workers=1, queue_depth=64,
-        elastic=ElasticShardPolicy(
-            min_shards=1, max_shards=4, proactive=True, drain_budget=10.0
-        ),
-    )
-    try:
-        futures = []
-        for _ in range(6):
-            a = rng.standard_normal((256, 12))
-            futures.append(runtime.submit(a, rng.standard_normal(256)))
-        runtime.drain()
-        for f in futures:
-            assert f.exception() is None
-        gauge = runtime.server.metrics.get("runtime_predicted_drain_seconds")
-        assert gauge is not None  # proactive mode published the projection
-    finally:
-        runtime.stop()
-
-
-# ---------------------------------------------------------------------------
-# scheduler: active set + reservations
-# ---------------------------------------------------------------------------
-def test_scheduler_places_only_on_active_shards():
-    pool = ExecutorPool(4, numeric=False, seed=0)
-    sched = ShardScheduler(pool, active_shards=2)
-    assert sched.active_set() == (0, 1)
-    for _ in range(8):
-        assert sched.place() in (0, 1)
-    # Affinity to a parked shard is still honoured (pinned state).
-    assert sched.place(preferred=3) == 3
-
-
-def test_scheduler_set_active_records_events():
-    pool = ExecutorPool(4, numeric=False, seed=0)
-    sched = ShardScheduler(pool, active_shards=1)
-    assert sched.set_active(4, reason="spike", queue_depth=12)
-    assert not sched.set_active(4)  # no-op change records nothing
-    assert sched.set_active(2, reason="drained")
-    events = sched.scale_events
-    assert [e.direction for e in events] == ["up", "down"]
-    assert events[0].queue_depth == 12
-    assert sched.scale_transitions() == {"up": 1, "down": 1}
-    with pytest.raises(ValueError):
-        sched.set_active(0)
-    with pytest.raises(ValueError):
-        sched.set_active(5)
 
 
 # ---------------------------------------------------------------------------

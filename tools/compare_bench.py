@@ -12,8 +12,8 @@ the record is a pure function of code and seed.  The gate is therefore exact:
 
 A change that moves a simulated number commits the new record with it.
 
-Compare:   python tools/compare_bench.py bench_fresh.json BENCH_26.json
-Report:    python tools/compare_bench.py bench_fresh.json BENCH_26.json --report bench_compare.txt
+Compare:   python tools/compare_bench.py bench_fresh.json BENCH_33.json
+Report:    python tools/compare_bench.py bench_fresh.json BENCH_33.json --report bench_compare.txt
 
 Exit status: 0 when the records agree; 1 on any difference or
 unreadable/invalid input.

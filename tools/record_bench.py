@@ -6,8 +6,8 @@ writes the schema-checked payload (see :mod:`repro.obs.bench`) next to the
 repository root, so every PR ships the serving/runtime/streaming numbers it
 was merged with and a regression between two PRs is one ``diff`` away.
 
-Record:    python tools/record_bench.py --pr 26
-Validate:  python tools/record_bench.py --validate BENCH_26.json
+Record:    python tools/record_bench.py --pr 33
+Validate:  python tools/record_bench.py --validate BENCH_33.json
 
 CI records a fresh copy on every build (``--out bench_fresh.json``),
 validates it (the ``--validate`` path), requires it to equal the committed
@@ -29,7 +29,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pr", type=int, default=26, help="PR number stamped into the record")
+    parser.add_argument("--pr", type=int, default=33, help="PR number stamped into the record")
     parser.add_argument(
         "--out",
         type=pathlib.Path,
