@@ -55,6 +55,12 @@ def test_concurrent_runtime_equal_accuracy(load_rows):
     assert conc["worst_relative_residual"] < 0.05
 
 
+def test_concurrent_row_reports_the_pool_it_ran(load_rows):
+    # The speedup is 8 simulated shards against the synchronous row's 2.
+    assert load_rows["synchronous"]["shards"] == 2.0
+    assert load_rows["concurrent"]["shards"] == 8.0
+
+
 # ---------------------------------------------------------------------------
 # deadline shedding under saturation
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ import threading
 import numpy as np
 import pytest
 
+from repro.gpu.kernels import KernelClass, KernelRequest
 from repro.serving import (
     AsyncSketchServer,
     DeadlineExceededError,
     MicroBatcher,
     QueueFullError,
     RuntimeConfig,
+    ServerConfig,
     SketchServer,
     SolveRequest,
 )
@@ -44,6 +46,59 @@ def test_runtime_config_validation():
         RuntimeConfig(lane_weights={"solve": 4, "ridge": 2, "stream": 0})
     with pytest.raises(ValueError):
         RuntimeConfig(lane_weights={"solve": 1, "ridge": 1, "stream": 1, "bogus": 1})
+
+
+def test_server_config_takes_no_active_shard_count():
+    # The pool size is the only shard count.
+    with pytest.raises(TypeError):
+        ServerConfig(active_shards=2)
+
+
+# ---------------------------------------------------------------------------
+# fixed shard pool
+# ---------------------------------------------------------------------------
+def _busy(executor, nbytes: float) -> None:
+    """Charge some simulated work to one shard's executor."""
+    executor.launch(
+        KernelRequest(name="busy", kclass=KernelClass.STREAM, bytes_read=nbytes, phase="test")
+    )
+
+
+def test_runtime_pool_is_the_configured_shard_count():
+    with AsyncSketchServer(shards=3, workers=1, seed=0) as runtime:
+        assert runtime.pool.size == 3
+        stats = runtime.stats()
+    assert stats["shards"] == 3.0
+    assert not [key for key in stats if key.startswith(("active", "scale"))]
+
+
+def test_admission_clock_is_the_earliest_free_shard(problem):
+    a, b = problem
+    with AsyncSketchServer(shards=4, workers=1, seed=0) as runtime:
+        for shard in range(3):
+            _busy(runtime.pool[shard], 1e10)
+        response = runtime.submit(a, b).result(timeout=30.0)
+        runtime.drain()
+        idle_elapsed = runtime.pool[3].elapsed
+    # The only idle shard takes the fresh operator, and the request is
+    # stamped at that shard's clock (0), not at the busy shards' clocks:
+    # its latency is all of shard 3's work plus the result transfer.
+    assert response.shard == 3
+    assert response.simulated_seconds == pytest.approx(idle_elapsed + response.comm_seconds)
+
+
+def test_fresh_shapes_spread_over_the_whole_pool():
+    rng = np.random.default_rng(3)
+    with AsyncSketchServer(shards=4, workers=1, seed=0) as runtime:
+        futures = []
+        for rows in (512, 384, 256, 128):
+            a = rng.standard_normal((rows, 8))
+            futures.append(runtime.submit(a, rng.standard_normal(rows)))
+        for f in futures:
+            f.result(timeout=30.0)
+        runtime.drain()
+        placed = runtime.scheduler.batches_per_shard
+    assert placed == [1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

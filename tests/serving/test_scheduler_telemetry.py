@@ -38,6 +38,15 @@ class TestExecutorPool:
         assert pool.makespan() == pool.loads()[0]
         assert pool.total_busy_seconds() == sum(pool.loads())
 
+    def test_min_load_is_the_earliest_free_shard(self):
+        pool = ExecutorPool(3, seed=0)
+        _busy(pool[0], 2e9)
+        _busy(pool[2], 1e9)
+        assert pool.min_load() == pool.loads()[1] == 0.0
+        _busy(pool[1], 3e9)
+        assert pool.min_load() == pool.loads()[2]
+        assert pool.least_loaded() == 2
+
     def test_reset_clocks(self):
         pool = ExecutorPool(2, seed=0)
         _busy(pool[1], 1e9)
@@ -55,6 +64,17 @@ class TestShardScheduler:
         sched = ShardScheduler(pool)
         _busy(pool[0], 1e9)
         assert sched.place() == 1
+
+    def test_every_shard_takes_work_lowest_index_on_a_tie(self):
+        pool = ExecutorPool(4, seed=0)
+        sched = ShardScheduler(pool)
+        assert sched.place() == 0
+        _busy(pool[0], 1e9)
+        assert sched.place() == 1
+        _busy(pool[1], 1e9)
+        _busy(pool[2], 1e9)
+        assert sched.place() == 3
+        assert sched.batches_per_shard == [1, 1, 0, 1]
 
     def test_affinity_placement_wins(self):
         pool = ExecutorPool(2, seed=0)
