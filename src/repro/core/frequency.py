@@ -121,20 +121,6 @@ def _integral_counters(counters: np.ndarray, items_seen: int) -> bool:
     )
 
 
-def _restored_integral(payload, counters: np.ndarray, items_seen: int) -> bool:
-    """:func:`_integral_counters` of a restored table, from its snapshot payload.
-
-    A payload decoded as an integer dtype is integral by construction, so
-    only its magnitude bound is checked, on the integer array itself
-    (``np.abs`` of int32 ``-2**31`` overflows).  Float payloads, and a
-    missing one, get the full check on the restored ``counters``.
-    """
-    raw = None if payload is None else np.asarray(payload)
-    if raw is None or raw.dtype.kind not in "iu":
-        return _integral_counters(counters, items_seen)
-    return bool(raw.max(initial=0) <= items_seen and raw.min(initial=0) >= -items_seen)
-
-
 class FrequencySketch:
     """``depth x width`` signed-counter table answering frequency queries.
 
@@ -521,7 +507,7 @@ class FrequencySketch:
             raise ValueError("numeric snapshot is missing its table payload")
         self._items_seen = int(state["items_seen"])
         if self.numeric:
-            self._integral = _restored_integral(tab, self._table.data, self._items_seen)
+            self._integral = _integral_counters(self._table.data, self._items_seen)
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(
@@ -696,7 +682,7 @@ class ExactFrequencyLevel:
             raise ValueError("numeric snapshot is missing its counts payload")
         self._items_seen = int(state["items_seen"])
         if self.numeric:
-            self._integral = _restored_integral(tab, self._counts.data, self._items_seen)
+            self._integral = _integral_counters(self._counts.data, self._items_seen)
         nbytes = float(self._domain) * self._dtype.itemsize
         self._charge("frequency_exact_restore", KernelClass.STREAM, 0.0, nbytes, 0.0)
 

@@ -817,10 +817,10 @@ def concurrent_load(
       ``shards`` shards, one call at a time.
     * ``mode="concurrent"`` -- the *same* load admitted through an
       :class:`~repro.serving.runtime.AsyncSketchServer` on a fixed pool of
-      ``max_shards`` shards.  ``speedup`` is its throughput over the
-      synchronous row's at equal accuracy (both worst residuals reported):
-      ``max_shards`` simulated shards (8 by default) against the
-      synchronous row's ``shards`` (2), in simulated time.  The runtime
+      ``max(shards, max_shards)`` shards.  ``speedup`` is its throughput
+      over the synchronous row's at equal accuracy (both worst residuals
+      reported): 8 simulated shards by default against the synchronous
+      row's ``shards`` (2), in simulated time.  The runtime
       dispatches on one thread, so the extra shards add no wall-clock
       parallelism.
     * ``mode="shedding"`` -- a single-shard runtime saturated with
@@ -890,7 +890,7 @@ def concurrent_load(
     # must hold it; the *bound* is what the shedding phase exercises.
     spike = len(solve_traffic) + len(ridge_traffic) + len(stream_rows) + 1
     runtime = AsyncSketchServer(
-        shards=max_shards,
+        shards=max(shards, max_shards),
         max_batch=max_batch,
         seed=seed,
         queue_depth=max(queue_depth, spike),

@@ -596,7 +596,7 @@ class SketchServer:
         loads = self.pool.loads()
         owned = entry.shard_set()
         best_owned = min(owned, key=lambda s: loads[s])
-        least = min(range(self.pool.size), key=lambda s: loads[s])
+        least = self.pool.least_loaded()
         # A replica is a rebuild from the seed; unseeded operators draw from
         # their executor's stream and are not reproducible, so they stay
         # pinned to their owning shard.

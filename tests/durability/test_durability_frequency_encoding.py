@@ -178,7 +178,7 @@ PAYLOADS = {
 @pytest.mark.parametrize("need_ranges", [True, False], ids=["hierarchical", "flat"])
 @pytest.mark.parametrize("payload", sorted(PAYLOADS))
 def test_restored_integral_flag_matches_the_decoded_table(payload, need_ranges):
-    """An integer payload skips the trunc pass but must earn the same flag."""
+    """The restored flag is the integral check of the decoded table."""
     fill, items_seen, expected = PAYLOADS[payload]
     plan, engine = _engine(need_ranges)
     _unit(engine, None)

@@ -10,6 +10,7 @@ from repro.gpu.timing import KernelTiming, TimeBreakdown
 from repro.harness.experiments import (
     SKETCH_METHODS,
     SOLVER_METHODS,
+    concurrent_load,
     figure2,
     figure3,
     figure4,
@@ -225,3 +226,16 @@ class TestExperiments:
         by = {(r["p"], r["method"]): r for r in rows}
         assert by[(8, "countsketch")]["message_bytes"] > by[(8, "gaussian")]["message_bytes"]
         assert by[(8, "multisketch")]["message_bytes"] == by[(8, "gaussian")]["message_bytes"]
+
+    @pytest.mark.parametrize("shards, max_shards, expected", [(2, 8, 8.0), (3, 2, 3.0)])
+    def test_concurrent_load_pool_is_at_least_the_synchronous_one(
+        self, shards, max_shards, expected
+    ):
+        rows = concurrent_load(
+            d=256, n=4, n_matrices=2, rhs_per_matrix=2, ridge_requests=2,
+            stream_batches=2, stream_batch_rows=16, shed_requests=8,
+            shards=shards, max_shards=max_shards,
+        )
+        by = {r["mode"]: r for r in rows}
+        assert by["synchronous"]["shards"] == float(shards)
+        assert by["concurrent"]["shards"] == expected
