@@ -1,8 +1,8 @@
 """Serving layer: batched, cached, sharded sketch-and-solve under load.
 
-The ROADMAP's north star asks for a system that "serves heavy traffic from
-millions of users"; this package is the layer that turns the reproduction's
-sketch operators and solvers into such a service:
+This package turns the reproduction's sketch operators and solvers into a
+service whose answers and simulated numbers are a pure function of inputs
+and seed, and whose wall-clock cost is measured end to end and per layer:
 
 * :class:`~repro.serving.server.SketchServer` -- the front end accepting
   ``solve(A, b)`` and ``sketch(A)`` requests, plus the problem-class
@@ -33,19 +33,18 @@ sketch operators and solvers into such a service:
   :class:`~repro.serving.requests.DeadlineExceededError`), one dispatcher
   thread placing sketch application and planner-routed solves across a
   fixed pool of shards.
-* :mod:`repro.serving.streaming` -- streaming sessions
-  (``SketchServer.open_stream`` / ``append_rows`` / ``query_solution`` /
-  ``close_stream``): a :class:`~repro.streaming.solver.StreamingSolver` per
-  session, pinned to a shard, its window-sketch operator session-keyed in
-  the operator cache, with per-session ingest/staleness/re-solve telemetry.
-* :mod:`repro.serving.frequency` -- frequency-analytics sessions
-  (``SketchServer.open_frequency_stream`` / ``append_items`` /
-  ``query_heavy_hitters`` / ``query_norm`` / ``query_range`` /
-  ``query_point``): a planned flat or hierarchical frequency sketch
-  (:mod:`repro.core.frequency`) per session, served bit-for-bit identical
-  to direct library calls, with ``frequency_*`` telemetry and the same
-  async stream lane.
-* :mod:`repro.serving.sessions` -- the lifecycle both session kinds share:
+* :mod:`repro.serving.streaming` -- streaming sessions: a
+  :class:`~repro.streaming.solver.StreamingSolver` per session, pinned to a
+  shard, its window-sketch operator session-keyed in the operator cache,
+  with per-session ingest/staleness/re-solve telemetry.
+* :mod:`repro.serving.frequency` -- frequency-analytics sessions: a planned
+  flat or hierarchical frequency sketch (:mod:`repro.core.frequency`) per
+  session, served bit-for-bit identical to direct library calls, with
+  ``frequency_*`` telemetry.
+* :mod:`repro.serving.sessions` -- the session endpoints both front ends
+  expose, declared once (:data:`~repro.serving.sessions.SESSION_ENDPOINTS`:
+  ``open_stream`` / ``append_rows`` / ``query_solution`` / ... /
+  ``close_frequency_stream``), and the lifecycle both session kinds share:
   one :class:`~repro.serving.sessions.SessionTable` per server, so TTL and
   ``max_sessions`` eviction bound the live sessions of both kinds together;
   and, when the config carries a

@@ -94,11 +94,6 @@ class MicroBatcher:
         """Number of requests waiting to be drained."""
         return self._pending
 
-    @property
-    def pending_groups(self) -> int:
-        """Number of distinct fusion groups currently pending."""
-        return len(self._groups)
-
     def add(self, request: SolveRequest) -> None:
         """Enqueue a request into its fusion group."""
         self._groups.setdefault(request.group_key(), []).append(request)

@@ -137,12 +137,14 @@ class FrequencySessionManager(DurableSessionManager):
         max_width: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> int:
-        """Open a frequency session; returns its id (the server's id stream).
+        """Open a frequency session over ``domain`` item ids; returns its id.
 
-        The sketch is sized by :func:`plan_frequency_sketch` for the
-        requested ``(phi, delta)`` operating point and built on a
-        scheduler-chosen shard's executor, so every update and query is
-        charged to that shard's simulated clock like any other request.
+        The id comes from the server's id stream; an unset ``seed``
+        inherits the server config.  The sketch is sized by
+        :func:`plan_frequency_sketch` for the requested ``(phi, delta)``
+        operating point and built on a scheduler-chosen shard's executor,
+        so every update and query is charged to that shard's simulated
+        clock like any other request.
         """
         server = self._server
         plan = plan_frequency_sketch(
@@ -182,8 +184,6 @@ class FrequencySessionManager(DurableSessionManager):
         """
         session = self._resolve(session_id)
         server = self._server
-        tracer = server.tracer
-        own_root = root is None and tracer.enabled
         ids_arr, w_arr = self._write_ahead(session, ids, weights)
         shard_clock = server.pool[session.shard]
         start = shard_clock.elapsed
@@ -191,16 +191,12 @@ class FrequencySessionManager(DurableSessionManager):
         end = shard_clock.elapsed
         self._folded(session)
         server.telemetry.record_frequency_ingest(int(ids_arr.size), end - start)
-        if tracer.enabled:
-            if own_root:
-                root = tracer.start_trace(
-                    "frequency_ingest", start, session_id=session_id, lane="stream"
-                )
-            tracer.start_span(
+        self._trace(
+            "frequency_ingest", root, session_id, start, end,
+            lambda tracer, root: tracer.start_span(
                 "freq_ingest", root, start, items=int(ids_arr.size), shard=session.shard
-            ).finish(end)
-            if own_root:
-                tracer.end_trace(root, end)
+            ).finish(end),
+        )
         return FrequencyIngestReport(
             session_id=session_id,
             items=int(ids_arr.size),
@@ -228,7 +224,6 @@ class FrequencySessionManager(DurableSessionManager):
         """
         session = self._resolve(session_id)
         server = self._server
-        own_root = root is None and server.tracer.enabled
         shard_clock = server.pool[session.shard]
         start = shard_clock.elapsed
         value, answer_bytes, extra = ask(session)
@@ -240,20 +235,13 @@ class FrequencySessionManager(DurableSessionManager):
         self._touch(session)
         compute_seconds = end - start
         server.telemetry.record_frequency_query(kind, compute_seconds + comm_seconds)
-        tracer = server.tracer
-        if tracer.enabled:
-            if own_root:
-                root = tracer.start_trace(
-                    f"frequency_{kind}", start, session_id=session.session_id, lane="stream"
-                )
-            tracer.start_span(
+        self._trace(
+            f"frequency_{kind}", root, session.session_id, start, end,
+            lambda tracer, root: tracer.start_span(
                 f"freq_{kind}", root, start, shard=session.shard, **extra
-            ).finish(end)
-            tracer.start_span("respond", root, end).finish(
-                end + comm_seconds, comm_seconds=comm_seconds
-            )
-            if own_root:
-                tracer.end_trace(root, end + comm_seconds)
+            ).finish(end),
+            comm_seconds,
+        )
         return FrequencyQueryResponse(
             session_id=session.session_id,
             kind=kind,
@@ -305,7 +293,7 @@ class FrequencySessionManager(DurableSessionManager):
     def query_range(
         self, session_id: int, lo: int, hi: int, *, root=None
     ) -> FrequencyQueryResponse:
-        """Serve the estimated total weight of ids in ``[lo, hi)``.
+        """Serve the estimated total weight of ids in ``[lo, hi)`` (dyadic descent).
 
         Requires a hierarchical engine (open the session with
         ``need_ranges=True`` or an address-space domain); a flat session

@@ -2,7 +2,8 @@
 
 The synchronous :class:`~repro.serving.server.SketchServer` answers one call
 at a time; this module turns it into a *runtime* that serves overlapping
-traffic the way the ROADMAP's "heavy traffic from millions of users" demands:
+traffic from many callers while every simulated number stays a pure
+function of the load and the seed:
 
 * **Bounded admission queue** -- :meth:`AsyncSketchServer.submit` /
   :meth:`~AsyncSketchServer.submit_ridge` / streaming ingest all enqueue into
@@ -29,6 +30,13 @@ traffic the way the ROADMAP's "heavy traffic from millions of users" demands:
   simulated number is a pure function of the load and the seed.  Admission
   runs on the callers' threads and never waits for a unit to execute.
   The pool is the server's fixed ``shards``.
+* **Session endpoints** -- declared once, in
+  :data:`~repro.serving.sessions.SESSION_ENDPOINTS`.  ``open_*`` runs at
+  once, between units, and ``close_*`` after the session's queued work.
+  Each append and query is admitted into the ``stream`` lane; its
+  :class:`RuntimeFuture` resolves to the session manager's response.  One
+  session's calls dispatch strictly in admission order (the window algebra
+  is order-sensitive for decayed/sliding modes); sessions interleave freely.
 
 Latencies in lane telemetry are *queue-inclusive* on the simulated clock:
 admission stamps the request with the earliest instant any shard could
@@ -50,11 +58,13 @@ Quick start::
 
 from __future__ import annotations
 
+import inspect
 import threading
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Deque, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,7 +78,8 @@ from repro.serving.requests import (
 )
 from repro.obs.trace import Span
 from repro.serving.batcher import MicroBatcher
-from repro.serving.server import ServerConfig, SketchServer
+from repro.serving.server import SESSION_MANAGERS, ServerConfig, SketchServer
+from repro.serving.sessions import declare_session_endpoints
 
 __all__ = [
     "AsyncSketchServer",
@@ -252,39 +263,6 @@ class AsyncSketchServer:
         self._thread: Optional[threading.Thread] = None
         self.start()
 
-    # ------------------------------------------------------------------
-    # passthroughs
-    # ------------------------------------------------------------------
-    @property
-    def telemetry(self):
-        """The wrapped server's telemetry (lane/shed/queue metrics land here)."""
-        return self.server.telemetry
-
-    @property
-    def tracer(self):
-        """The wrapped server's tracer (request span trees land here)."""
-        return self.server.tracer
-
-    @property
-    def metrics(self):
-        """The wrapped server's metrics registry (the scrape surface)."""
-        return self.server.metrics
-
-    @property
-    def calibration(self):
-        """The wrapped server's cost-calibration estimator (None when off)."""
-        return self.server.calibration
-
-    @property
-    def scheduler(self):
-        """The wrapped server's shard scheduler."""
-        return self.server.scheduler
-
-    @property
-    def pool(self):
-        """The wrapped server's executor pool."""
-        return self.server.pool
-
     @property
     def pending(self) -> int:
         """Work items admitted but not yet dispatched."""
@@ -394,8 +372,19 @@ class AsyncSketchServer:
         """Admission timestamp: the earliest instant any shard is free."""
         return self.server.pool.min_load()
 
-    def _admit_locked(self, lane: str) -> float:
-        """Common admission gate; returns the admission timestamp."""
+    def _admit_locked(
+        self, lane: str, request_id: Optional[int] = None, payload: Tuple = (), **attrs
+    ) -> _LaneItem:
+        """The common admission gate; returns the admitted unit's lane item.
+
+        Past the gate the unit gets its admission timestamp, its future
+        (``request_id=None`` draws the next id from the server's stream, so
+        a rejected request consumes none) and its trace root.  The root
+        carries the queue context (admission event + depth) that the
+        serving layer cannot see; the dispatcher later threads it into the
+        server so plan/batch/solve spans nest under it, and whoever decides
+        the request's fate (response, shed, error) ends the trace.
+        """
         if self._stop:
             raise RuntimeError("runtime is stopped")
         depth = self._queue_depth_locked()
@@ -408,29 +397,17 @@ class AsyncSketchServer:
             )
         self.telemetry.record_admission(lane)
         self.telemetry.record_queue_depth(depth + 1)
-        return self._virtual_now_locked()
-
-    def _start_root_locked(
-        self, lane: str, admitted_at: float, request_id: int, **attrs
-    ) -> Optional[Span]:
-        """Open a request's trace root at its admission timestamp.
-
-        The root carries the queue context (admission event + depth) that
-        the serving layer cannot see; the dispatcher later threads it into
-        the server so plan/batch/solve spans nest under it, and whoever
-        decides the request's fate (response, shed, error) ends the trace.
-        """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return None
-        root = tracer.start_trace(
-            "request", admitted_at, request_id=request_id, lane=lane, **attrs
-        )
-        tracer.event(
-            "admission", root, admitted_at,
-            queue_depth=self._queue_depth_locked() + 1,
-        )
-        return root
+        admitted_at = self._virtual_now_locked()
+        if request_id is None:
+            request_id = self.server._next_id
+            self.server._next_id += 1
+        tracer, root = self.tracer, None
+        if tracer.enabled:
+            root = tracer.start_trace(
+                "request", admitted_at, request_id=request_id, lane=lane, **attrs
+            )
+            tracer.event("admission", root, admitted_at, queue_depth=depth + 1)
+        return _LaneItem(admitted_at, RuntimeFuture(lane, request_id), payload, root)
 
     def _end_root_shed(self, root: Optional[Span], reason: str, at: float) -> None:
         """Terminal ``shed`` span + trace end for a request that won't run."""
@@ -515,129 +492,26 @@ class AsyncSketchServer:
         touching the admission counters or the queue-depth samples.
         """
         with self._work:
-            admitted_at = self._admit_locked(lane)
-            request.request_id = self.server._next_id
-            self.server._next_id += 1
-            future = RuntimeFuture(lane, request.request_id)
-            self._requests[request.request_id] = _LaneItem(
-                admitted_at=admitted_at,
-                future=future,
-                root=self._start_root_locked(
-                    lane, admitted_at, request.request_id, kind=request.kind
-                ),
-            )
+            item = self._admit_locked(lane, kind=request.kind)
+            request.request_id = item.future.request_id
+            self._requests[request.request_id] = item
             self._batch_lanes[lane].add(request)
             self._work.notify()
-        return future
+        return item.future
 
-    # ------------------------------------------------------------------
-    # streaming through the queue
-    # ------------------------------------------------------------------
-    def open_stream(self, n: int, **options) -> int:
-        """Open a streaming session (control plane: immediate, not queued)."""
-        # Opening may evict (checkpoint) a live session and draws from the
-        # server's id stream, so it runs between units and outside admission.
-        with self._exec, self._lock:
-            return self.server.open_stream(n, **options)
-
-    def append_rows(
-        self, session_id: int, rows: np.ndarray, targets: np.ndarray
-    ) -> RuntimeFuture:
-        """Admit one ingest batch into the ``stream`` lane.
-
-        Batches of one session dispatch strictly in admission order (the
-        window algebra is order-sensitive for decayed/sliding modes), but
-        different sessions interleave freely.
-        The future resolves to the session's
-        :class:`~repro.streaming.solver.IngestReport`.
-        """
-        return self._submit_stream(
-            "append", self.server.append_rows, session_id, np.asarray(rows), np.asarray(targets)
-        )
-
-    def query_solution(self, session_id: int) -> RuntimeFuture:
-        """Admit one solution query for a session (``stream`` lane)."""
-        return self._submit_stream("query", self.server.query_solution, session_id)
-
-    # ------------------------------------------------------------------
-    # frequency sessions through the queue (same lane as streaming)
-    # ------------------------------------------------------------------
-    def open_frequency_stream(self, domain: int, **options) -> int:
-        """Open a frequency session (control plane: immediate, not queued)."""
-        with self._exec, self._lock:
-            return self.server.open_frequency_stream(domain, **options)
-
-    def append_items(self, session_id: int, ids, weights=None) -> RuntimeFuture:
-        """Admit one ``(ids, weights)`` batch into the ``stream`` lane.
-
-        Frequency sessions share the streaming lane's per-session FIFO
-        discipline: one session's batches and queries dispatch in admission
-        order, different sessions interleave freely.  The future resolves to
-        a :class:`~repro.serving.frequency.FrequencyIngestReport`.
-        """
-        return self._submit_stream("freq_append", self.server.append_items, session_id, ids, weights)
-
-    def query_heavy_hitters(
-        self, session_id: int, *, k: Optional[int] = None, phi: Optional[float] = None
-    ) -> RuntimeFuture:
-        """Admit one heavy-hitter query (``stream`` lane); resolves to the
-        session's :class:`~repro.serving.frequency.FrequencyQueryResponse`."""
-        return self._submit_stream(
-            "freq_hh", self.server.query_heavy_hitters, session_id, k=k, phi=phi
-        )
-
-    def query_norm(self, session_id: int) -> RuntimeFuture:
-        """Admit one l2-norm query for a frequency session (``stream`` lane)."""
-        return self._submit_stream("freq_norm", self.server.query_norm, session_id)
-
-    def query_range(self, session_id: int, lo: int, hi: int) -> RuntimeFuture:
-        """Admit one dyadic range query for a frequency session."""
-        return self._submit_stream("freq_range", self.server.query_range, session_id, int(lo), int(hi))
-
-    def query_point(self, session_id: int, ids) -> RuntimeFuture:
-        """Admit one point-frequency query for a frequency session."""
-        return self._submit_stream("freq_point", self.server.query_point, session_id, ids)
-
-    def close_frequency_stream(self, session_id: int) -> Dict[str, float]:
-        """Close a frequency session after its queued work drains."""
-        return self._close_session(self.server.close_frequency_stream, session_id)
-
-    def _submit_stream(self, kind: str, endpoint, session_id: int, *args, **kwargs) -> RuntimeFuture:
+    def _submit_stream(self, op: str, manager, method: str, bound) -> RuntimeFuture:
         """Queue one session call; the lane item carries it, bound but for ``root``."""
+        session_id = bound.arguments["session_id"]
         with self._work:
-            if session_id not in self.server.sessions.owner:  # live or passivated
-                raise KeyError(f"unknown or closed streaming session {session_id}")
-            admitted_at = self._admit_locked("stream")
-            future = RuntimeFuture("stream", session_id)
-            item = _LaneItem(
-                admitted_at=admitted_at,
-                future=future,
-                payload=(session_id, partial(endpoint, session_id, *args, **kwargs)),
-                root=self._start_root_locked(
-                    "stream", admitted_at, session_id, op=kind
-                ),
-            )
+            manager._check_owner(session_id)  # live or passivated, of this kind
+            call = partial(getattr(manager, method), *bound.args, **bound.kwargs)
+            item = self._admit_locked("stream", session_id, (session_id, call), op=op)
             queue = self._stream_queues.setdefault(session_id, deque())
             queue.append(item)
             if session_id not in self._stream_busy and len(queue) == 1:
                 self._stream_ready.append(session_id)
             self._work.notify()
-        return future
-
-    def close_stream(self, session_id: int) -> Dict[str, float]:
-        """Close a session after its queued work drains; returns final stats."""
-        return self._close_session(self.server.close_stream, session_id)
-
-    def _close_session(self, close, session_id: int) -> Dict[str, float]:
-        with self._work:
-            self._work.wait_for(
-                lambda: not self._stream_queues.get(session_id)
-                and session_id not in self._stream_busy
-            )
-            self._stream_queues.pop(session_id, None)
-        # A passivated close replays onto a shard clock: run it between units.
-        with self._exec, self._lock:
-            return close(session_id)
+        return item.future
 
     # ------------------------------------------------------------------
     # dispatch
@@ -854,3 +728,62 @@ class AsyncSketchServer:
             f"AsyncSketchServer(queue_depth={self.runtime_config.queue_depth}, "
             f"shards={self.server.pool.size})"
         )
+
+
+def _admitted(attr: str, method: str, op: Optional[str]) -> Callable:
+    """The runtime's face of one session endpoint (see the module docstring).
+
+    A queued call is bound against the manager method's signature first, so
+    a bad call raises ``TypeError`` before admission counts it.
+    """
+    if method == "open":
+
+        def endpoint(self, *args, **kwargs):
+            # Opening may evict (checkpoint) a live session and draws from
+            # the server's id stream: it runs between units, outside admission.
+            with self._exec, self._lock:
+                return getattr(self.server, attr).open(*args, **kwargs)
+
+        return endpoint
+    if method == "close":
+
+        def endpoint(self, session_id):
+            with self._work:
+                self._work.wait_for(
+                    lambda: not self._stream_queues.get(session_id)
+                    and session_id not in self._stream_busy
+                )
+                self._stream_queues.pop(session_id, None)
+            # A passivated close replays onto a shard clock: run it between units.
+            with self._exec, self._lock:
+                return getattr(self.server, attr).close(session_id)
+
+        return endpoint
+    signature = inspect.signature(getattr(SESSION_MANAGERS[attr], method))
+    params = [p for p in signature.parameters.values() if p.name != "root"]
+    call = signature.replace(parameters=params[1:])
+
+    def endpoint(self, *args, **kwargs):
+        bound = call.bind(*args, **kwargs)
+        return self._submit_stream(op, getattr(self.server, attr), method, bound)
+
+    endpoint.__signature__ = signature.replace(parameters=params, return_annotation="RuntimeFuture")
+    return endpoint
+
+
+declare_session_endpoints(AsyncSketchServer, SESSION_MANAGERS, _admitted)
+
+#: The wrapped server's parts, read through: attribute -> what it holds.
+_SERVER_PARTS = {
+    "telemetry": "telemetry (lane/shed/queue metrics land here)",
+    "tracer": "tracer (request span trees land here)",
+    "metrics": "metrics registry (the scrape surface)",
+    "calibration": "cost-calibration estimator (None when off)",
+    "scheduler": "shard scheduler",
+    "pool": "executor pool",
+}
+for _name, _held in _SERVER_PARTS.items():
+    setattr(
+        AsyncSketchServer, _name,
+        property(attrgetter(f"server.{_name}"), doc=f"The wrapped server's {_held}."),
+    )

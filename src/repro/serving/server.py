@@ -70,17 +70,9 @@ from repro.durability.store import DurabilityConfig
 from repro.obs.calibrate import CalibratedEstimator
 from repro.obs.trace import Span, Tracer
 from repro.serving.scheduler import ShardScheduler
-from repro.serving.frequency import (
-    FrequencyIngestReport,
-    FrequencyQueryResponse,
-    FrequencySessionManager,
-)
-from repro.serving.sessions import RestoreReport, SessionTable
-from repro.serving.streaming import (
-    IngestReport,
-    StreamingSessionManager,
-    StreamSolutionResponse,
-)
+from repro.serving.frequency import FrequencySessionManager
+from repro.serving.sessions import RestoreReport, SessionTable, declare_session_endpoints
+from repro.serving.streaming import StreamingSessionManager
 from repro.serving.telemetry import ServingTelemetry
 
 
@@ -239,7 +231,12 @@ class PlacedBatch:
 
 
 class SketchServer:
-    """Batched, cached, sharded sketch-and-solve service."""
+    """Batched, cached, sharded sketch-and-solve service.
+
+    The session endpoints (``open_stream`` ... ``close_frequency_stream``)
+    are declared once in :data:`~repro.serving.sessions.SESSION_ENDPOINTS`;
+    each forwards to its manager, :attr:`streams` or :attr:`frequencies`.
+    """
 
     def __init__(self, config: Optional[ServerConfig] = None, **overrides) -> None:
         if config is None:
@@ -956,101 +953,6 @@ class SketchServer:
         return float(result.column_residuals[j])
 
     # ------------------------------------------------------------------
-    # streaming sessions (see repro.serving.streaming)
-    # ------------------------------------------------------------------
-    def open_stream(self, n: int, **options) -> int:
-        """Open a streaming session for ``n``-column rows; returns its id.
-
-        Options (``mode``, ``window_buckets``, ``bucket_rows``, ``decay``,
-        ``policy``, ``accuracy_target``, ``latency_budget``, ``detector``,
-        ``k``, ``seed``) are
-        forwarded to :meth:`repro.serving.streaming.StreamingSessionManager.open`;
-        unset routing options inherit the server config.  The session's
-        engine runs on a scheduler-chosen shard and its window-sketch
-        operator is pinned in the operator cache under a session key.
-        """
-        return self.streams.open(n, **options)
-
-    def append_rows(
-        self,
-        session_id: int,
-        rows: np.ndarray,
-        targets: np.ndarray,
-        *,
-        root: Optional[Span] = None,
-    ) -> IngestReport:
-        """Fold one arriving batch of rows into a session's window sketch.
-
-        ``root`` is an optional trace root (the concurrent runtime passes
-        the one it opened at admission) under which the session's
-        ingest/re-solve/drift spans nest.
-        """
-        return self.streams.append(session_id, rows, targets, root=root)
-
-    def query_solution(
-        self, session_id: int, *, root: Optional[Span] = None
-    ) -> StreamSolutionResponse:
-        """Serve a session's current solution (lazily re-solved when stale)."""
-        return self.streams.query(session_id, root=root)
-
-    def close_stream(self, session_id: int) -> Dict[str, float]:
-        """Close a session and return its final per-session statistics."""
-        return self.streams.close(session_id)
-
-    # ------------------------------------------------------------------
-    # frequency sessions (see repro.serving.frequency)
-    # ------------------------------------------------------------------
-    def open_frequency_stream(self, domain: int, **options) -> int:
-        """Open a frequency-analytics session over ``domain`` item ids.
-
-        Options (``phi``, ``delta``, ``branch``, ``need_ranges``,
-        ``max_width``, ``seed``) are forwarded to
-        :meth:`repro.serving.frequency.FrequencySessionManager.open`; the
-        sketch is sized by :func:`repro.problems.frequency.plan_frequency_sketch`
-        and pinned to a scheduler-chosen shard.
-        """
-        return self.frequencies.open(domain, **options)
-
-    def append_items(
-        self, session_id: int, ids, weights=None, *, root: Optional[Span] = None
-    ) -> FrequencyIngestReport:
-        """Fold one ``(ids, weights)`` batch into a frequency session."""
-        return self.frequencies.append(session_id, ids, weights, root=root)
-
-    def query_heavy_hitters(
-        self,
-        session_id: int,
-        *,
-        k: Optional[int] = None,
-        phi: Optional[float] = None,
-        root: Optional[Span] = None,
-    ) -> FrequencyQueryResponse:
-        """Serve a frequency session's ``phi``-heavy hitters (library-exact)."""
-        return self.frequencies.query_heavy_hitters(session_id, k=k, phi=phi, root=root)
-
-    def query_norm(
-        self, session_id: int, *, root: Optional[Span] = None
-    ) -> FrequencyQueryResponse:
-        """Serve a frequency session's l2-norm estimate."""
-        return self.frequencies.query_norm(session_id, root=root)
-
-    def query_range(
-        self, session_id: int, lo: int, hi: int, *, root: Optional[Span] = None
-    ) -> FrequencyQueryResponse:
-        """Serve the estimated weight of ids in ``[lo, hi)`` (dyadic descent)."""
-        return self.frequencies.query_range(session_id, lo, hi, root=root)
-
-    def query_point(
-        self, session_id: int, ids, *, root: Optional[Span] = None
-    ) -> FrequencyQueryResponse:
-        """Serve point-frequency estimates for explicit ids."""
-        return self.frequencies.query_point(session_id, ids, root=root)
-
-    def close_frequency_stream(self, session_id: int) -> Dict[str, float]:
-        """Close a frequency session and return its final statistics."""
-        return self.frequencies.close(session_id)
-
-    # ------------------------------------------------------------------
     # durability (see repro.durability / repro.serving.sessions)
     # ------------------------------------------------------------------
     def save(self) -> Dict[int, int]:
@@ -1221,6 +1123,20 @@ class SketchServer:
         for i, load in enumerate(self.pool.loads()):
             out[f"shard{i}_busy_seconds"] = load
         return out
+
+
+#: The session kinds a server hosts, by the attribute holding each manager.
+SESSION_MANAGERS = {"streams": StreamingSessionManager, "frequencies": FrequencySessionManager}
+
+
+def _forward(attr: str, method: str, op: Optional[str]) -> Callable:
+    def endpoint(self, *args, **kwargs):
+        return getattr(getattr(self, attr), method)(*args, **kwargs)
+
+    return endpoint
+
+
+declare_session_endpoints(SketchServer, SESSION_MANAGERS, _forward)
 
 
 # ---------------------------------------------------------------------------

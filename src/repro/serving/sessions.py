@@ -24,13 +24,49 @@ shard, and both live the same life, owned here once:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.durability.codec import DurabilityError, SchemaError
 from repro.durability.wal import frame, replay_wal
 
-__all__ = ["DurableSessionManager", "RestoreReport", "SessionTable"]
+__all__ = [
+    "SESSION_ENDPOINTS", "DurableSessionManager", "RestoreReport", "SessionTable",
+    "declare_session_endpoints",
+]
+
+#: The session endpoints of both front ends: public name -> (the server's
+#: manager attribute, the manager method serving it, the ``op`` a runtime
+#: trace root carries, or ``None`` for a call the runtime does not queue).
+SESSION_ENDPOINTS: Dict[str, Tuple[str, str, Optional[str]]] = {
+    "open_stream": ("streams", "open", None),
+    "append_rows": ("streams", "append", "append"),
+    "query_solution": ("streams", "query", "query"),
+    "close_stream": ("streams", "close", None),
+    "open_frequency_stream": ("frequencies", "open", None),
+    "append_items": ("frequencies", "append", "freq_append"),
+    "query_heavy_hitters": ("frequencies", "query_heavy_hitters", "freq_hh"),
+    "query_norm": ("frequencies", "query_norm", "freq_norm"),
+    "query_range": ("frequencies", "query_range", "freq_range"),
+    "query_point": ("frequencies", "query_point", "freq_point"),
+    "close_frequency_stream": ("frequencies", "close", None),
+}
+
+
+def declare_session_endpoints(cls: type, managers: Mapping[str, type], make: Callable) -> None:
+    """Give ``cls`` one method per :data:`SESSION_ENDPOINTS` entry.
+
+    ``managers`` maps each manager attribute to its class;
+    ``make(attr, method, op)`` returns the front end's function.  It lands
+    in ``cls.__dict__`` as a plain function under the endpoint's name, with
+    the manager method's docstring and signature (unless it sets its own
+    ``__signature__``).
+    """
+    for name, (attr, method, op) in SESSION_ENDPOINTS.items():
+        endpoint = functools.wraps(getattr(managers[attr], method))(make(attr, method, op))
+        endpoint.__name__, endpoint.__qualname__ = name, f"{cls.__name__}.{name}"
+        setattr(cls, name, endpoint)
 
 
 @dataclass
@@ -226,10 +262,14 @@ class DurableSessionManager:
             raise self._unknown(session_id)
         return self._table.live[session_id]
 
-    def _resolve(self, session_id: int):
-        """A live session of this kind, resurrecting a passivated one."""
+    def _check_owner(self, session_id: int) -> None:
+        """Raise this kind's ``KeyError`` unless it owns the (live or passivated) id."""
         if self._table.owner.get(session_id) is not self:
             raise self._unknown(session_id)
+
+    def _resolve(self, session_id: int):
+        """A live session of this kind, resurrecting a passivated one."""
+        self._check_owner(session_id)
         return self._table.resolve(session_id)
 
     def session(self, session_id: int):
@@ -243,6 +283,32 @@ class DurableSessionManager:
         if self._durability is None:
             raise RuntimeError(f"server has no durability config; nothing to {action}")
         return self._durability
+
+    def _trace(
+        self, name: str, root, session_id: int, start: float, end: float, spans,
+        comm_seconds: Optional[float] = None,
+    ) -> None:
+        """Record one call's spans: ``spans(tracer, root)``, then, when a query
+        passes ``comm_seconds``, a ``respond`` span after ``end``.
+
+        The runtime passes the ``root`` it opened at admission and ends it;
+        without one, a standalone ``name`` root in the ``stream`` lane is
+        opened at ``start`` and ended here, after the last span.
+        """
+        tracer = self._server.tracer
+        if not tracer.enabled:
+            return
+        own_root = root is None
+        if own_root:
+            root = tracer.start_trace(name, start, session_id=session_id, lane="stream")
+        spans(tracer, root)
+        if comm_seconds is not None:
+            tracer.start_span("respond", root, end).finish(
+                end + comm_seconds, comm_seconds=comm_seconds
+            )
+            end += comm_seconds
+        if own_root:
+            tracer.end_trace(root, end)
 
     def _pin(self, session) -> None:
         """Pin the session's device state in the operator cache (if any)."""
@@ -295,8 +361,7 @@ class DurableSessionManager:
         deleted too.  A passivated session is rebuilt only to report its
         stats; it never displaces a live one.
         """
-        if self._table.owner.get(session_id) is not self:
-            raise self._unknown(session_id)
+        self._check_owner(session_id)
         session = self._table.live.get(session_id)
         if session is None:
             session, _ = self._rebuild(session_id)

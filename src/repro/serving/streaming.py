@@ -42,13 +42,12 @@ from repro.durability.session import (
     serialize_session,
 )
 from repro.serving.cache import CacheEntry, operator_cache_key
-from repro.serving.sessions import DurableSessionManager, RestoreReport
+from repro.serving.sessions import DurableSessionManager
 from repro.streaming.solver import IngestReport, StreamingSolver, as_row_batch
 from repro.streaming.state import STREAM_CAPACITY
 
 __all__ = [
     "IngestReport",
-    "RestoreReport",
     "StreamSession",
     "StreamSolutionResponse",
     "StreamingSessionManager",
@@ -154,7 +153,15 @@ class StreamingSessionManager(DurableSessionManager):
         detector=True,
         seed: Optional[int] = None,
     ) -> int:
-        """Open a session; returns its id (the server's request-id stream)."""
+        """Open a streaming session for ``n``-column rows; returns its id.
+
+        The id comes from the server's request-id stream.  Unset routing
+        options (``policy``, ``accuracy_target``, ``latency_budget``,
+        ``seed``) inherit the server config; a ``"fixed"`` server policy
+        streams as ``"cheapest_accurate"``.  The session's engine runs on a
+        scheduler-chosen shard and its window-sketch operator is pinned in
+        the operator cache under a session key.
+        """
         server = self._server
         config = server.config
         self._table.admit()
@@ -240,8 +247,6 @@ class StreamingSessionManager(DurableSessionManager):
         """
         session = self._resolve(session_id)
         server = self._server
-        tracer = server.tracer
-        own_root = root is None and tracer.enabled
         rows, targets = self._write_ahead(session, rows, targets)
         report = self._fold(session, rows, targets)
         self._folded(session)
@@ -251,31 +256,23 @@ class StreamingSessionManager(DurableSessionManager):
             telemetry.record_stream_drift()
         if report.resolved:
             telemetry.record_stream_resolve(seconds=report.resolve_seconds)
-        if tracer.enabled:
-            # Reconstruct the interval from the shard clock: the engine
-            # charged ingest (fold) first, then any eager re-solve.
-            end = server.pool[session.shard].elapsed
-            resolve_s = float(report.resolve_seconds) if report.resolved else 0.0
-            ingest_end = end - resolve_s
-            start = ingest_end - float(report.simulated_seconds)
-            if own_root:
-                root = tracer.start_trace(
-                    "stream_ingest", start, session_id=session_id, lane="stream"
-                )
+        # Reconstruct the interval from the shard clock: the engine charged
+        # ingest (fold) first, then any eager re-solve.
+        end = server.pool[session.shard].elapsed
+        ingest_end = end - (float(report.resolve_seconds) if report.resolved else 0.0)
+        start = ingest_end - float(report.simulated_seconds)
+
+        def spans(tracer, root) -> None:
             ingest_span = tracer.start_span(
                 "ingest", root, start, rows=int(report.rows), shard=session.shard
             )
             if report.drift is not None:
-                tracer.event(
-                    "drift", ingest_span, ingest_end, kind=report.drift.kind,
-                )
+                tracer.event("drift", ingest_span, ingest_end, kind=report.drift.kind)
             ingest_span.finish(ingest_end, batch_residual=report.batch_residual)
             if report.resolved:
-                tracer.start_span("resolve", root, ingest_end).finish(
-                    end, trigger="ingest"
-                )
-            if own_root:
-                tracer.end_trace(root, end)
+                tracer.start_span("resolve", root, ingest_end).finish(end, trigger="ingest")
+
+        self._trace("stream_ingest", root, session_id, start, end, spans)
         return report
 
     @staticmethod
@@ -294,8 +291,6 @@ class StreamingSessionManager(DurableSessionManager):
         session = self._resolve(session_id)
         server = self._server
         solver = session.solver
-        tracer = server.tracer
-        own_root = root is None and tracer.enabled
         self._touch(session)
         resolves_before = solver.resolve_count
         solution = solver.solution()
@@ -308,13 +303,10 @@ class StreamingSessionManager(DurableSessionManager):
         comm_seconds = server.scheduler.charge_transfer("stream_solution", x_bytes)
         session.queries += 1
         server.telemetry.record_stream_query(solution.staleness_rows)
-        if tracer.enabled:
-            end = server.pool[session.shard].elapsed
-            start = end - compute_seconds
-            if own_root:
-                root = tracer.start_trace(
-                    "stream_query", start, session_id=session_id, lane="stream"
-                )
+        end = server.pool[session.shard].elapsed
+        start = end - compute_seconds
+
+        def spans(tracer, root) -> None:
             if resolved:
                 tracer.start_span(
                     "resolve", root, start, solver=solution.executed_solver
@@ -323,11 +315,8 @@ class StreamingSessionManager(DurableSessionManager):
                 "query", root, end,
                 staleness_rows=int(solution.staleness_rows), resolved=resolved,
             )
-            tracer.start_span("respond", root, end).finish(
-                end + comm_seconds, comm_seconds=comm_seconds
-            )
-            if own_root:
-                tracer.end_trace(root, end + comm_seconds)
+
+        self._trace("stream_query", root, session_id, start, end, spans, comm_seconds)
         return StreamSolutionResponse(
             session_id=session_id,
             x=solution.x,
