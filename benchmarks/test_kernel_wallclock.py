@@ -15,7 +15,7 @@ from repro.core.countsketch import CountSketch, StreamingCountSketch
 from repro.core.frequency import FrequencySketch
 from repro.core.fwht import fwht_matrix
 from repro.core.gaussian import GaussianSketch
-from repro.core.multisketch import count_gauss
+from repro.core.multisketch import _seeded_first_stage_sketch, count_gauss
 from repro.core.srht import SRHT
 from repro.durability.codec import decode_record
 from repro.durability.session import FREQUENCY_SESSION_KIND, serialize_frequency_session
@@ -102,10 +102,14 @@ def test_wallclock_gram_matrix(benchmark, matrix):
 
 
 def test_wallclock_spectrum_probe(benchmark):
-    """The planner's probe at the benchmark's tall shape: one first-stage
-    CountSketch to 2 n^2 = 8192 rows plus its blocked R reduction."""
+    """The planner's probe at the benchmark's tall shape with its kept sketch:
+    one first-stage CountSketch product to 2 n^2 = 8192 rows plus its blocked
+    R reduction, the sketch drawn once before timing."""
     a = np.random.default_rng(6).standard_normal((1 << 16, 64))
+    estimate_spectrum_bounds(a, seed=0)  # draws and keeps the sketch
+    drawn = _seeded_first_stage_sketch.cache_info().misses
     bounds = benchmark(estimate_spectrum_bounds, a, seed=0)
+    assert _seeded_first_stage_sketch.cache_info().misses == drawn
     assert bounds.first_stage.y.shape == (8192, 64)
     assert bounds[0] >= bounds[1] > 0
 
@@ -130,7 +134,8 @@ def test_wallclock_rand_cholqr_trsm(benchmark, executor):
 
 def test_wallclock_rand_cholqr_precondition(benchmark, executor):
     """rand_cholQR's blocked pass on a C-order 65536 x 64 matrix: ``trtri`` of
-    ``R0``, then ``A0 = A R0^{-1}``, ``A0^T A0`` and ``A0^T b`` per row block."""
+    ``R0``, then ``A0 = A R0^{-1}`` (a TRMM in place), ``A0^T A0`` and
+    ``A0^T b`` per row block."""
     rng = np.random.default_rng(14)
     a = executor.place_readonly(rng.standard_normal((1 << 16, 64)))
     b = executor.place_readonly(rng.standard_normal(1 << 16))
@@ -140,6 +145,18 @@ def test_wallclock_rand_cholqr_precondition(benchmark, executor):
     a0_ref = sla.solve_triangular(r.data, a.data.T, trans="T").T
     np.testing.assert_allclose(gram.data, a0_ref.T @ a0_ref, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(z, a0_ref.T @ b.data, rtol=1e-10, atol=1e-10)
+
+
+def test_wallclock_normal_equations_pass(benchmark, executor):
+    """The normal equations' blocked pass on a C-order 65536 x 64 matrix:
+    ``A^T A`` and ``A^T b`` from one read of ``A``, charged as the Gram GEMM
+    and the ``A^T b`` GEMV."""
+    rng = np.random.default_rng(15)
+    a = executor.place_readonly(rng.standard_normal((1 << 16, 64)))
+    b = executor.place_readonly(rng.standard_normal(1 << 16))
+    gram, atb = benchmark(executor.solver.normal_equations_system, a, b)
+    np.testing.assert_allclose(gram.data, a.data.T @ a.data, rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(atb.data, a.data.T @ b.data, rtol=1e-12, atol=1e-9)
 
 
 def test_wallclock_qr_route(benchmark):

@@ -21,6 +21,7 @@ ablation benchmark).
 from __future__ import annotations
 
 import copy
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -167,6 +168,32 @@ def first_stage_dim(d: int, n: int, oversampling: float = 2.0) -> int:
     uses its own oversampling, so at ``c = 2`` the probe *is* this stage.
     """
     return min(default_embedding_dim("countsketch", n, oversampling), d)
+
+
+def first_stage_sketch(d: int, k: int, seed: Optional[int]) -> CountSketch:
+    """A generated host ``CountSketch(d, k, seed=seed)``, kept per ``(d, k, seed)``.
+
+    The planner's spectrum probe sketches every request with the first stage
+    of the operator it plans for; drawing that sketch (its row map, signs and
+    CSC matrix, about ``21 d`` bytes) costs 1-3 ms at ``d = 65536``, so the
+    :data:`_FIRST_STAGE_SKETCHES` most recently used seeded sketches are
+    kept.  The sketch lives on its own host executor, off every simulated
+    clock, and its draws are those of any ``CountSketch(d, k, seed=seed)``.
+    A seedless sketch draws fresh every call and is not kept.  Callers only
+    read it (:meth:`~repro.core.countsketch.CountSketch.host_product`).
+    """
+    if seed is None:
+        return CountSketch(d, k).generate()
+    return _seeded_first_stage_sketch(int(d), int(k), seed)
+
+
+#: How many seeded first-stage sketches :func:`first_stage_sketch` keeps.
+_FIRST_STAGE_SKETCHES = 4
+
+
+@functools.lru_cache(maxsize=_FIRST_STAGE_SKETCHES)
+def _seeded_first_stage_sketch(d: int, k: int, seed: int) -> CountSketch:
+    return CountSketch(d, k, seed=seed).generate()
 
 
 def count_gauss(

@@ -18,14 +18,26 @@ charged for: ``geqrf`` runs LAPACK ``geqrf`` and keeps the Householder
 reflectors, ``ormqr`` applies them with LAPACK ``ormqr``, and no explicit
 ``Q`` is built unless a caller reads :attr:`QRFactors.q`.
 
-In Algorithm 5's preconditioning the host does less than the charge says.
-:meth:`SimSolver.precondition_gram` charges the d x n TRSM
-``A0 = A R0^{-1}`` and the Gram matrix ``A0^T A0`` exactly as
-:meth:`SimSolver.trsm` and :meth:`~repro.gpu.blas.SimBLAS.gram` do, and
-accounts ``A0`` on the memory tracker; the host inverts ``R0`` once and
-forms ``G = A0^T A0`` and ``Z = A0^T B`` in one pass over cache-sized row
-blocks of ``A``, never holding ``A0``.  :meth:`SimSolver.trsm` itself keeps
-LAPACK ``trtrs``'s values bit for bit (Algorithm 4 must form ``Q``).
+The host does less than the charge says in two places, both one pass over
+cache-sized row blocks of ``A`` (:func:`_blocked_gram`):
+
+* The normal equations and ridge's normal equations.
+  :meth:`SimSolver.normal_equations_system` charges the Gram GEMM (then
+  ridge's diagonal shift) and the ``A^T b`` GEMV or GEMM exactly as the
+  separate :class:`~repro.gpu.blas.SimBLAS` calls do, in their order and
+  with their allocations; the host forms ``A^T A`` and ``A^T B`` from each
+  block it reads, instead of reading ``A`` once per product.
+* Algorithm 5's preconditioning.  :meth:`SimSolver.precondition_gram`
+  charges the d x n TRSM ``A0 = A R0^{-1}`` and the Gram matrix
+  ``A0^T A0`` exactly as :meth:`SimSolver.trsm` and
+  :meth:`~repro.gpu.blas.SimBLAS.gram` do, and accounts ``A0`` on the
+  memory tracker; the host inverts ``R0`` once, multiplies each block by
+  the triangular inverse in place with BLAS ``trmm`` (half a GEMM's flops)
+  and forms ``G = A0^T A0`` and ``Z = A0^T B`` from it, never holding
+  ``A0``.
+
+:meth:`SimSolver.trsm` itself keeps LAPACK ``trtrs``'s values bit for bit
+(Algorithm 4 must form ``Q``).
 """
 
 from __future__ import annotations
@@ -66,13 +78,15 @@ def _check_info(name: str, info: int) -> None:
 _COPY_BLOCK_ROWS = 256
 
 
-#: Bytes of ``A`` per row block of :func:`_preconditioned_gram` (2048 rows
-#: of a 64-column float64 matrix).  A block of ``A R^{-1}`` this size stays
-#: in cache between its GEMM and the Gram/``A0^T B`` updates that read it.
-#: At 65536 x 64 on one core of a 2-vCPU x86 host the pass took 36-58 ms,
-#: against 70-77 ms for the TRSM alone over a materialised ``A0``; 256 KiB to
-#: 2 MiB blocks all ran within a few percent of each other.
-_PRECONDITION_BLOCK_BYTES = 1 << 20
+#: Bytes of ``A`` per row block of :func:`_blocked_gram` (1024 rows of a
+#: 64-column float64 matrix), in both of its passes.  A block this size stays
+#: in cache between its copy/TRMM and the Gram/``X^T B`` updates that read it.
+#: At 65536 x 64 on one pinned core of a 2-vCPU x86 host (one BLAS thread,
+#: 30 interleaved runs, median) the Gram/``A^T b`` pass took 18.9 ms and the
+#: TRMM preconditioning pass 33.6 ms at 512 KiB, against 20.8 and 35.6 ms at
+#: 1 MiB (512 KiB faster in 29 and 30 of 30 runs); 256 KiB lost to 512 KiB
+#: in 27 and 28 of 30.
+_PRECONDITION_BLOCK_BYTES = 1 << 19
 
 
 def _fortran_copy(a: np.ndarray) -> np.ndarray:
@@ -85,40 +99,62 @@ def _fortran_copy(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _preconditioned_gram(a: np.ndarray, r: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``G = A0^T A0`` and ``Z = A0^T B`` for ``A0 = A R^{-1}``, reading ``A`` once.
+def _blocked_gram(
+    a: np.ndarray, b: np.ndarray, r: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``G = X^T X`` and ``Z = X^T B`` for ``X = A`` or ``X = A R^{-1}``, reading ``A`` once.
 
-    ``R`` (upper triangular; its strictly lower part is ignored) is inverted
-    once with LAPACK ``trtri``; each row block of ``A`` is multiplied by the
-    inverse into one reused buffer, whose Gram matrix and product with the
-    matching rows of ``B`` are added into ``G`` and ``Z``.  The pass works in
-    ``result_type(A, R)`` (``Z`` also widens to ``B``'s dtype).
+    ``A`` is read in row blocks of :data:`_PRECONDITION_BLOCK_BYTES`; each
+    block's Gram matrix and product with the matching rows of ``B`` are
+    added into ``G`` and ``Z``.  When ``A`` fits one block, ``G`` and ``Z``
+    are bit for bit ``A^T A`` and ``A^T B``.
 
-    Raises ``ValueError`` ("infs or NaNs") for a non-finite ``R``, ``G`` or
-    ``Z``: a non-finite entry of ``A`` always reaches ``G``'s diagonal,
-    because ``R^{-1}`` has a nonzero diagonal.  Raises ``LinAlgError`` for a
-    zero on ``R``'s diagonal, with LAPACK ``trtrs``'s message.
+    Without ``R`` the blocks are read in place: ``G`` is in ``A``'s dtype and
+    ``Z`` in ``result_type(A, B)``, as the separate BLAS calls form them.
+    A non-finite ``A`` or ``B`` leaves ``G`` or ``Z`` non-finite and warns
+    nothing, as those calls do.
+
+    With ``R`` (upper triangular; its strictly lower part is ignored) the
+    pass works in ``result_type(A, R)`` (``Z`` also widens to ``B``'s
+    dtype).  ``R`` is inverted once with LAPACK ``trtri``, and each block is
+    copied into one reused buffer and multiplied by the inverse in place with
+    BLAS ``trmm`` (half the flops of a GEMM).  Raises ``ValueError`` ("infs
+    or NaNs") for a non-finite ``R``, ``G`` or ``Z``: a non-finite entry of
+    ``A`` always reaches ``G``'s diagonal, because ``R^{-1}`` has a nonzero
+    diagonal.  Raises ``LinAlgError`` for a zero on ``R``'s diagonal, with
+    LAPACK ``trtrs``'s message.
     """
-    dtype = np.result_type(a, r)
-    r = np.asarray_chkfinite(r).astype(dtype, copy=False)
-    rinv, info = _lapack("trtri", r)(r, lower=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    _check_info("trtri", info)
-    rinv = np.triu(rinv)
-
     d, n = a.shape
+    if r is None:
+        dtype, trmm = a.dtype, None
+    else:
+        dtype = np.result_type(a, r)
+        r = np.asarray_chkfinite(r).astype(dtype, copy=False)
+        rinv, info = _lapack("trtri", r)(r, lower=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        _check_info("trtri", info)
+        trmm = sla.get_blas_funcs("trmm", (rinv,))
     rows = max(1, _PRECONDITION_BLOCK_BYTES // (n * dtype.itemsize))
-    buf = np.empty((min(rows, d), n), dtype=dtype)
-    g = np.zeros((n, n), dtype=dtype)
-    z = np.zeros((n,) + b.shape[1:], dtype=np.result_type(dtype, b))
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite G or Z raises below
-        for i in range(0, d, rows):
-            a0 = buf[:min(rows, d - i)]
-            np.matmul(a[i:i + rows], rinv, out=a0)
-            g += a0.T @ a0
-            z += a0.T @ b[i:i + rows]
-    if not (np.isfinite(g).all() and np.isfinite(z).all()):
+    buf = None if trmm is None else np.empty((min(rows, d), n), dtype=dtype)
+    g = z = None
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite G or Z is the caller's to judge
+        for i in range(0, max(d, 1), rows):  # one (empty) block when d == 0
+            if trmm is None:
+                x = a[i:i + rows]
+            else:
+                # X R^{-1} = (R^{-T} X^T)^T: the C-order block's transpose is
+                # the F-order operand trmm overwrites in place.
+                x = buf[:min(rows, d - i)]
+                x[...] = a[i:i + rows]
+                trmm(1.0, rinv, x.T, side=0, lower=0, trans_a=1, overwrite_b=1)
+            gi, zi = x.T @ x, x.T @ b[i:i + rows]
+            if g is None:
+                g, z = gi, zi
+            else:
+                g += gi
+                z += zi
+    if trmm is not None and not (np.isfinite(g).all() and np.isfinite(z).all()):
         raise ValueError("array must not contain infs or NaNs")
     return g, z
 
@@ -433,17 +469,17 @@ class SimSolver:
         same two launches, and the d x n ``A0`` allocation on the memory
         tracker.  Returns ``(A0, G, Z)``.  The ``A0`` handle holds no host
         data: the host forms ``G`` and ``Z`` in one blocked pass over ``A``
-        (:func:`_preconditioned_gram`), so ``Z`` comes back as a host array
+        (:func:`_blocked_gram`), so ``Z`` comes back as a host array
         (``None`` in analytic mode).  The caller charges its ``A0^T B``
         launch where its algorithm orders it (Algorithm 5: after POTRF) and
         takes the values from ``Z``.
 
         ``G`` and ``Z`` match the TRSM path within rounding, not bit for bit:
-        the host multiplies by ``R``'s ``trtri`` inverse instead of solving
-        row by row.  The checks are :meth:`trsm`'s: a non-finite ``A``, ``R``
-        or ``B`` raises ``ValueError``, a zero on ``R``'s diagonal raises
-        ``LinAlgError`` after the TRSM launch and before the Gram launch.
-        ``A`` and ``B`` are only read.
+        the host multiplies by ``R``'s ``trtri`` inverse (BLAS ``trmm``)
+        instead of solving row by row.  The checks are :meth:`trsm`'s: a
+        non-finite ``A``, ``R`` or ``B`` raises ``ValueError``, a zero on
+        ``R``'s diagonal raises ``LinAlgError`` after the TRSM launch and
+        before the Gram launch.  ``A`` and ``B`` are only read.
         """
         self._check_trsm_shapes(a, r)
         if b.shape[0] != a.shape[0]:
@@ -454,11 +490,66 @@ class SimSolver:
         self._launch_trsm(a, phase)
         g = z = None
         if self._ex.numeric and a.is_numeric and r.is_numeric and b.is_numeric:
-            g, z = _preconditioned_gram(a.data, r.data, b.data)
+            g, z = _blocked_gram(a.data, b.data, r.data)
         gram = self._ex.blas.gram(a0, phase="Gram matrix")
         if g is not None:
             gram.data[...] = g
         return a0, gram, z
+
+    def normal_equations_system(
+        self,
+        a: DeviceArray,
+        b: DeviceArray,
+        *,
+        shift: Optional[float] = None,
+    ) -> Tuple[DeviceArray, DeviceArray]:
+        """The normal equations' ``G = A^T A (+ shift I)`` and ``A^T B``; returns ``(G, A^T B)``.
+
+        Charged exactly as :meth:`~repro.gpu.blas.SimBLAS.gram` (phase
+        ``"Gram matrix"``), then, when ``shift`` is given (ridge's
+        ``lam``), the ``n`` diagonal adds of kernel ``ridge_diag_shift``,
+        then the ``A^T b`` GEMV (a GEMM for a block ``B``, phase ``"AT*b"``):
+        the same launches in the same order, and the same allocations.  The
+        host forms ``G`` and ``A^T B`` in one blocked pass over ``A``
+        (:func:`_blocked_gram`), bit for bit the separate BLAS calls when
+        ``A`` fits one block and within rounding above that.  A non-finite
+        ``A`` or ``B`` comes back in ``G`` or ``A^T B`` unchecked, as from
+        the separate calls.  ``A`` and ``B`` are only read.
+        """
+        ex, blas = self._ex, self._ex.blas
+        g = z = None
+        if ex.numeric and a.is_numeric and b.is_numeric:
+            g, z = _blocked_gram(a.data, b.data)
+        # A data-less view of A: the BLAS calls below charge and allocate
+        # their outputs as ever, but leave the values to the pass above.
+        a_view = DeviceArray(a.shape, a.dtype, a.order, None, a.label, None, ex)
+        gram = blas.gram(a_view, phase="Gram matrix")
+        if g is not None:
+            gram.data[...] = g
+        if shift is not None:
+            n = a.shape[1]
+            if g is not None and shift > 0.0:
+                gram.data[np.arange(n), np.arange(n)] += shift
+            # n diagonal adds: negligible arithmetic, but charged so the
+            # simulated clock never under-reports the regularized path.
+            ex.launch(
+                KernelRequest(
+                    name="ridge_diag_shift",
+                    kclass=KernelClass.STREAM,
+                    bytes_read=float(n) * 8,
+                    bytes_written=float(n) * 8,
+                    flops=float(n),
+                    dtype_size=8,
+                    phase="Gram matrix",
+                )
+            )
+        if b.ndim == 2:
+            atb = blas.gemm(a_view, b, trans_a=True, phase="AT*b", label="ATB")
+        else:
+            atb = blas.gemv(a_view, b, trans_a=True, phase="AT*b", label="ATb")
+        if z is not None:
+            atb.data[...] = z
+        return gram, atb
 
     @staticmethod
     def _check_trsm_shapes(a: DeviceArray, r: DeviceArray) -> None:

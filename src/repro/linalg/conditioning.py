@@ -23,8 +23,8 @@ from typing import Literal, Optional
 import numpy as np
 from scipy.linalg.lapack import dgeqrt
 
-from repro.core.countsketch import CountSketch, SketchProduct
-from repro.core.multisketch import first_stage_dim
+from repro.core.countsketch import SketchProduct
+from repro.core.multisketch import first_stage_dim, first_stage_sketch
 
 
 def _random_orthonormal(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,7 +171,11 @@ def estimate_spectrum_bounds(
     The sketch is the first stage of the paper's multisketch: a
     ``CountSketch(d, k1, seed=seed)`` with ``k1 = oversampling * n^2``
     rows (:func:`repro.core.multisketch.first_stage_dim`; at least
-    ``n + 4``, and an exact SVD when that reaches ``d``).  A CountSketch is
+    ``n + 4``, and an exact SVD when that reaches ``d``).  A seeded sketch
+    is drawn once and kept (:func:`repro.core.multisketch.first_stage_sketch`:
+    the four most recently used ``(d, k1, seed)``, about ``21 d`` bytes
+    each), so a probe costs its product and its R reduction; a seedless
+    probe draws a fresh sketch every call.  A CountSketch is
     already a subspace embedding at ``k ~ n^2`` rows (Table 1), so its
     singular values track ``A``'s; the multisketch's final ``2 n``-row
     Gaussian stage is not accurate enough to probe with.  Because the draws
@@ -198,7 +202,7 @@ def estimate_spectrum_bounds(
         svals = _finite_svd(a)
         first_stage = None
     else:
-        first_stage = CountSketch(d, k, seed=seed).host_product(a)
+        first_stage = first_stage_sketch(d, k, seed).host_product(a)
         svals = _singular_values(first_stage.y)
     return SpectrumBounds(float(svals.max()), float(svals.min()), first_stage)
 

@@ -214,26 +214,30 @@ def normal_equations(
     ``b`` may be a ``d x m`` block of right-hand sides: the Gram matrix and
     POTRF are paid once, ``A^T B`` becomes a GEMM and the triangular solves
     become TRSMs, matching the fused contract of the other registry solvers.
+
+    The GEMM and the GEMV are charged as two launches, but the host reads
+    ``A`` once: :meth:`~repro.gpu.solver.SimSolver.normal_equations_system`
+    forms ``G`` and ``A^T b`` from each cache-sized row block in one pass.
+    ``x`` is bit for bit the separate calls' when ``A`` fits one block
+    (512 KiB) and moves at rounding level above that.
     """
     if executor is None:
         executor = GPUExecutor(numeric=True, track_memory=False)
     a_dev = _to_device(executor, a, "A", order="F")
     b_dev = _to_device(executor, b, "b")
-    blas, solver = executor.blas, executor.solver
+    solver = executor.solver
     multi_rhs = b_dev.ndim == 2
 
     mark = executor.mark()
     failed, reason = False, ""
     x_dev: Optional[DeviceArray] = None
     try:
-        gram = blas.gram(a_dev, phase="Gram matrix")
+        gram, atb = solver.normal_equations_system(a_dev, b_dev)
         if multi_rhs:
-            atb = blas.gemm(a_dev, b_dev, trans_a=True, phase="AT*b", label="ATB")
             r = solver.potrf(gram, phase="POTRF")
             y = solver.trsm_left(r, atb, transpose=True, phase="TRSV", label="forward_solve")
             x_dev = solver.trsm_left(r, y, transpose=False, phase="TRSV", label="solution")
         else:
-            atb = blas.gemv(a_dev, b_dev, trans_a=True, phase="AT*b", label="ATb")
             r = solver.potrf(gram, phase="POTRF")
             y = solver.trsv(r, atb, transpose=True, phase="TRSV", label="forward_solve")
             x_dev = solver.trsv(r, y, transpose=False, phase="TRSV", label="solution")

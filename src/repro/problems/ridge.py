@@ -164,6 +164,10 @@ def ridge_normal_equations(
     :func:`repro.linalg.lstsq.normal_equations`, and the same breakdown
     mode when the *effective* conditioning squares past ``u^{-1}``
     (POTRF failure, caught and reported for the planner's fallback chain).
+    Like that solver it reads ``A`` once for ``A^T A`` and ``A^T b``
+    (:meth:`~repro.gpu.solver.SimSolver.normal_equations_system`, which
+    also adds and charges the shift), while the Gram GEMM, the shift and
+    the ``A^T b`` GEMV are charged as before.
     """
     if lam < 0.0:
         raise ValueError("regularization lam must be non-negative")
@@ -174,37 +178,19 @@ def ridge_normal_equations(
             executor = GPUExecutor(numeric=True, track_memory=False)
     a_dev = _to_device(executor, a, "A", order="F")
     b_dev = _to_device(executor, b, "b")
-    blas, solver = executor.blas, executor.solver
+    solver = executor.solver
     multi_rhs = b_dev.ndim == 2
-    n = a_dev.shape[1]
 
     mark = executor.mark()
     failed, reason = False, ""
     x_dev: Optional[DeviceArray] = None
     try:
-        gram = blas.gram(a_dev, phase="Gram matrix")
-        if executor.numeric and gram.is_numeric and lam > 0.0:
-            gram.data[np.arange(n), np.arange(n)] += lam
-        # n diagonal adds: negligible arithmetic, but charged so the
-        # simulated clock never under-reports the regularized path.
-        executor.launch(
-            KernelRequest(
-                name="ridge_diag_shift",
-                kclass=KernelClass.STREAM,
-                bytes_read=float(n) * 8,
-                bytes_written=float(n) * 8,
-                flops=float(n),
-                dtype_size=8,
-                phase="Gram matrix",
-            )
-        )
+        gram, atb = solver.normal_equations_system(a_dev, b_dev, shift=lam)
         if multi_rhs:
-            atb = blas.gemm(a_dev, b_dev, trans_a=True, phase="AT*b", label="ATB")
             r = solver.potrf(gram, phase="POTRF")
             y = solver.trsm_left(r, atb, transpose=True, phase="TRSV", label="forward_solve")
             x_dev = solver.trsm_left(r, y, transpose=False, phase="TRSV", label="solution")
         else:
-            atb = blas.gemv(a_dev, b_dev, trans_a=True, phase="AT*b", label="ATb")
             r = solver.potrf(gram, phase="POTRF")
             y = solver.trsv(r, atb, transpose=True, phase="TRSV", label="forward_solve")
             x_dev = solver.trsv(r, y, transpose=False, phase="TRSV", label="solution")

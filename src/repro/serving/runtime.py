@@ -32,7 +32,8 @@ function of the load and the seed:
   The pool is the server's fixed ``shards``.
 * **Session endpoints** -- declared once, in
   :data:`~repro.serving.sessions.SESSION_ENDPOINTS`.  ``open_*`` runs at
-  once, between units, and ``close_*`` after the session's queued work.
+  once, between units, and ``close_*`` after the session's queued work; a
+  call on an id of the other kind raises that kind's ``KeyError`` at once.
   Each append and query is admitted into the ``stream`` lane; its
   :class:`RuntimeFuture` resolves to the session manager's response.  One
   session's calls dispatch strictly in admission order (the window algebra
@@ -749,6 +750,8 @@ def _admitted(attr: str, method: str, op: Optional[str]) -> Callable:
 
         def endpoint(self, session_id):
             with self._work:
+                # The kind is checked first: a wrong-kind id never waits.
+                getattr(self.server, attr)._check_owner(session_id)
                 self._work.wait_for(
                     lambda: not self._stream_queues.get(session_id)
                     and session_id not in self._stream_busy
@@ -768,6 +771,14 @@ def _admitted(attr: str, method: str, op: Optional[str]) -> Callable:
         return self._submit_stream(op, getattr(self.server, attr), method, bound)
 
     endpoint.__signature__ = signature.replace(parameters=params, return_annotation="RuntimeFuture")
+    summary = inspect.getdoc(getattr(SESSION_MANAGERS[attr], method)).splitlines()[0]
+    endpoint.__doc__ = (
+        f"{summary}\n\n"
+        "Admitted into the ``stream`` lane and run after the session's earlier\n"
+        "calls.  Returns a :class:`RuntimeFuture` that resolves to the response\n"
+        "the server's endpoint of the same name returns.  The runtime opens the\n"
+        "request's trace root at admission and nests the session spans under it.\n"
+    )
     return endpoint
 
 

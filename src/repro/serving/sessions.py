@@ -61,10 +61,13 @@ def declare_session_endpoints(cls: type, managers: Mapping[str, type], make: Cal
     ``make(attr, method, op)`` returns the front end's function.  It lands
     in ``cls.__dict__`` as a plain function under the endpoint's name, with
     the manager method's docstring and signature (unless it sets its own
-    ``__signature__``).
+    ``__doc__`` or ``__signature__``).
     """
     for name, (attr, method, op) in SESSION_ENDPOINTS.items():
-        endpoint = functools.wraps(getattr(managers[attr], method))(make(attr, method, op))
+        endpoint = make(attr, method, op)
+        doc = endpoint.__doc__
+        functools.wraps(getattr(managers[attr], method))(endpoint)
+        endpoint.__doc__ = doc or endpoint.__doc__
         endpoint.__name__, endpoint.__qualname__ = name, f"{cls.__name__}.{name}"
         setattr(cls, name, endpoint)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -89,10 +91,24 @@ def test_endpoint_is_declared_on_both_front_ends_with_the_manager_signature(name
     for cls in (SketchServer, AsyncSketchServer):
         endpoint = vars(cls)[name]
         assert inspect.isfunction(endpoint) and endpoint.__name__ == name
-        assert endpoint.__doc__ == target.__doc__
+    assert vars(SketchServer)[name].__doc__ == target.__doc__
     assert inspect.signature(vars(SketchServer)[name]) == want
     runtime_params = list(inspect.signature(vars(AsyncSketchServer)[name]).parameters.values())
     assert runtime_params == [p for p in want.parameters.values() if p.name != "root"]
+
+
+@pytest.mark.parametrize("name", sorted(SESSION_ENDPOINTS))
+def test_runtime_endpoint_documents_only_its_own_parameters(name):
+    """The runtime's docstring names no manager parameter it does not take (``root``),
+    and a queued endpoint says it returns a ``RuntimeFuture``."""
+    attr, method, op = SESSION_ENDPOINTS[name]
+    endpoint = vars(AsyncSketchServer)[name]
+    own = set(inspect.signature(endpoint).parameters)
+    manager = set(inspect.signature(getattr(SESSION_MANAGERS[attr], method)).parameters)
+    documented = set(re.findall(r"``(\w+)``", endpoint.__doc__))
+    assert documented & manager <= own
+    if op is not None:
+        assert "RuntimeFuture" in endpoint.__doc__
 
 
 def test_runtime_rejects_a_session_call_of_the_wrong_kind_at_admission():
@@ -123,3 +139,32 @@ def test_runtime_rejects_a_malformed_session_call_before_admission():
         with pytest.raises(TypeError):
             runtime.query_heavy_hitters(fid, top=3)
         assert runtime.telemetry.requests_admitted == 0
+
+
+def test_runtime_rejects_a_close_of_the_wrong_kind_without_waiting():
+    """A wrong-kind close raises at once, although the id has queued work."""
+    with AsyncSketchServer(shards=1, workers=1, seed=0) as runtime:
+        fid = runtime.open_frequency_stream(DOMAIN)
+        runtime.pause()
+        queued = runtime.append_items(fid, np.arange(8))
+        raised = []
+
+        def close():
+            try:
+                runtime.close_stream(fid)
+            except KeyError as exc:
+                raised.append(str(exc))
+
+        closer = threading.Thread(target=close, daemon=True)
+        closer.start()
+        closer.join(timeout=10.0)
+        blocked = closer.is_alive()
+        done_while_paused = queued.done()
+        runtime.resume()
+        closer.join(timeout=60.0)
+        assert not blocked, "close_stream waited for the frequency session's queue"
+        assert not closer.is_alive()
+        assert raised == [repr(f"unknown or closed streaming session {fid}")]
+        assert not done_while_paused
+        assert queued.result(timeout=60.0).items_seen == 8
+        runtime.close_frequency_stream(fid)
