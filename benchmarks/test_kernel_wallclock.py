@@ -218,6 +218,26 @@ def test_wallclock_hierarchical_frequency_update(benchmark, item_batch, executor
     assert sketch.items_seen >= FREQ_BATCH
 
 
+def test_wallclock_frequency_point_query(benchmark, item_batch, executor):
+    """The leaf query a top-k descent runs on the served 42 x 30,000 leaf.
+
+    The plan is the served one at phi = 0.02 (a 42 x 30,000 leaf under
+    exact levels); the candidates are the children of every level-1 node
+    whose exact count clears ``phi * ||f||_2``, as the descent expands them.
+    """
+    phi = 0.02
+    plan = plan_frequency_sketch(FREQ_DOMAIN, phi, need_ranges=True)
+    sketch = build_frequency_sketch(plan, executor=executor, seed=5)
+    sketch.update(item_batch)
+    leaf, parent = sketch.levels[0], sketch.levels[1]
+    assert (leaf.depth, leaf.width) == (42, 30_000)
+    heavy = np.flatnonzero(np.abs(parent.counts()) >= phi * leaf.l2_estimate())
+    candidates = ((heavy[:, None] << 4) + np.arange(16)).ravel()
+    assert candidates.size > 0
+    est = benchmark(leaf.point_query, candidates)
+    assert est.shape == candidates.shape
+
+
 def test_wallclock_frequency_l2_estimate(benchmark, item_batch, executor):
     """The sketch energy a top-k reads: one 42 x 30,000 leaf table."""
     sketch = FrequencySketch(FREQ_DOMAIN, 30_000, 42, executor=executor, seed=5)

@@ -55,6 +55,7 @@ from repro.core.sampling import (
     hash_offsets,
     hashed_row_map_and_signs,
     hashed_table_map_and_signs,
+    signs_to_values,
 )
 from repro.gpu.device import H100_SXM5
 from repro.gpu.executor import GPUExecutor
@@ -89,8 +90,9 @@ def as_index_array(ids, domain: int) -> np.ndarray:
             raise ValueError(f"item ids must be integers, got {float(arr[bad][0])!r}")
     idx = arr.astype(np.int64, copy=False).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= domain):
+        # The range of the ids as given: a uint64 id >= 2**63 wraps in idx.
         raise ValueError(f"item ids must lie in [0, {domain}), got range "
-                         f"[{idx.min()}, {idx.max()}]")
+                         f"[{arr.min()}, {arr.max()}]")
     return idx
 
 
@@ -111,6 +113,15 @@ def as_weight_array(weights, batch: int, dtype=np.float64) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"weights must be finite, got {float(w[~finite][0])!r}")
     return w
+
+
+def _heavy(est: np.ndarray, threshold: float) -> np.ndarray:
+    """Which estimates clear ``|est| >= threshold`` and are nonzero.
+
+    The threshold ``phi * ||f||_2`` is 0 on an empty or all-zero table;
+    without the nonzero test every id would then qualify.
+    """
+    return (np.abs(est) >= threshold) & (est != 0)
 
 
 def _integral_counters(counters: np.ndarray, items_seen: int) -> bool:
@@ -265,39 +276,63 @@ class FrequencySketch:
         The batch is folded in one scatter pass, the way the paper's GPU
         CountSketch does it: each *distinct* id is hashed once for all
         ``depth`` rows by one broadcast hash, its row folded into a flat cell
-        index ``r * width + bucket``, and one ``np.add.at`` adds every
-        ``(cell, +-weight)`` pair in stream order -- so each counter receives
-        exactly the additions, in exactly the order, of a per-row loop, and
-        the table is bit-identical to it for any weights.
+        index ``r * width + bucket``, and one ``np.add.at`` adds the signed
+        values.
 
-        Pure counting (no ``weights``) scatters ``+-count`` once per distinct
-        id instead of ``+-1`` per item when that is exact: every counter is
-        an integer bounded by ``items_seen`` (no weighted update or
-        ``scale()`` since the table was zero, or a restored table that
-        satisfies it), and ``items_seen`` stays below ``2**(nmant + 1)`` of
-        the dtype, so every partial sum is an exactly representable integer
-        whatever the order of the additions.
+        Pure counting (no ``weights``) sorts the batch once
+        (``np.unique(..., return_counts=True)``) and scatters ``+-count``
+        once per distinct id instead of ``+-1`` per item when that is exact:
+        every counter is an integer bounded by ``items_seen`` (no weighted
+        update or ``scale()`` since the table was zero, or a restored table
+        that satisfies it), and ``items_seen`` stays below ``2**(nmant + 1)``
+        of the dtype, so every partial sum is an exactly representable
+        integer whatever the order of the additions.  A hierarchy shares
+        that one sort among all its levels (:meth:`_fold_counts`).
+
+        Otherwise every ``(cell, +-weight)`` pair is added in stream order,
+        so each counter receives exactly the additions, in exactly the
+        order, of a per-row loop, and the table is bit-identical to it for
+        any weights.
         """
         idx = as_index_array(ids, self._domain)
         batch = idx.shape[0]
         if batch == 0:
             return
+        if weights is None and self._takes_counts(batch):
+            self._fold_counts(*np.unique(idx, return_counts=True), batch)
+            return
         w = as_weight_array(weights, batch, self._dtype)
         self._items_seen += batch
         self._integral = self._integral and weights is None
-
         if self.numeric:
             uniq, inv = np.unique(idx, return_inverse=True)
             cells, signs = self._cells_and_signs(uniq)
-            if self._integral and self._items_seen < self._exact_items:
-                counts = np.bincount(inv, minlength=uniq.size).astype(self._dtype)
-                values = np.where(signs, counts, -counts)
-            else:
-                cells, signs = cells[:, inv], signs[:, inv]
-                values = np.where(signs, w, -w)
+            values = signs_to_values(signs[:, inv], self._dtype)
+            values *= w
             # 1-D index and value arrays take numpy's fast add.at path.
-            np.add.at(self._table.data.reshape(-1), cells.ravel(), values.ravel())
+            np.add.at(self._table.data.reshape(-1), cells[:, inv].ravel(), values.ravel())
+        self._charge_update(batch)
 
+    def _takes_counts(self, batch: int) -> bool:
+        """Whether an unweighted batch of ``batch`` items may fold ``+-count`` per id."""
+        return self._integral and self._items_seen + batch < self._exact_items
+
+    def _fold_counts(self, uniq: np.ndarray, counts: np.ndarray, batch: int) -> None:
+        """Fold an unweighted batch of ``batch`` items given as its distinct ids.
+
+        ``uniq`` holds the batch's distinct ids (validated, in range) and
+        ``counts`` how often each occurs; the caller has checked
+        :meth:`_takes_counts`.  Charges the same kernel as :meth:`update`.
+        """
+        self._items_seen += batch
+        if self.numeric:
+            cells, signs = self._cells_and_signs(uniq)
+            values = signs_to_values(signs, self._dtype)
+            values *= counts.astype(self._dtype)
+            np.add.at(self._table.data.reshape(-1), cells.ravel(), values.ravel())
+        self._charge_update(batch)
+
+    def _charge_update(self, batch: int) -> None:
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(
@@ -331,8 +366,8 @@ class FrequencySketch:
         if batch == 0:
             return np.zeros(0, dtype=self._dtype)
         cells, signs = self._cells_and_signs(idx)
-        counters = self._table.data.reshape(-1)[cells]
-        est = np.where(signs, counters, -counters)
+        est = signs_to_values(signs, self._dtype)
+        est *= self._table.data.reshape(-1)[cells]
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(
@@ -378,7 +413,7 @@ class FrequencySketch:
         return float(np.sqrt(np.median(energies)))
 
     def heavy_hitters(self, phi: float) -> List[Tuple[int, float]]:
-        """All items with estimated ``|f_i| >= phi * ||f||_2`` (``findHH``).
+        """All items with a nonzero estimate ``|f_i| >= phi * ||f||_2`` (``findHH``).
 
         This is the *flat* recovery path: it point-queries every id in the
         domain, so it is refused (typed error) for address-space-sized
@@ -396,7 +431,7 @@ class FrequencySketch:
         self._require_numeric("heavy_hitters()")
         threshold = phi * self.l2_estimate()
         estimates = self.point_query(np.arange(self._domain, dtype=np.int64))
-        hot = np.flatnonzero(np.abs(estimates) >= threshold)
+        hot = np.flatnonzero(_heavy(estimates, threshold))
         order = hot[np.argsort(-np.abs(estimates[hot]), kind="stable")]
         return [(int(i), float(estimates[i])) for i in order]
 
@@ -608,6 +643,33 @@ class ExactFrequencyLevel:
         self._integral = self._integral and weights is None
         if self.numeric:
             self._counts.data += np.bincount(idx, w, minlength=self._domain)
+        self._charge_update(batch)
+
+    def _takes_counts(self, batch: int) -> bool:
+        """An exact level always takes a batch as per-node counts."""
+        return True
+
+    def _fold_counts(self, nodes: np.ndarray, counts: np.ndarray, batch: int) -> None:
+        """Fold an unweighted batch of ``batch`` items given as its distinct nodes.
+
+        Bit for bit :meth:`update`, whose ``bincount`` of the batch adds one
+        exact integer to every present node and ``+0.0`` to every other
+        counter.  An integral level holds no ``-0.0`` counter, on which
+        ``+0.0`` would act, so ``np.add.at`` of each distinct node's count
+        gives the same table without touching the others.  Any other level
+        (scaled, perhaps by a negative factor) adds the ``bincount`` of the
+        distinct nodes weighted by their counts: the batch's ``bincount``.
+        """
+        self._items_seen += batch
+        if self.numeric:
+            values = counts.astype(np.float64)
+            if self._integral:
+                np.add.at(self._counts.data, nodes, values)
+            else:
+                self._counts.data += np.bincount(nodes, values, minlength=self._domain)
+        self._charge_update(batch)
+
+    def _charge_update(self, batch: int) -> None:
         itemsize = self._dtype.itemsize
         self._charge(
             "frequency_exact_update", KernelClass.ATOMIC,
@@ -682,7 +744,13 @@ class ExactFrequencyLevel:
             raise ValueError("numeric snapshot is missing its counts payload")
         self._items_seen = int(state["items_seen"])
         if self.numeric:
-            self._integral = _integral_counters(self._counts.data, self._items_seen)
+            counts = self._counts.data
+            # A -0.0 counter (left by a negative scale) is not integral here:
+            # _fold_counts relies on there being none, and an int32
+            # checkpoint table could not hold it.
+            self._integral = _integral_counters(counts, self._items_seen) and not bool(
+                np.signbit(counts[counts == 0]).any()
+            )
         nbytes = float(self._domain) * self._dtype.itemsize
         self._charge("frequency_exact_restore", KernelClass.STREAM, 0.0, nbytes, 0.0)
 
@@ -802,12 +870,37 @@ class HierarchicalFrequencySketch:
 
     # ------------------------------------------------------------------
     def update(self, ids, weights=None) -> None:
-        """Feed each item to every level under its level-``l`` prefix id."""
+        """Feed each item to every level under its level-``l`` prefix id.
+
+        The ids are validated once.  An unweighted batch is sorted once
+        (``np.unique(..., return_counts=True)``) for every level: shifting
+        the sorted distinct ids right by ``b`` bits keeps them sorted, so
+        each level's distinct nodes and counts follow from the level below
+        by run starts and ``np.add.reduceat``.  A level folds those counts
+        only when its own counting rule allows it
+        (:meth:`FrequencySketch.update`); otherwise it takes the batch's
+        shifted ids item by item in stream order, as a weighted batch always
+        does.  Every level charges the same kernel, with the whole batch's
+        size, as a direct update of that level.
+        """
         idx = as_index_array(ids, self.domain)
-        if idx.size == 0:
+        batch = idx.size
+        if batch == 0:
             return
+        if weights is not None:
+            for lvl, level in enumerate(self._levels):
+                level.update(idx >> (lvl * self._bits), weights)
+            return
+        nodes, counts = np.unique(idx, return_counts=True)
         for lvl, level in enumerate(self._levels):
-            level.update(idx >> (lvl * self._bits), weights)
+            if lvl:
+                nodes = nodes >> self._bits
+                starts = np.flatnonzero(np.concatenate(([True], nodes[1:] != nodes[:-1])))
+                nodes, counts = nodes[starts], np.add.reduceat(counts, starts)
+            if level._takes_counts(batch):
+                level._fold_counts(nodes, counts, batch)
+            else:
+                level.update(idx >> (lvl * self._bits))
 
     def point_query(self, ids) -> np.ndarray:
         """Leaf-level point estimates (same contract as the flat sketch)."""
@@ -861,7 +954,8 @@ class HierarchicalFrequencySketch:
         """Top-``k`` heavy hitters above ``phi * ||f||_2`` by dyadic descent.
 
         Starts from the (enumerable) top level and expands only children of
-        prefixes whose estimate clears the threshold; returns at most ``k``
+        prefixes whose nonzero estimate clears the threshold (an all-zero
+        table stops at the top level); returns at most ``k``
         ``(id, estimate)`` pairs sorted by descending estimate.  Never scans
         the full domain, so it works on address-space universes where
         :meth:`FrequencySketch.heavy_hitters` raises.
@@ -876,7 +970,7 @@ class HierarchicalFrequencySketch:
         candidates = np.arange(self._levels[top].domain, dtype=np.int64)
         for level in range(top, 0, -1):
             est = self._levels[level].point_query(candidates)
-            survivors = candidates[np.abs(est) >= threshold]
+            survivors = candidates[_heavy(est, threshold)]
             if survivors.size == 0:
                 return []
             children = (survivors[:, None] << self._bits) + np.arange(self._branch)
@@ -884,7 +978,7 @@ class HierarchicalFrequencySketch:
             candidates = children[children < self._levels[level - 1].domain]
 
         est = self._levels[0].point_query(candidates)
-        hot = np.flatnonzero(np.abs(est) >= threshold)
+        hot = np.flatnonzero(_heavy(est, threshold))
         order = hot[np.argsort(-np.abs(est[hot]), kind="stable")][:k]
         return [(int(candidates[i]), float(est[i])) for i in order]
 

@@ -58,13 +58,25 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
     pseudo-random 64-bit output, which the streaming CountSketch splits into
     a row index and a sign bit.
     """
-    z = np.asarray(values, dtype=np.uint64)
+    z = np.array(values, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (z + _SPLITMIX64_INC).astype(np.uint64, copy=False)
-        z = (z ^ (z >> np.uint64(30))) * _SPLITMIX64_C1
-        z = (z ^ (z >> np.uint64(27))) * _SPLITMIX64_C2
-        z = z ^ (z >> np.uint64(31))
-    return z
+        z += _SPLITMIX64_INC
+    _splitmix64_mix(z, np.empty_like(z))
+    return z[()]  # a numpy scalar for a scalar input
+
+
+def _splitmix64_mix(z: np.ndarray, scratch: np.ndarray) -> None:
+    """The splitmix64 finaliser after its increment, in place on ``z``.
+
+    ``scratch`` is a ``z``-shaped uint64 work array; no temporary is made.
+    uint64 array arithmetic wraps modulo ``2**64`` without a warning.
+    """
+    for shift, mult in ((30, _SPLITMIX64_C1), (27, _SPLITMIX64_C2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def hashed_row_map_and_signs(
@@ -119,17 +131,44 @@ def _hash_offset(seed: int) -> int:
 
 
 def _split_hash(idx: np.ndarray, offsets, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Mix ``idx + offsets`` and split each hash into (row in ``[0, k)``, sign bit)."""
+    """Mix ``idx + offsets`` and split each hash into (row in ``[0, k)``, sign bit).
+
+    Bit for bit ``rows = (splitmix64(idx + offsets) >> 1) % k`` and
+    ``signs = splitmix64(idx + offsets) & 1``, computed in one broadcast
+    ``uint64`` block and one scratch array of its shape: the offsets and the
+    splitmix64 increment are folded into one addition (both wrap modulo
+    ``2**64``), the finaliser runs in place, and the modulo is taken as
+    ``z - (z // k) * k``, whose division by a scalar numpy runs without a
+    hardware divide per element.  ``idx`` is never written.  Returns the
+    rows as an ``int64`` view of the block (every row is below ``2**63``)
+    and the signs as booleans, True meaning +1.
+    """
     with np.errstate(over="ignore"):
-        mixed = splitmix64(idx + offsets)
-    rows = (mixed >> np.uint64(1)) % np.uint64(k)
-    signs = (mixed & np.uint64(1)).astype(np.bool_)
-    return rows.astype(np.int64), signs
+        start = np.asarray(offsets, dtype=np.uint64) + _SPLITMIX64_INC
+    z = np.empty(np.broadcast_shapes(np.shape(idx), start.shape), dtype=np.uint64)
+    np.add(idx, start, out=z)
+    scratch = np.empty_like(z)
+    _splitmix64_mix(z, scratch)
+    signs = np.bitwise_and(z, np.uint64(1), out=scratch).astype(np.bool_)
+    z >>= np.uint64(1)
+    divisor = np.uint64(k)
+    np.floor_divide(z, divisor, out=scratch)
+    scratch *= divisor
+    z -= scratch
+    return z.view(np.int64), signs
 
 
 def signs_to_values(signs: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Convert a boolean/int8 sign representation to floating ``+/-1`` values."""
+    """Convert a boolean/int8 sign representation to floating ``+/-1`` values.
+
+    Booleans map through ``2 * sign - 1`` in place on one ``dtype`` array.
+    Multiplying by the result is exact: ``x * signs_to_values(s)`` equals
+    ``np.where(s, x, -x)`` bit for bit, ``-0.0`` included.
+    """
     signs = np.asarray(signs)
     if signs.dtype == np.bool_:
-        return np.where(signs, 1.0, -1.0).astype(dtype, copy=False)
+        values = signs.astype(dtype)
+        values *= 2
+        values -= 1
+        return values
     return np.sign(signs).astype(dtype)

@@ -24,9 +24,17 @@ never from a second sketch.  Four contracts:
 6. **Exact levels**: a hierarchy's exact upper levels hold the weighted
    counts of the shifted ids -- bit for bit under integer weights -- while
    the sketched leaf keeps matching the per-row oracle.
+7. **One sort per batch**: a hierarchy's shared-sort fold equals updating
+   each level on its own, whatever the levels' integral flags, and a
+   history on the served plan reproduces pinned tables, answers,
+   checkpoint bytes and simulated seconds.
+8. **Empty heavy hitters**: an all-zero table has none, and the descent
+   stops at the top level.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -39,6 +47,8 @@ from repro.core.frequency import (
     HierarchicalFrequencySketch,
     as_index_array,
 )
+from repro.durability.session import serialize_frequency_session
+from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
 from repro.theory.frequency import (
     point_query_epsilon,
     point_query_failure,
@@ -561,3 +571,178 @@ def test_integral_flag_follows_updates_merges_scale_and_restore(kind):
         assert not clone.integral
     with pytest.raises(AttributeError):
         level.integral = False  # read-only
+
+
+def test_out_of_range_uint64_ids_are_reported_as_given():
+    # 2**63 and 2**64 - 1 wrap to negative int64 ids; the message must name
+    # the ids the caller passed, not the wrapped ones.
+    ids = np.array([5, 2**63, 2**64 - 1], dtype=np.uint64)
+    with pytest.raises(ValueError, match=r"got range \[5, 18446744073709551615\]"):
+        as_index_array(ids, 1 << 10)
+
+
+# ---------------------------------------------------------------------------
+# 7. one sort per batch: the shared fold equals the per-level loop
+# ---------------------------------------------------------------------------
+def _update_level_by_level(sketch: HierarchicalFrequencySketch, ids) -> None:
+    """The per-level loop: every level updated on its own shifted ids."""
+    shift = sketch.branch.bit_length() - 1
+    idx = np.asarray(ids, dtype=np.int64)
+    for lvl, level in enumerate(sketch.levels):
+        level.update(idx >> (lvl * shift))
+
+
+def _assert_same_levels(a: HierarchicalFrequencySketch, b: HierarchicalFrequencySketch) -> None:
+    for mine, theirs in zip(a.levels, b.levels):
+        assert mine.state_dict()["table"].tobytes() == theirs.state_dict()["table"].tobytes()
+        assert (mine.items_seen, mine.integral) == (theirs.items_seen, theirs.integral)
+
+
+def _charged(sketch, update, ids):
+    mark = sketch.executor.mark()
+    update(sketch, ids)
+    charged = sketch.executor.breakdown_since(mark)
+    return [(r.name, r.seconds) for r in charged.records], charged.total()
+
+
+def test_shared_sort_matches_the_per_level_loop_when_integral_flags_differ():
+    # Levels 4096 and 1024 are sketches, 256 .. 4 exact.  One sketched and
+    # two exact levels are scaled (one by -1, leaving -0.0 counters at
+    # untouched nodes), so the levels disagree on taking per-id counts, and
+    # a restore must not mark the -0.0 level integral again.
+    make = lambda: HierarchicalFrequencySketch(  # noqa: E731
+        1 << 12, 61, 5, branch=4, seed=3, exact_levels=4
+    )
+    shared, loop = make(), make()
+    rng = np.random.default_rng(11)
+    first = rng.zipf(1.3, 700) % (1 << 12)
+    shared.update(first)
+    loop.update(first)
+    for sketch in (shared, loop):
+        sketch.levels[1].scale(0.5)
+        sketch.levels[2].scale(-1.0)
+        sketch.levels[3].scale(1 / 3)
+    assert [level.integral for level in shared.levels] == [True, False, False, False, True, True]
+    for sketch in (shared, loop):  # a restore keeps the -0.0 counters
+        sketch.load_state(sketch.state_dict())
+    negated = shared.levels[2].counts()
+    assert np.signbit(negated[negated == 0]).any() and not shared.levels[2].integral
+    for step in range(6):
+        ids = rng.zipf(1.3, 900) % (1 << 12)
+        if step == 3:  # a weighted batch in between takes the stream-order path everywhere
+            weights = rng.standard_normal(ids.size)
+            shared.update(ids, weights)
+            loop.update(ids, weights)
+            continue
+        assert _charged(shared, HierarchicalFrequencySketch.update, ids) == _charged(
+            loop, _update_level_by_level, ids
+        )
+        _assert_same_levels(shared, loop)
+    probe = rng.integers(0, 1 << 12, 200)
+    assert shared.point_query(probe).tobytes() == loop.point_query(probe).tobytes()
+    assert shared.range_query(100, 3000) == loop.range_query(100, 3000)
+
+
+def test_shared_sort_matches_the_per_level_loop_across_the_float32_mantissa_limit():
+    # Every level restored just below 2**24 items: the batch carries items_seen
+    # past the limit, so the sketched levels fall back to +-1 per item while
+    # the exact levels still add each node's count once.
+    make = lambda: HierarchicalFrequencySketch(  # noqa: E731
+        1 << 10, 16, 3, branch=4, seed=6, exact_levels=2, dtype=np.float32
+    )
+    state = make().state_dict()
+    near = float(2**24 - 3)
+    for level in state["levels"]:
+        level["table"] = np.full_like(level["table"], near)
+        level["items_seen"] = 2**24 - 3
+    shared, loop = make(), make()
+    shared.load_state(state)
+    loop.load_state(state)
+    assert all(level.integral for level in shared.levels)
+    ids = np.array([5] * 7 + [9] * 3 + [700] * 2)
+    shared.update(ids)
+    _update_level_by_level(loop, ids)
+    _assert_same_levels(shared, loop)
+    assert shared.items_seen > 2**24
+
+
+def _workload_history_digests() -> dict:
+    """SHA-256 digests of a 4096-id zipf history on the served plan.
+
+    The plan is the ``stream_sessions`` benchmark's: a 2^20 domain, a
+    42 x 30000 leaf and exact levels of 65536, 4096, 256 and 16 nodes.
+    """
+    plan = plan_frequency_sketch(1 << 20, 0.02, need_ranges=True)
+    sketch = build_frequency_sketch(plan, seed=5)
+    mark = sketch.executor.mark()
+    digests = {}
+
+    def put(name, payload):
+        digests[name] = hashlib.sha256(payload).hexdigest()
+
+    probe = np.random.default_rng(7).integers(0, 1 << 20, 256)
+    for step, batch in enumerate(zipf_stream(1 << 20, total_items=6 * 4096, batch_size=4096, seed=3)):
+        sketch.update(batch.ids)
+        ids = np.concatenate([batch.ids[:256], probe])
+        ranges = ((0, 1 << 20), (12345, 70000), (1 << 19, 17))
+        answers = [
+            sketch.point_query(ids).tobytes(),
+            repr(sketch.top_k(16, 0.02)).encode(),
+            repr(sketch.l2_estimate()).encode(),
+            repr([sketch.range_query(lo, lo + span) for lo, span in ranges]).encode(),
+        ]
+        put(f"answers_{step}", b"|".join(answers))
+    put("tables", b"".join(level.state_dict()["table"].tobytes() for level in sketch.levels))
+    put("checkpoint", serialize_frequency_session(sketch, plan, 5, {"durable_seq": 1}))
+    put("simulated", repr(sketch.executor.breakdown_since(mark).total()).encode())
+    return digests
+
+
+#: :func:`_workload_history_digests` as the per-level update loop computed it.
+_PINNED_WORKLOAD_HISTORY = {
+    "answers_0": "1abf00dc07bff03fbde168322b313bac050533bc94277b7fea70fa438ecb02fc",
+    "answers_1": "f93da9be845c8c85e14b3104063a6e2c1920a4f77c46c33d0a99138085837a2f",
+    "answers_2": "50237664e637dfaed4502d2bba39712951ba8890d91006030cf616f9f5abbbec",
+    "answers_3": "14300403ce27966891a583fd3a8ce9c2b71ce8c13bdc3eb3db8f4a69e5045c6f",
+    "answers_4": "b385188e19b0a899870ea80e9271f5382cd652958ef7e24c398a627dcf51f14f",
+    "answers_5": "45016320fdb82b4affa49e1429070102f358aacd50a46f877a0d69deafe75040",
+    "tables": "f255d88e7400d47ffdacc5d8ad5d5894e3842edda8c6ddb334d03ed74106d91b",
+    "checkpoint": "32ddaddd7a383e4f9ebac6ececbdf323d438801f602ddc47cb6e86e3cedc764d",
+    "simulated": "7d9befc381a0b430e7d69ee9e0fe72044b14a933bba1f0dea02e88aa161a784f",
+}
+
+
+def test_workload_plan_history_matches_the_pinned_reference():
+    assert _workload_history_digests() == _PINNED_WORKLOAD_HISTORY
+
+
+# ---------------------------------------------------------------------------
+# 8. heavy hitters of an empty or all-zero table
+# ---------------------------------------------------------------------------
+def test_flat_heavy_hitters_of_an_all_zero_table_are_empty():
+    fresh = FrequencySketch(1 << 10, 64, 5, seed=1)
+    assert fresh.heavy_hitters(0.1) == []
+    cancelled = FrequencySketch(1 << 10, 64, 5, seed=1)
+    cancelled.update([3, 3, 9], [1.0, -1.0, 0.0])  # weights that cancel to zero
+    assert not cancelled.table().any() and cancelled.l2_estimate() == 0.0
+    assert cancelled.heavy_hitters(0.1) == []
+
+
+def test_top_k_of_an_empty_hierarchy_stops_at_the_top_level():
+    sketch = HierarchicalFrequencySketch(1 << 14, 256, 5, branch=16, seed=2, exact_levels=2)
+    mark = sketch.executor.mark()
+    assert sketch.top_k(16, 0.05) == []
+    charged = [r.name for r in sketch.executor.breakdown_since(mark).records]
+    # The l2 estimate and one query of the top level's 4 nodes, nothing below.
+    assert charged == ["frequency_l2", "frequency_exact_query"]
+
+
+def test_a_non_empty_heavy_hitter_answer_is_unchanged():
+    sketch = FrequencySketch(1 << 12, 400, 7, seed=8)
+    _feed(sketch, zipf_stream(1 << 12, total_items=8000, alpha=1.3, seed=8))
+    estimates = sketch.point_query(np.arange(1 << 12))
+    threshold = 0.1 * sketch.l2_estimate()
+    hot = np.flatnonzero(np.abs(estimates) >= threshold)
+    order = hot[np.argsort(-np.abs(estimates[hot]), kind="stable")]
+    expected = [(int(i), float(estimates[i])) for i in order]
+    assert expected and sketch.heavy_hitters(0.1) == expected

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sampling import (
+    _split_hash,
+    hash_offsets,
     hashed_row_map_and_signs,
+    hashed_table_map_and_signs,
     rademacher_signs,
     row_sample,
     signs_to_values,
@@ -101,3 +104,53 @@ class TestHashing:
         rows, _ = hashed_row_map_and_signs(np.arange(257), k=k, seed=seed)
         assert rows.min() >= 0
         assert rows.max() < k
+
+
+class TestSplitHash:
+    """The in-place split hash against its two-line reference."""
+
+    #: Ids at both ends of uint64 plus a few between; with the offset of
+    #: seed 2**63 + 5 and the splitmix64 increment, the sums wrap.
+    IDS = np.array([0, 1, 12345, 2**63, 2**64 - 1], dtype=np.uint64)
+    SEEDS = (0, 3, 2**63 + 5)
+
+    @staticmethod
+    def _reference(idx, offsets, k):
+        mixed = splitmix64(idx + offsets)  # uint64 arrays wrap silently
+        return (mixed >> np.uint64(1)) % np.uint64(k), (mixed & np.uint64(1)).astype(bool)
+
+    @pytest.mark.parametrize("k", [1, 97, 30000, 2**32 + 1])
+    def test_matches_the_reference_at_the_uint64_edges(self, k):
+        offsets = hash_offsets(self.SEEDS)
+        assert int(offsets.max()) + int(self.IDS.max()) >= 2**64  # the sum wraps
+        before = self.IDS.copy()
+        rows, signs = _split_hash(self.IDS.reshape(1, -1), offsets, k)
+        want_rows, want_signs = self._reference(self.IDS.reshape(1, -1), offsets, k)
+        assert rows.dtype == np.int64 and signs.dtype == np.bool_
+        assert rows.shape == signs.shape == (len(self.SEEDS), self.IDS.size)
+        np.testing.assert_array_equal(rows, want_rows.astype(np.int64))
+        np.testing.assert_array_equal(signs, want_signs)
+        assert rows.min() >= 0 and rows.max() < k
+        np.testing.assert_array_equal(self.IDS, before)  # the input is never written
+
+    @pytest.mark.parametrize("k", [1, 97, 30000, 2**32 + 1])
+    def test_public_wrappers_match_the_reference(self, k):
+        for seed, offset in zip(self.SEEDS, hash_offsets(self.SEEDS)):
+            rows, signs = hashed_row_map_and_signs(self.IDS, k, seed)
+            want_rows, want_signs = self._reference(self.IDS, offset, k)
+            assert rows.dtype == np.int64 and signs.dtype == np.bool_
+            np.testing.assert_array_equal(rows, want_rows.astype(np.int64))
+            np.testing.assert_array_equal(signs, want_signs)
+        table_rows, table_signs = hashed_table_map_and_signs(self.IDS, k, hash_offsets(self.SEEDS))
+        for r, seed in enumerate(self.SEEDS):
+            rows, signs = hashed_row_map_and_signs(self.IDS, k, seed)
+            np.testing.assert_array_equal(table_rows[r], rows)
+            np.testing.assert_array_equal(table_signs[r], signs)
+
+    def test_splitmix64_leaves_its_input_unwritten(self):
+        x = self.IDS.copy()
+        mixed = splitmix64(x)
+        np.testing.assert_array_equal(x, self.IDS)
+        assert mixed.dtype == np.uint64 and not np.shares_memory(mixed, x)
+        # splitmix64(0) is the published first output of a zero-seeded generator.
+        assert int(splitmix64(np.zeros(1, dtype=np.uint64))[0]) == 0xE220A8397B1DCDAF

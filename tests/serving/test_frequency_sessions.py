@@ -94,6 +94,15 @@ class TestSyncEndpoints:
         assert server.query_range(ranged, 0, 128).value > 0.0
         assert server.frequencies.session(ranged).stats()["exact_levels"] == 2.0
 
+    def test_an_empty_session_has_no_heavy_hitters(self):
+        server = SketchServer(shards=1)
+        flat = server.open_frequency_stream(DOMAIN, phi=PHI, delta=DELTA)
+        ranged = server.open_frequency_stream(1 << 20, phi=0.02, need_ranges=True)
+        assert server.query_heavy_hitters(flat).value == []
+        assert server.query_heavy_hitters(ranged, k=16).value == []
+        server.append_items(flat, [7, 7], [1.0, -1.0])  # weights that cancel
+        assert server.query_heavy_hitters(flat, k=4).value == []
+
     def test_range_matches_library(self, stream):
         server = SketchServer(shards=2)
         sid = server.open_frequency_stream(DOMAIN, phi=PHI, delta=DELTA, need_ranges=True)
