@@ -21,10 +21,11 @@ from repro.durability.codec import decode_record
 from repro.durability.session import FREQUENCY_SESSION_KIND, serialize_frequency_session
 from repro.gpu.executor import GPUExecutor
 from repro.linalg.conditioning import _singular_values, estimate_spectrum_bounds
-from repro.linalg.lstsq import block_residuals, qr_solve
+from repro.linalg.lstsq import block_residuals, qr_solve, sketch_and_solve
 from repro.problems.frequency import build_frequency_sketch, plan_frequency_sketch
 from repro.problems.ridge import dense_ridge_reference, ridge_qr
 from repro.serving import SketchServer
+from repro.serving.cache import build_operator, resolve_embedding_dim
 from repro.streaming.state import STREAM_CAPACITY
 from repro.workloads.streams import zipf_stream
 
@@ -186,6 +187,24 @@ def test_wallclock_block_residual(benchmark):
     res, rel, columns = benchmark(block_residuals, a, b, x)
     np.testing.assert_allclose(columns, np.linalg.norm(b - a @ x, axis=0) / np.linalg.norm(b, axis=0))
     assert res == pytest.approx(np.linalg.norm(b - a @ x), rel=1e-13)
+
+
+def test_wallclock_fused_sketch_and_solve(benchmark):
+    """One fused micro-batch as a serving shard runs it: a 2048 x 16 ``A`` and
+    8 F-ordered right-hand sides through the cached Count-Gauss operator
+    (CountSketch, GEMM, transpose, GEQRF, ORMQR, TRSM, block residuals)."""
+    rng = np.random.default_rng(14)
+    shard = SketchServer(shards=2, max_batch=8).pool[0]
+    a = rng.standard_normal((2048, 16))
+    b = np.asfortranarray(a @ rng.standard_normal((16, 8)) + 0.1 * rng.standard_normal((2048, 8)))
+    operator = build_operator(
+        "multisketch", 2048, 16, k=resolve_embedding_dim("multisketch", 2048, 16),
+        executor=shard, seed=0,
+    )
+    operator.generate()
+    result = benchmark(sketch_and_solve, a, b, operator)
+    assert result.x.shape == (16, 8)
+    assert result.column_residuals.max() < 0.5
 
 
 def test_wallclock_adaptive_solve(benchmark):

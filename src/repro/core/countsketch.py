@@ -27,12 +27,13 @@ product as a sparse multiply by the same matrix ``S`` (stored by column for
 the atomic variant, by row for SpMM), adding each output row's inputs in
 source-row order, so their outputs are bit-identical; they differ only in
 the simulated kernels they charge, which is exactly the comparison the
-paper makes.  :meth:`StreamingCountSketch.update` folds each batch through
-the same in-order compiled sparse product (scipy's CSC multi-vector
-kernel, adding ``+/-row`` into its target in batch order), so its
-accumulator is bit-identical to a ``np.add.at`` scatter of the signed rows;
+paper makes.  The host product of :class:`CountSketch` and
+:meth:`StreamingCountSketch.update` both run :func:`_csc_add_product`:
+scipy's compiled CSC kernel (the one ``csc_matrix @ x`` calls), adding
+``+/-row`` into its target in input-row order, straight into the output.
+Its result is bit-identical to a ``np.add.at`` scatter of the signed rows;
 ``np.add.at`` itself runs only when that private scipy kernel fails to
-import, or for a float16 sketch, which scipy's sparse kernels do not take.
+import, or for float16, which scipy's sparse kernels do not take.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ from repro.gpu.arrays import DeviceArray
 from repro.gpu.kernels import KernelClass, KernelRequest
 
 try:
-    # Private scipy kernel: Y += A @ X for a CSC ``A``, column by column.
+    # Private scipy kernels: Y += A @ X for a CSC ``A``, column by column.
+    from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
     from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
 except ImportError:  # pragma: no cover - depends on the installed scipy
-    _csc_matvecs = None
+    _csc_matvec = _csc_matvecs = None
 
 #: Largest input dimension ``d`` for which the hashed streaming sketch will
 #: materialise per-index state (``np.arange(d)``, explicit CSR, dense
@@ -66,6 +68,30 @@ except ImportError:  # pragma: no cover - depends on the installed scipy
 #: multi-terabyte allocation.  2^27 int64 indices is one GiB: past that the
 #: operation is a bug, not a request.
 DENSIFY_LIMIT = 1 << 27
+
+
+def _csc_add_product(
+    out: np.ndarray, indptr: np.ndarray, rows: np.ndarray, values: np.ndarray, x: np.ndarray
+) -> None:
+    """``out += S @ x`` for the CSC matrix ``S = (values, rows, indptr)``, in place.
+
+    ``S`` has ``out.shape[0]`` rows and ``len(x)`` columns, with exactly one
+    entry per column (``indptr`` is ``0, 1, ..., len(x)``): column ``j``
+    adds ``values[j] * x[j]`` into ``out[rows[j]]``, in column order.  This
+    is the kernel ``csc_matrix @ x`` runs (``csc_matvec`` for a vector or a
+    single column, ``csc_matvecs`` otherwise), so on a zeroed ``out`` the
+    sums are scipy's bit for bit; ``out`` must be C-contiguous with dtype
+    ``result_type(values, x)``.  Without scipy's private kernel, or for
+    float16, the same signed rows are scattered by ``np.add.at`` in the same
+    order, with the same sums.
+    """
+    k, m = out.shape[0], x.shape[0]
+    if _csc_matvecs is None or out.dtype == np.float16:
+        np.add.at(out, rows, values.reshape((m,) + (1,) * (x.ndim - 1)) * x)
+    elif x.ndim == 1 or x.shape[1] == 1:
+        _csc_matvec(k, m, indptr, rows, values, x.ravel(), out.ravel())
+    else:
+        _csc_matvecs(k, m, x.shape[1], indptr, rows, values, x.ravel(), out.ravel())
 
 
 class SketchMaterializationError(RuntimeError):
@@ -141,7 +167,7 @@ class CountSketch(SketchOperator):
         self.variant = variant
         self._row_map: Optional[DeviceArray] = None
         self._signs: Optional[DeviceArray] = None
-        self._csr = None  # DeviceCSR for the SpMM variant / numeric engine
+        self._csr = None  # DeviceCSR for the SpMM variant
         self._first_product: Optional[SketchProduct] = None
 
     # ------------------------------------------------------------------
@@ -172,21 +198,19 @@ class CountSketch(SketchOperator):
             self._csr = ex.sparse.build_csr(
                 (self._k, self._d), rows, cols, vals, nnz=self._d, dtype=self._dtype, label="cs_csr"
             )
-        elif ex.numeric:
-            # Numeric engine for the atomic variant: the arithmetic of
-            # Algorithm 2 is identical to multiplying by the explicit sparse
-            # S, so we evaluate it that way without charging SpMM kernels.
-            # Stored by column (one entry per input row), the product is
-            # Algorithm 2's own loop: input rows in order, each added into
-            # its bucket -- the same sums, bit for bit, as the row-wise CSR
-            # product, but with A read sequentially.
+        if ex.numeric:
+            # Numeric engine (the host product of both variants): the
+            # arithmetic of Algorithm 2 is identical to multiplying by the
+            # explicit sparse S, so we evaluate it that way without charging
+            # SpMM kernels.  Stored by column (one entry per input row), the
+            # product is Algorithm 2's own loop: input rows in order, each
+            # added into its bucket -- the same sums, bit for bit, as the
+            # row-wise CSR product, but with A read sequentially.
             vals = signs_to_values(self._signs.data, self._dtype)
             self._numeric_matrix = sp.csc_matrix(
                 (vals, self._row_map.data.astype(np.int64), np.arange(self._d + 1)),
                 shape=(self._k, self._d),
             )
-        if ex.numeric and self.variant == "spmm":
-            self._numeric_matrix = self._csr.matrix
 
     def _cache_key_extra(self) -> tuple:
         return (self.variant,)
@@ -214,7 +238,33 @@ class CountSketch(SketchOperator):
         return twin
 
     def _multiply(self, a: np.ndarray) -> np.ndarray:
-        return self._numeric_matrix @ a
+        """``S @ a`` into a fresh array: ``csc_matrix @ a``'s kernel, without its dispatch."""
+        m = self._numeric_matrix
+        out = np.zeros((self._k,) + a.shape[1:], dtype=np.result_type(m.dtype, a.dtype))
+        _csc_add_product(out, m.indptr, m.indices, m.data, a)
+        return out
+
+    def _product_array(self, a: DeviceArray, shape: tuple, label: str) -> DeviceArray:
+        """The device array holding ``S @ a``: the host product itself where it can be.
+
+        Accounted exactly as ``ex.empty(shape, self.dtype, "C", label)``.  A
+        product in the sketch's dtype becomes the array's data (a stored
+        first-stage product stays read-only: nothing downstream writes a
+        sketch); any other is cast into a fresh array.
+        """
+        ex = self._ex
+        if not (ex.numeric and a.is_numeric):
+            return ex.empty(shape, dtype=self._dtype, order="C", label=label)
+        known = self._first_product
+        if known is not None and known.describes(a.data):
+            product = known.y
+        else:
+            product = self._multiply(a.data)
+        if product.dtype == self._dtype:
+            return ex._adopt(product, product, "C", label)
+        y = ex.empty(shape, dtype=self._dtype, order="C", label=label)
+        y.data[...] = product
+        return y
 
     # ------------------------------------------------------------------
     @property
@@ -267,14 +317,7 @@ class CountSketch(SketchOperator):
         """
         ex = self._ex
         n = a.shape[1]
-        y = ex.empty((self._k, n), dtype=self._dtype, order="C", label="countsketch_out")
-        if ex.numeric and a.is_numeric:
-            known = self._first_product
-            if known is not None and known.describes(a.data):
-                y.data[...] = known.y
-            else:
-                y.data[...] = self._multiply(a.data)
-
+        y = self._product_array(a, (self._k, n), "countsketch_out")
         itemsize = self._dtype.itemsize
         ex.launch(
             KernelRequest(
@@ -295,9 +338,7 @@ class CountSketch(SketchOperator):
     def _apply_atomic_vector(self, b: DeviceArray) -> DeviceArray:
         """Algorithm 2 applied to a single vector (the right-hand side)."""
         ex = self._ex
-        out = ex.empty((self._k,), dtype=self._dtype, label="countsketch_vec_out")
-        if ex.numeric and b.is_numeric:
-            out.data[...] = self._numeric_matrix @ b.data
+        out = self._product_array(b, (self._k,), "countsketch_vec_out")
         itemsize = self._dtype.itemsize
         ex.launch(
             KernelRequest(
@@ -408,19 +449,14 @@ class StreamingCountSketch(SketchOperator):
             if rows.shape != (batch, n):
                 raise ValueError(f"expected rows of shape {(batch, n)}, got {rows.shape}")
             targets, signs = self.row_map_and_signs(idx)
-            acc = self._accumulator.data
-            # scipy's sparse kernels have no float16 loop.
-            if _csc_matvecs is not None and self._dtype != np.float16:
-                # The batch as a k x batch CSC matrix with one +/-1 per
-                # column, multiplied into ``acc`` in place: column j adds
-                # ``+/-rows[j]`` to ``acc[targets[j]]`` in batch order.
-                _csc_matvecs(
-                    self._k, batch, n,
-                    np.arange(batch + 1, dtype=np.int64), targets,
-                    signs_to_values(signs, self._dtype), rows, acc,
-                )
-            else:
-                np.add.at(acc, targets, np.where(signs[:, None], rows, -rows))
+            # The batch as a k x batch CSC matrix with one +/-1 per column,
+            # multiplied into the accumulator in place: column j adds
+            # ``+/-rows[j]`` to ``acc[targets[j]]`` in batch order.
+            _csc_add_product(
+                self._accumulator.data,
+                np.arange(batch + 1, dtype=np.int64), targets,
+                signs_to_values(signs, self._dtype), rows,
+            )
         self._rows_seen += batch
 
         itemsize = self._dtype.itemsize

@@ -125,10 +125,16 @@ def _heavy(est: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _integral_counters(counters: np.ndarray, items_seen: int) -> bool:
-    """Whether every counter is an integer of magnitude <= ``items_seen``."""
+    """Whether every counter is an integer of magnitude <= ``items_seen`` and none is ``-0.0``.
+
+    A ``-0.0`` counter (left by a negative scale) is not integral: an int32
+    checkpoint table could not hold it, and the shared fold relies on
+    there being none.
+    """
     return bool(
         np.abs(counters).max(initial=0) <= items_seen
         and np.array_equal(counters, np.trunc(counters))
+        and not np.signbit(counters[counters == 0]).any()
     )
 
 
@@ -745,12 +751,7 @@ class ExactFrequencyLevel:
         self._items_seen = int(state["items_seen"])
         if self.numeric:
             counts = self._counts.data
-            # A -0.0 counter (left by a negative scale) is not integral here:
-            # _fold_counts relies on there being none, and an int32
-            # checkpoint table could not hold it.
-            self._integral = _integral_counters(counts, self._items_seen) and not bool(
-                np.signbit(counts[counts == 0]).any()
-            )
+            self._integral = _integral_counters(counts, self._items_seen)
         nbytes = float(self._domain) * self._dtype.itemsize
         self._charge("frequency_exact_restore", KernelClass.STREAM, 0.0, nbytes, 0.0)
 

@@ -30,6 +30,7 @@ from repro.core.base import SketchOperator, default_embedding_dim
 from repro.core.countsketch import CountSketch
 from repro.core.gaussian import GaussianSketch
 from repro.gpu.arrays import DeviceArray
+from repro.gpu.kernels import KernelClass, KernelRequest
 
 
 class MultiSketch(SketchOperator):
@@ -95,53 +96,36 @@ class MultiSketch(SketchOperator):
         ex = self._ex
         phase = ex.clock.current_phase() or "Matrix sketch"
         current = a
-        for i, stage in enumerate(self.stages):
-            is_last = i == len(self.stages) - 1
-            use_trick = (
-                self.transpose_trick
-                and isinstance(stage, GaussianSketch)
-                and current.order == "C"
-                and current is not a
-            )
-            if use_trick:
-                # Reinterpret the row-major k1 x n intermediate as its
-                # column-major transpose (free), apply the Gaussian through a
-                # GEMM on the transposed operands, and transpose only the
-                # small k2 x n result.
-                y_t = current.with_order("F")  # shape (n, k1) column-major view
-                z_t = ex.blas.gemm(
-                    y_t,
-                    stage.matrix,
-                    trans_b=True,
-                    phase=phase,
-                    label="multisketch_zT",
-                )  # (n, k2)
-                current = ex.blas.transpose(z_t, phase=phase, label="multisketch_out")
-            else:
-                if (
-                    not self.transpose_trick
-                    and isinstance(stage, GaussianSketch)
-                    and current.order == "C"
-                    and current is not a
-                ):
-                    # Without the trick, the large row-major intermediate has
-                    # to be converted to column-major before the GEMM stage:
-                    # one full read+write pass over the k1 x n buffer.  The
-                    # logical matrix is unchanged, so only the cost is charged.
-                    from repro.gpu.kernels import KernelClass, KernelRequest
-
-                    ex.launch(
-                        KernelRequest(
-                            name="layout_conversion",
-                            kclass=KernelClass.STREAM,
-                            bytes_read=current.nbytes,
-                            bytes_written=current.nbytes,
-                            dtype_size=current.itemsize,
-                            phase=phase,
-                        )
+        for stage in self.stages:
+            # A GEMM stage fed a row-major intermediate: the Section-6.1 layout step.
+            if current is not a and current.order == "C" and isinstance(stage, GaussianSketch):
+                if self.transpose_trick:
+                    # Reinterpret the row-major k1 x n intermediate as its
+                    # column-major transpose (free), apply the Gaussian
+                    # through a GEMM on the transposed operands, and
+                    # transpose only the small k2 x n result.
+                    y_t = current.with_order("F")  # shape (n, k1) column-major view
+                    z_t = ex.blas.gemm(
+                        y_t, stage.matrix, trans_b=True, phase=phase, label="multisketch_zT"
+                    )  # (n, k2)
+                    current = ex.blas.transpose(z_t, phase=phase, label="multisketch_out")
+                    continue
+                # Without the trick, the large row-major intermediate has to
+                # be converted to column-major before the GEMM stage: one
+                # full read+write pass over the k1 x n buffer.  The logical
+                # matrix is unchanged, so only the cost is charged.
+                ex.launch(
+                    KernelRequest(
+                        name="layout_conversion",
+                        kclass=KernelClass.STREAM,
+                        bytes_read=current.nbytes,
+                        bytes_written=current.nbytes,
+                        dtype_size=current.itemsize,
+                        phase=phase,
                     )
-                    current.order = "F"
-                current = stage._apply_impl(current)
+                )
+                current.order = "F"
+            current = stage._apply_impl(current)
         return current
 
     def _apply_vector_impl(self, b: DeviceArray) -> DeviceArray:

@@ -21,6 +21,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 
+def _check_order(order: str) -> None:
+    if order != "C" and order != "F":
+        raise ValueError("order must be 'C' or 'F'")
+
+
 class DeviceArray:
     """Handle to a (simulated) device-resident array.
 
@@ -55,15 +60,37 @@ class DeviceArray:
         handle: Optional[int],
         executor,
     ) -> None:
-        if order not in ("C", "F"):
-            raise ValueError("order must be 'C' or 'F'")
-        self.shape = tuple(int(s) for s in shape)
+        _check_order(order)
+        self.shape = tuple(map(int, shape))
         self.dtype = np.dtype(dtype)
         self.order = order
         self.data = data
         self.label = label
         self._handle = handle
         self._executor = executor
+
+    @classmethod
+    def _checked(
+        cls,
+        shape: Tuple[int, ...],
+        dtype: np.dtype,
+        order: str,
+        data: Optional[np.ndarray],
+        label: str,
+        handle: Optional[int],
+        executor,
+    ) -> "DeviceArray":
+        """A handle from parts already validated: ``shape`` a tuple of ints,
+        ``dtype`` an ``np.dtype`` and ``order`` ``"C"`` or ``"F"``."""
+        arr = cls.__new__(cls)
+        arr.shape = shape
+        arr.dtype = dtype
+        arr.order = order
+        arr.data = data
+        arr.label = label
+        arr._handle = handle
+        arr._executor = executor
+        return arr
 
     # ------------------------------------------------------------------
     @property
@@ -125,22 +152,17 @@ class DeviceArray:
         """
         if order == self.order:
             return self
-        if self.ndim == 2:
-            new_shape = tuple(reversed(self.shape))
+        _check_order(order)
+        if len(self.shape) == 2:
+            new_shape = self.shape[::-1]
             new_data = self.data.T if self.data is not None else None
         else:
             new_shape = self.shape
             new_data = self.data
-        view = DeviceArray(
-            shape=new_shape,
-            dtype=self.dtype,
-            order=order,
-            data=new_data,
-            label=self.label,
-            handle=None,  # the original handle keeps ownership
-            executor=self._executor,
+        # The original handle keeps ownership.
+        return DeviceArray._checked(
+            new_shape, self.dtype, order, new_data, self.label, None, self._executor
         )
-        return view
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "numeric" if self.is_numeric else "analytic"

@@ -66,20 +66,21 @@ class SimBLAS:
         is folded into the GEMM efficiency constant).
         """
         m, k, n = self._matmul_dims(a.shape, b.shape, trans_a, trans_b)
+        ex = self._ex
         if out is None:
-            out = self._ex.empty((m, n), dtype=a.dtype, order="F", label=label)
+            out = ex.empty((m, n), dtype=a.dtype, order="F", label=label)
         elif out.shape != (m, n):
             raise ValueError(f"output shape {out.shape} does not match gemm result ({m}, {n})")
 
-        if self._ex.numeric and a.is_numeric and b.is_numeric:
+        if ex.numeric and a.data is not None and b.data is not None:
             lhs = a.data.T if trans_a else a.data
             rhs = b.data.T if trans_b else b.data
             np.matmul(lhs, rhs, out=out.data)
             if alpha != 1.0:
                 out.data *= alpha
 
-        itemsize = a.itemsize
-        self._ex.launch(
+        itemsize = a.dtype.itemsize
+        ex.launch(
             KernelRequest(
                 name="gemm",
                 kclass=KernelClass.GEMM,
@@ -184,21 +185,22 @@ class SimBLAS:
         whole array, so transposing the small final product instead saves
         time.
         """
-        if a.ndim != 2:
+        if len(a.shape) != 2:
             raise ValueError("transpose expects a 2-D array")
         m, n = a.shape
-        new_order = "F" if a.order == "C" else "C"
-        out = self._ex.empty((n, m), dtype=a.dtype, order=new_order, label=label)
-        if self._ex.numeric and a.is_numeric:
+        ex = self._ex
+        out = ex.empty((n, m), dtype=a.dtype, order="F" if a.order == "C" else "C", label=label)
+        if ex.numeric and a.data is not None:
             out.data[...] = a.data.T
-        self._ex.launch(
+        nbytes = a.nbytes
+        ex.launch(
             KernelRequest(
                 name="transpose",
                 kclass=KernelClass.STREAM,
-                bytes_read=a.nbytes,
-                bytes_written=a.nbytes,
+                bytes_read=nbytes,
+                bytes_written=nbytes,
                 flops=0.0,
-                dtype_size=a.itemsize,
+                dtype_size=a.dtype.itemsize,
                 phase=phase,
             )
         )

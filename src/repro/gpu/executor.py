@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.gpu.arrays import DeviceArray
+from repro.gpu.arrays import DeviceArray, _check_order
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.gpu.kernels import KernelCostModel, KernelRequest
 from repro.gpu.memory import DeviceMemoryTracker
@@ -122,10 +122,12 @@ class GPUExecutor:
         label: str = "",
     ) -> DeviceArray:
         """Allocate an uninitialised device array."""
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(map(int, shape))
+        dtype = np.dtype(dtype)
+        _check_order(order)
         handle = self.memory.alloc_array(shape, dtype, label=label)
-        data = np.empty(shape, dtype=dtype) if self.numeric else None
-        return DeviceArray(shape, dtype, order, data, label, handle, self)
+        data = np.empty(shape, dtype) if self.numeric else None
+        return DeviceArray._checked(shape, dtype, order, data, label, handle, self)
 
     def reserve(
         self,
@@ -140,9 +142,11 @@ class GPUExecutor:
         no data in either mode: a kernel that only streams an intermediate
         through the host keeps the simulated footprint without its buffer.
         """
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(map(int, shape))
+        dtype = np.dtype(dtype)
+        _check_order(order)
         handle = self.memory.alloc_array(shape, dtype, label=label)
-        return DeviceArray(shape, dtype, order, None, label, handle, self)
+        return DeviceArray._checked(shape, dtype, order, None, label, handle, self)
 
     def zeros(
         self,
@@ -211,14 +215,17 @@ class GPUExecutor:
         host = np.asarray(host)
         data = None
         if self.numeric:
-            shared = host.flags.c_contiguous or host.flags.f_contiguous
+            flags = host.flags
+            shared = flags.c_contiguous or flags.f_contiguous
             data = host.view() if shared else np.array(host, copy=True)
             data.flags.writeable = False
         return self._adopt(host, data, order, label)
 
     def _adopt(self, host: np.ndarray, data, order: str, label: str) -> DeviceArray:
+        """A new device array accounted like ``empty(host.shape, host.dtype)``, holding ``data``."""
+        _check_order(order)
         handle = self.memory.alloc_array(host.shape, host.dtype, label=label)
-        return DeviceArray(host.shape, host.dtype, order, data, label, handle, self)
+        return DeviceArray._checked(host.shape, host.dtype, order, data, label, handle, self)
 
     def like(self, template: DeviceArray, shape=None, order=None, label: str = "") -> DeviceArray:
         """Allocate an array with the same dtype as ``template``."""
@@ -233,8 +240,13 @@ class GPUExecutor:
     # kernel submission
     # ------------------------------------------------------------------
     def launch(self, request: KernelRequest, phase: Optional[str] = None) -> KernelTiming:
-        """Charge a kernel launch to the simulated clock and return its timing."""
-        timing = self.cost_model.estimate(request, phase=phase)
+        """Charge a kernel launch to the simulated clock and return its timing.
+
+        An active phase region labels the launch, as :meth:`SimClock.record`
+        would relabel it; the timing is estimated under that label directly.
+        """
+        region = self.clock.current_phase()
+        timing = self.cost_model.estimate(request, phase=region if region is not None else phase)
         return self.clock.record(timing)
 
     def phase(self, label: str):

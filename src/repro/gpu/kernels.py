@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.gpu.device import DeviceSpec
 from repro.gpu.timing import KernelTiming
@@ -60,9 +59,8 @@ class KernelClass(enum.Enum):
     TRIANGULAR = "triangular"
 
 
-@dataclass(frozen=True)
-class KernelRequest:
-    """Resource request for one logical kernel.
+class KernelRequest(NamedTuple):
+    """Resource request for one logical kernel (immutable and hashable).
 
     Attributes
     ----------

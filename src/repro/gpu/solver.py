@@ -42,8 +42,9 @@ cache-sized row blocks of ``A`` (:func:`_blocked_gram`):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,12 +64,85 @@ class CholeskyFailedError(np.linalg.LinAlgError):
 
 def _lapack(name: str, *arrays: np.ndarray):
     """The LAPACK routine ``name`` for the arrays' common dtype (``d``/``s`` prefix)."""
-    return sla.get_lapack_funcs((name,), arrays)[0]
+    return _lapack_for(name, "".join(a.dtype.char for a in arrays))
+
+
+@functools.lru_cache(maxsize=64)
+def _lapack_for(name: str, chars: str):
+    # scipy picks the prefix from the dtypes alone, so one lookup per
+    # (routine, dtypes) serves every array of those dtypes.
+    return sla.get_lapack_funcs((name,), tuple(np.empty(0, dtype=c) for c in chars))[0]
 
 
 def _check_info(name: str, info: int) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK {name} failed with info={info}")
+
+
+#: LAPACK workspace sizes by ``(routine, dtype, dimensions)``.  A size
+#: depends on those alone, so each is queried (``lwork=-1``) once and the
+#: queried size is the one passed: LAPACK blocks, and so rounds, as it would
+#: after its own query.  Emptied when it reaches :data:`_LWORK_CAP` entries.
+_LWORK: Dict[tuple, int] = {}
+_LWORK_CAP = 256
+
+
+def _lwork(key: tuple, query: Callable[[], tuple]) -> int:
+    """The workspace size for ``key = (routine, ...)``, queried the first time it is asked for.
+
+    ``query()`` makes the routine's ``lwork=-1`` call and returns LAPACK's
+    ``(optimal size, info)``.
+    """
+    lwork = _LWORK.get(key)
+    if lwork is None:
+        size, info = query()
+        _check_info(key[0], info)
+        if len(_LWORK) >= _LWORK_CAP:
+            _LWORK.clear()
+        lwork = _LWORK[key] = max(1, int(size))
+    return lwork
+
+
+_TRANS = {"N": 0, "T": 1}
+
+
+def _solve_triangular(
+    a: np.ndarray, b: np.ndarray, *, lower: bool = False, trans=0, overwrite_b: bool = False
+) -> np.ndarray:
+    """Solve ``op(a) x = b`` for a triangular ``a``: ``scipy.linalg.solve_triangular`` without its wrapper.
+
+    The same LAPACK ``trtrs`` call as scipy's with the same arguments, so
+    ``x`` is bit for bit scipy's: an F-contiguous ``a`` is passed as it is,
+    any other as its transpose with ``lower`` and ``trans`` flipped
+    (``trans``: 0 or ``"N"``, 1 or ``"T"``).  ``a`` is a 2-D and ``b`` a
+    1-D or 2-D float array.  The failures are scipy's too: ``ValueError``
+    ("array must not contain infs or NaNs") for a non-finite ``a`` or ``b``,
+    and ``LinAlgError`` ("singular matrix: resolution failed at diagonal i")
+    for a zero on ``a``'s diagonal.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    trans = _TRANS.get(trans, trans)
+    if b.size == 0:  # scipy's own empty-result dtype rule
+        return sla.solve_triangular(a, b, trans=trans, lower=lower)
+    trtrs = _lapack("trtrs", a, b)
+    if a.flags.f_contiguous:
+        x, info = trtrs(a, b, overwrite_b=overwrite_b, lower=lower, trans=trans)
+    else:
+        x, info = trtrs(a.T, b, overwrite_b=overwrite_b, lower=not lower, trans=not trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+@functools.lru_cache(maxsize=64)
+def _strict_lower(n: int) -> np.ndarray:
+    """Read-only ``n x n`` mask of the strictly lower triangle (``np.triu``'s zeros)."""
+    mask = np.tri(n, n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 #: Rows per block of a transposing copy into F-order.  A block of 256 rows
@@ -188,9 +262,13 @@ class QRFactors:
         if self._q is None and self.reflectors is not None:
             refl = self.reflectors.data
             orgqr = _lapack("orgqr", refl)
-            _, work, info = orgqr(refl, self.tau, lwork=-1)
-            _check_info("orgqr", info)
-            q_np, _, info = orgqr(refl, self.tau, lwork=max(1, int(work[0])))
+
+            def query():
+                _, work, info = orgqr(refl, self.tau, lwork=-1)
+                return work[0], info
+
+            lwork = _lwork(("orgqr", refl.dtype.char) + refl.shape, query)
+            q_np, _, info = orgqr(refl, self.tau, lwork=lwork)
             _check_info("orgqr", info)
             # Stored row-major like every executor allocation, so the GEMMs
             # that read Q see the operand layout any device array has.
@@ -253,35 +331,39 @@ class SimSolver:
         is only read); the factors keep its reflectors, and ``R`` is the
         upper triangle of its first ``n`` rows.
         """
+        ex = self._ex
         k, n = y.shape
         if k < n:
             raise ValueError("geqrf expects a tall (k >= n) matrix")
-        r = self._ex.empty((n, n), dtype=y.dtype, order="F", label=f"{label}_R")
+        r = ex.empty((n, n), dtype=y.dtype, order="F", label=f"{label}_R")
 
-        self._ex.launch(
+        itemsize = y.dtype.itemsize
+        ex.launch(
             KernelRequest(
                 name="geqrf",
                 kclass=KernelClass.FACTOR,
-                bytes_read=float(k * n) * y.itemsize,
-                bytes_written=float(k * n + n * n) * y.itemsize,
+                bytes_read=float(k * n) * itemsize,
+                bytes_written=float(k * n + n * n) * itemsize,
                 flops=2.0 * k * n * n - 2.0 * n ** 3 / 3.0,
-                dtype_size=y.itemsize,
+                dtype_size=itemsize,
                 phase=phase,
             )
         )
 
-        if not (self._ex.numeric and y.is_numeric):
+        if r.data is None or y.data is None:
             return QRFactors(r=r, rows=k, cols=n)
         # LAPACK factors in place, so ``Y`` is copied once into an F-order
         # work array.  It becomes the reflector storage: Q in factored form,
         # accounted as the factorisation's k x n device allocation.
         work = _fortran_copy(y.data)
-        lwork, info = _lapack("geqrf_lwork", work)(k, n)
+        char = work.dtype.char
+        lwork = _lwork(("geqrf", char, k, n), lambda: _lapack_for("geqrf_lwork", char)(k, n))
+        work, tau, _, info = _lapack_for("geqrf", char)(work, lwork=lwork, overwrite_a=1)
         _check_info("geqrf", info)
-        work, tau, _, info = _lapack("geqrf", work)(work, lwork=max(1, int(lwork)), overwrite_a=1)
-        _check_info("geqrf", info)
-        r.data[...] = np.triu(work[:n])
-        reflectors = self._ex._adopt(work, work, "F", f"{label}_Q")
+        # np.triu(work[:n]) without its per-call mask.
+        np.copyto(r.data, work[:n])
+        np.copyto(r.data, 0.0, where=_strict_lower(n))
+        reflectors = ex._adopt(work, work, "F", f"{label}_Q")
         return QRFactors(r=r, rows=k, cols=n, reflectors=reflectors, tau=tau)
 
     # ------------------------------------------------------------------
@@ -319,7 +401,7 @@ class SimSolver:
             )
         )
 
-        if self._ex.numeric and b.is_numeric:
+        if out.data is not None and b.data is not None:
             if factors.reflectors is None:
                 raise RuntimeError("numeric ORMQR requires numeric QR factors")
             refl, tau = factors.reflectors.data, factors.tau
@@ -327,10 +409,14 @@ class SimSolver:
             if refl.dtype != dtype:
                 refl, tau = refl.astype(dtype, order="F"), tau.astype(dtype)
             c = np.array(b.data.reshape(k, nrhs), dtype=dtype, order="F")
-            ormqr = _lapack("ormqr", refl, c)
-            _, work, info = ormqr("L", "T", refl, tau, c, -1, overwrite_c=1)
-            _check_info("ormqr", info)
-            c, _, info = ormqr("L", "T", refl, tau, c, max(1, int(work[0])), overwrite_c=1)
+            ormqr = _lapack_for("ormqr", dtype.char)
+
+            def query():
+                _, work, info = ormqr("L", "T", refl, tau, c, -1, overwrite_c=1)
+                return work[0], info
+
+            lwork = _lwork(("ormqr", dtype.char, k, n, nrhs), query)
+            c, _, info = ormqr("L", "T", refl, tau, c, lwork, overwrite_c=1)
             _check_info("ormqr", info)
             out.data[...] = c[:n].reshape(out_shape)
         return out
@@ -364,10 +450,9 @@ class SimSolver:
             )
         )
 
-        if self._ex.numeric and r.is_numeric and b.is_numeric:
+        if out.data is not None and r.data is not None and b.data is not None:
             mat = r.data.T if transpose else r.data
-            is_lower = lower ^ transpose
-            out.data[...] = sla.solve_triangular(mat, b.data, lower=is_lower)
+            out.data[...] = _solve_triangular(mat, b.data, lower=lower ^ transpose)
         return out
 
     # ------------------------------------------------------------------
@@ -406,10 +491,9 @@ class SimSolver:
             )
         )
 
-        if self._ex.numeric and r.is_numeric and b.is_numeric:
+        if out.data is not None and r.data is not None and b.data is not None:
             mat = r.data.T if transpose else r.data
-            is_lower = lower ^ transpose
-            out.data[...] = sla.solve_triangular(mat, b.data, lower=is_lower)
+            out.data[...] = _solve_triangular(mat, b.data, lower=lower ^ transpose)
         return out
 
     # ------------------------------------------------------------------
@@ -429,8 +513,9 @@ class SimSolver:
         the dominant costs of that solver.
 
         Numerically ``A`` is copied into the output once and
-        ``solve_triangular(R, Z^T, trans="T", overwrite_b=True)`` solves the
-        output's F-contiguous transpose in place: the same LAPACK ``trtrs``
+        ``solve_triangular(R, Z^T, trans="T", overwrite_b=True)``
+        (:func:`_solve_triangular`) solves the output's F-contiguous
+        transpose in place: the same LAPACK ``trtrs``
         call as solving ``A^T`` directly, without its internal copy of ``A``,
         so the result is bit-identical for every input layout and order
         label, and scipy's checks (non-finite ``A`` or ``R``: ``ValueError``;
@@ -448,7 +533,7 @@ class SimSolver:
             # widened copy instead, which is cast back into the output.
             z = out.data
             z[...] = a.data
-            zt = sla.solve_triangular(r.data, z.T, lower=False, trans="T", overwrite_b=True)
+            zt = _solve_triangular(r.data, z.T, lower=False, trans="T", overwrite_b=True)
             if not np.shares_memory(zt, z):
                 z[...] = zt.T
         return out

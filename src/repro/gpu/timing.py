@@ -178,21 +178,32 @@ class _RetainedBreakdown(TimeBreakdown):
             self._fold()
 
     def _fold(self) -> None:
-        cut = len(self.records) - self.retain
-        gone = self.records[self._folded:cut]
-        for r in gone:
-            self._seconds += r.seconds
-            self._bytes += r.bytes_moved
-            self._flops += r.flops
-            self._phases[r.phase] = self._phases.get(r.phase, 0.0) + r.seconds
-            self._kernels[r.name] = self._kernels.get(r.name, 0.0) + r.seconds
+        records, cut = self.records, len(self.records) - self.retain
+        # The aggregates so far lead, so their keys keep their order.
         sums: Dict[tuple, list] = {}
-        for r in self.records[:cut]:
-            acc = sums.setdefault((r.name, r.phase), [0.0, 0.0, 0.0, 0])
-            acc[0] += r.seconds
+        for r in records[:self._folded]:
+            sums[r.name, r.phase] = [
+                0.0 + r.seconds, 0.0 + r.bytes_moved, 0.0 + r.flops, 0 + r.launches
+            ]
+        # One pass over the records that fold: running sums in launch
+        # order, and each record into its (kernel, phase) aggregate.
+        seconds, moved, flops = self._seconds, self._bytes, self._flops
+        phases, kernels = self._phases, self._kernels
+        for r in records[self._folded:cut]:
+            name, phase, s = r.name, r.phase, r.seconds
+            seconds += s
+            moved += r.bytes_moved
+            flops += r.flops
+            phases[phase] = phases.get(phase, 0.0) + s
+            kernels[name] = kernels.get(name, 0.0) + s
+            acc = sums.get((name, phase))
+            if acc is None:
+                acc = sums[name, phase] = [0.0, 0.0, 0.0, 0]
+            acc[0] += s
             acc[1] += r.bytes_moved
             acc[2] += r.flops
             acc[3] += r.launches
+        self._seconds, self._bytes, self._flops = seconds, moved, flops
         folded = [
             KernelTiming(name, seconds, moved, flops, phase, launches)
             for (name, phase), (seconds, moved, flops, launches) in sums.items()

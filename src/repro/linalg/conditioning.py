@@ -241,18 +241,3 @@ def _finite_svd(m: np.ndarray) -> np.ndarray:
         raise ValueError("estimate_spectrum_bounds: A must not contain infs or NaNs")
     return np.linalg.svd(m, compute_uv=False)
 
-
-def well_conditioned_matrix(
-    d: int,
-    n: int,
-    *,
-    cond: float = 100.0,
-    seed: Optional[int] = None,
-    dtype=np.float64,
-) -> np.ndarray:
-    """The paper's timing-experiment matrix: random with ``kappa(A) = 100``.
-
-    Section 6.3 fixes ``kappa(A) = 1e2`` so the normal equations remain
-    stable and the comparison is purely about speed.
-    """
-    return matrix_with_condition(d, n, cond, seed=seed, dtype=dtype)

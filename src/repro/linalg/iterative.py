@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.core.base import SketchOperator
 from repro.gpu.arrays import DeviceArray
 from repro.gpu.executor import GPUExecutor
 from repro.gpu.kernels import KernelClass, KernelRequest
+from repro.gpu.solver import _solve_triangular
 from repro.linalg.lstsq import LeastSquaresResult, _to_device, block_residuals
 
 ArrayLike = Union[np.ndarray, DeviceArray]
@@ -106,11 +106,11 @@ def _lsqr_block(
 
     def apply_pre(v: np.ndarray) -> np.ndarray:
         _charge_matvec(executor, d, n, "LSQR", nrhs=v.shape[1])
-        return a_np @ sla.solve_triangular(r_np, v, lower=False)
+        return a_np @ _solve_triangular(r_np, v, lower=False)
 
     def apply_pre_t(u: np.ndarray) -> np.ndarray:
         _charge_matvec(executor, d, n, "LSQR", nrhs=u.shape[1])
-        return sla.solve_triangular(r_np, a_np.T @ u, lower=False, trans="T")
+        return _solve_triangular(r_np, a_np.T @ u, lower=False, trans="T")
 
     def normalise(block: np.ndarray) -> tuple:
         # Column 2-norms, computed exactly as ``np.linalg.norm`` does along an axis.
@@ -158,7 +158,7 @@ def _lsqr_block(
             converged[idx[done]] = True
             active[idx[done]] = False
 
-    x = sla.solve_triangular(r_np, y_sol, lower=False)
+    x = _solve_triangular(r_np, y_sol, lower=False)
     return x, iterations, converged
 
 
@@ -271,12 +271,12 @@ def sketch_preconditioned_lsqr(
     def apply_pre(v: np.ndarray) -> np.ndarray:
         """Compute (A R^{-1}) v."""
         _charge_matvec(executor, d, n, "LSQR")
-        return a_np @ sla.solve_triangular(r_np, v, lower=False)
+        return a_np @ _solve_triangular(r_np, v, lower=False)
 
     def apply_pre_t(u: np.ndarray) -> np.ndarray:
         """Compute (A R^{-1})^T u."""
         _charge_matvec(executor, d, n, "LSQR")
-        return sla.solve_triangular(r_np, a_np.T @ u, lower=False, trans="T")
+        return _solve_triangular(r_np, a_np.T @ u, lower=False, trans="T")
 
     # Golub-Kahan bidiagonalisation (standard LSQR recurrences).
     history = []
@@ -328,7 +328,7 @@ def sketch_preconditioned_lsqr(
             break
 
     # 4: undo the preconditioner.
-    x_np = sla.solve_triangular(r_np, y_sol, lower=False)
+    x_np = _solve_triangular(r_np, y_sol, lower=False)
     breakdown = executor.breakdown_since(mark)
 
     res = float(np.linalg.norm(b_np - a_np @ x_np))

@@ -155,6 +155,22 @@ def test_items_seen_at_2_pow_31_keeps_float64():
     assert _round_trip(plan, crafted)[1] == {"<i4"}
 
 
+def test_a_negated_flat_sketch_keeps_its_negative_zeros_across_two_restores():
+    """A flat table scaled by -1 holds -0.0 counters, so it is not integral:
+    a restore must not earn it the int32 encoding, whose next restore would
+    turn every -0.0 into +0.0."""
+    plan, engine = _engine(need_ranges=False)
+    engine.update(np.array([1, 2, 3]))
+    engine.scale(-1.0)
+    signs = np.signbit(engine.table())
+    assert signs[engine.table() == 0].any()
+    restored, dtypes = _round_trip(plan, engine)
+    assert dtypes == {"<f8"} and not restored.integral
+    again, dtypes = _round_trip(plan, restored)
+    assert dtypes == {"<f8"}
+    assert np.array_equal(np.signbit(again.table()), signs)
+
+
 def _small_ints(shape) -> np.ndarray:
     return np.random.default_rng(0).integers(-40, 41, shape, dtype=np.int32)
 
