@@ -180,11 +180,10 @@ class _RetainedBreakdown(TimeBreakdown):
     def _fold(self) -> None:
         records, cut = self.records, len(self.records) - self.retain
         # The aggregates so far lead, so their keys keep their order.
-        sums: Dict[tuple, list] = {}
-        for r in records[:self._folded]:
-            sums[r.name, r.phase] = [
-                0.0 + r.seconds, 0.0 + r.bytes_moved, 0.0 + r.flops, 0 + r.launches
-            ]
+        sums: Dict[tuple, list] = {
+            (r.name, r.phase): [r.seconds, r.bytes_moved, r.flops, r.launches]
+            for r in records[:self._folded]
+        }
         # One pass over the records that fold: running sums in launch
         # order, and each record into its (kernel, phase) aggregate.
         seconds, moved, flops = self._seconds, self._bytes, self._flops

@@ -14,7 +14,8 @@ first, pair 1 this tree first, and so on), because a shared host's pace
 drifts over minutes.  Each run is as long as ``BENCHMARK.json``'s
 ``run_seconds``.  After every run its record is copied to
 ``.perfbench/pairs/<REV>-<W>-seed<S>-trace<T>/{base,new}/run<i>.json``, so
-no run overwrites another.
+no run overwrites another (an earlier invocation's records there are
+replaced).
 
 For every end-to-end metric the report gives both medians, the parent's
 quartiles, the pairs this tree won (ties count for neither side) and the
