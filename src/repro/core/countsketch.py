@@ -80,10 +80,10 @@ def _csc_add_product(
     adds ``values[j] * x[j]`` into ``out[rows[j]]``, in column order.  This
     is the kernel ``csc_matrix @ x`` runs (``csc_matvec`` for a vector or a
     single column, ``csc_matvecs`` otherwise), so on a zeroed ``out`` the
-    sums are scipy's bit for bit; ``out`` must be C-contiguous with dtype
-    ``result_type(values, x)``.  Without scipy's private kernel, or for
-    float16, the same signed rows are scattered by ``np.add.at`` in the same
-    order, with the same sums.
+    sums are scipy's bit for bit; ``out`` must be C-contiguous, and its
+    dtype (at least as wide as ``values`` and ``x``) is the one summed in.
+    Without scipy's private kernel, or into float16, the same signed rows
+    are scattered by ``np.add.at`` in the same order, with the same sums.
     """
     k, m = out.shape[0], x.shape[0]
     if _csc_matvecs is None or out.dtype == np.float16:
@@ -240,7 +240,8 @@ class CountSketch(SketchOperator):
     def _multiply(self, a: np.ndarray) -> np.ndarray:
         """``S @ a`` into a fresh array: ``csc_matrix @ a``'s kernel, without its dispatch."""
         m = self._numeric_matrix
-        out = np.zeros((self._k,) + a.shape[1:], dtype=np.result_type(m.dtype, a.dtype))
+        # scipy's sparse product has no float16 loop: it sums in float32 at least.
+        out = np.zeros((self._k,) + a.shape[1:], dtype=np.result_type(m.dtype, a.dtype, np.float32))
         _csc_add_product(out, m.indptr, m.indices, m.data, a)
         return out
 

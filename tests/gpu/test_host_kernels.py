@@ -64,24 +64,24 @@ def kernel_path(request, monkeypatch):
 
 
 class TestCountSketchProduct:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("cols", [1, 5])
     def test_matrix_apply_is_scipys_product(self, executor, kernel_path, dtype, order, cols):
-        sketch = CountSketch(300, 40, executor=executor, seed=1, dtype=dtype).generate()
-        a = _input((300, cols), dtype, order)
-        reference = sketch._numeric_matrix @ a
+        sketch = CountSketch(3000, 40, executor=executor, seed=1, dtype=dtype).generate()
+        a = _input((3000, cols), dtype, order)
+        reference = sketch._numeric_matrix @ a  # scipy sums float16 in float32
         _bits_equal(sketch._multiply(a), reference)
         y = sketch.apply(executor.place_readonly(a, label="A"))
-        _bits_equal(y.data, reference)
+        _bits_equal(y.data, reference.astype(dtype))
         assert y.data.flags.c_contiguous and y.data.flags.writeable
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     def test_vector_apply_is_scipys_product(self, executor, kernel_path, dtype):
-        sketch = CountSketch(300, 40, executor=executor, seed=2, dtype=dtype).generate()
-        b = _input(300, dtype, "C", seed=3)
+        sketch = CountSketch(3000, 40, executor=executor, seed=2, dtype=dtype).generate()
+        b = _input(3000, dtype, "C", seed=3)
         out = sketch.apply_vector(executor.place_readonly(b, label="b"))
-        _bits_equal(out.data, sketch._numeric_matrix @ b)
+        _bits_equal(out.data, (sketch._numeric_matrix @ b).astype(dtype))
 
     @pytest.mark.parametrize("sketch_dtype, input_dtype", [(np.float64, np.float32), (np.float32, np.float64)])
     def test_mixed_dtypes_take_scipys_upcast(self, executor, kernel_path, sketch_dtype, input_dtype):
