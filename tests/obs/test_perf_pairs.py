@@ -78,7 +78,7 @@ def test_a_run_without_a_record_is_not_given_its_predecessors(pairs, tmp_path):
             (out / "w.json").write_text(json.dumps(_record(1.0)))
         return 1
 
-    for tree in trees.values():  # a stale record from an earlier session
+    for tree in trees.values():  # a stale record from an earlier run
         (tree / ".perfbench" / "results").mkdir(parents=True)
         (tree / ".perfbench" / "results" / "w.json").write_text(json.dumps(_record(9.0)))
     with pytest.raises(RuntimeError, match="new run"):

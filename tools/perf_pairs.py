@@ -6,9 +6,8 @@ Usage::
     python tools/perf_pairs.py REV --workload W --seed S --pairs N [--trace T]
 
 ``REV`` (any git revision) is extracted with ``git archive`` into a
-temporary directory, removed on exit: its committed files, as the
-benchmark's own driver sees them, with no working-tree state and nothing
-registered in ``.git``.  ``perfbench/run.py --workload W --seed S --trace T``
+temporary directory, removed on exit: its committed files only, with no
+working-tree state and nothing registered in ``.git``.  ``perfbench/run.py --workload W --seed S --trace T``
 then runs ``N`` times in each tree, in ABBA order (pair 0 runs the parent
 first, pair 1 this tree first, and so on), because a shared host's pace
 drifts over minutes.  Each run is as long as ``BENCHMARK.json``'s
