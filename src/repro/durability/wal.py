@@ -30,12 +30,26 @@ from repro.durability.codec import ChecksumError
 __all__ = ["WalReplay", "frame", "replay_wal"]
 
 _FRAME = struct.Struct("<II")  # payload length, payload crc32
+_CRC_BYTES = 4  # a codec record's trailing CRC32
 
 
-def frame(payload: bytes) -> bytes:
-    """Wrap one payload in a WAL frame (length prefix + CRC32)."""
+def frame(payload: bytes, *, record: bool = False) -> bytes:
+    """Wrap one payload in a WAL frame (length prefix + CRC32).
+
+    ``record=True`` declares the payload a codec record, which ends in the
+    little-endian CRC32 of everything before it.  The CRC32 of the whole
+    payload then follows from those four bytes alone (CRC32 resumes from
+    the stored value over them), so the payload is not read again; the
+    frame is byte-identical to the full pass.  Replay always checks every
+    byte.
+    """
     payload = bytes(payload)
-    return _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+    if record and len(payload) >= _CRC_BYTES:
+        tail = payload[-_CRC_BYTES:]
+        crc = zlib.crc32(tail, int.from_bytes(tail, "little"))
+    else:
+        crc = zlib.crc32(payload)
+    return _FRAME.pack(len(payload), crc & 0xFFFFFFFF) + payload
 
 
 @dataclass

@@ -21,6 +21,13 @@ correction factor per ``(solver family, problem class, shape bucket)``:
 * a minimum-sample gate keeps predictions on the analytic estimate until the
   bucket has seen enough evidence to be trusted.
 
+A serving layer hands its samples over with :meth:`CalibratedEstimator.defer`,
+which only queues them.  The queue is folded in bulk, in arrival order,
+before anything reads the estimator or its registry (and on the writer's
+side once it holds :data:`FOLD_BOUND` samples), so every reader sees
+exactly the state per-sample :meth:`~CalibratedEstimator.observe` calls
+would have left.
+
 ``predict_seconds(spec, solver=...)`` returns ``analytic * factor`` once the
 gate opens and the plain analytic estimate before that, so callers can always
 ask for the best currently-available number.  The estimator also scores
@@ -35,13 +42,22 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.gpu.device import DeviceSpec, H100_SXM5
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.trace import Span
 
-__all__ = ["CalibratedEstimator", "CalibrationKey", "shape_bucket"]
+__all__ = ["CalibratedEstimator", "CalibrationKey", "FOLD_BOUND", "shape_bucket"]
+
+#: Queued samples at which :meth:`CalibratedEstimator.defer` folds on the
+#: writer's side, so the deferred work is amortised within the run instead
+#: of waiting for the next read.
+FOLD_BOUND = 256
+#: Fewest errors a fold hands a histogram in one ``observe_many`` call.
+_BULK_MIN = 16
 
 
 def shape_bucket(d: int, n: int, nrhs: int = 1) -> Tuple[int, int, int]:
@@ -155,6 +171,10 @@ class CalibratedEstimator:
         self._err_analytic = self.registry.histogram(
             "calibration_relative_error", model="analytic"
         )
+        #: Samples queued by :meth:`defer`, oldest first:
+        #: ``(solver, spec, measured, analytic or None, device or None)``.
+        self._pending: List[tuple] = []
+        self.registry.before_read(self._fold)
 
     # ------------------------------------------------------------------
     # observation side
@@ -190,37 +210,111 @@ class CalibratedEstimator:
         measurement or analytic estimate).  The prediction error of the
         *pre-update* factor is recorded first, so the error histograms
         score the estimator exactly as callers would have experienced it.
+        Samples queued by :meth:`defer` are folded first, in order.
         """
         measured = float(measured_seconds)
         if not math.isfinite(measured) or measured <= 0.0:
             return None
-        analytic = (
-            float(analytic_seconds)
-            if analytic_seconds is not None
-            else self._analytic_seconds(solver, spec, device)
-        )
-        if not math.isfinite(analytic) or analytic <= 0.0:
-            return None
-        key = self.key_for(solver, spec)
+        if analytic_seconds is None:
+            analytic_seconds = self._analytic_seconds(solver, spec, device)
         with self._lock:
-            state = self._state.get(key)
-            if state is None:
-                state = self._state[key] = _BucketState(
-                    self.registry.counter("calibration_samples_total", solver=key.solver),
-                    self.registry.gauge("calibration_factor", **key.labels()),
-                )
-            predicted = analytic * (state.ewma if state.samples >= self.min_samples else 1.0)
-            self._err_calibrated.observe(abs(predicted - measured) / measured)
-            self._err_analytic.observe(abs(analytic - measured) / measured)
-            ratio = measured / analytic
-            clipped = min(max(ratio, 1.0 / self.clip), self.clip)
-            if clipped != ratio:
-                state.clipped += 1
-                self.registry.counter("calibration_clipped_total", solver=key.solver).inc()
-            state.update(clipped, self.alpha)
-            state.samples_total.inc()
-            state.factor.set(state.ewma)
-        return clipped
+            self._pending.append((solver, spec, measured, float(analytic_seconds), device))
+            return self._fold_locked()[-1]
+
+    def defer(
+        self, solver: str, spec, measured_seconds: float, *, device: Optional[DeviceSpec] = None
+    ) -> None:
+        """Queue one measured duration for :meth:`observe`'s fold, without folding it.
+
+        The queue is folded before the next read of the estimator or its
+        registry, or here once it holds :data:`FOLD_BOUND` samples; either
+        way the result equals one :meth:`observe` call per sample, in order.
+        """
+        with self._lock:
+            self._pending.append((solver, spec, measured_seconds, None, device))
+            if len(self._pending) >= FOLD_BOUND:
+                self._fold_locked()
+
+    def _fold(self) -> None:
+        """Fold every queued sample (a no-op when none is queued)."""
+        if self._pending:
+            with self._lock:
+                self._fold_locked()
+
+    def _fold_locked(self) -> List[Optional[float]]:
+        """Replay the queued samples in order; returns each one's clipped ratio.
+
+        The pre-update prediction, clipping and EWMA run per sample, as in
+        :meth:`observe`; each distinct ``(solver, spec, device)`` has its
+        analytic estimate and key looked up once.  The registry gets one
+        bulk call per error histogram (per-sample calls below
+        ``_BULK_MIN`` samples), one ``inc(n)`` per counter and each touched
+        factor gauge its final value, which equals the per-sample updates
+        bit for bit (the counters hold integers).
+        """
+        pending, self._pending = self._pending, []
+        out: List[Optional[float]] = []
+        lookups: Dict[tuple, tuple] = {}
+        err_calibrated: List[float] = []
+        err_analytic: List[float] = []
+        increments: Dict[Counter, int] = {}
+        touched: Dict[CalibrationKey, _BucketState] = {}
+        try:
+            for solver, spec, measured, analytic, device in pending:
+                measured = float(measured)
+                if not math.isfinite(measured) or measured <= 0.0:
+                    out.append(None)
+                    continue
+                if analytic is None:
+                    lookup = (solver, spec, device)
+                    found = lookups.get(lookup)
+                    if found is None:
+                        found = lookups[lookup] = (
+                            self._analytic_seconds(solver, spec, device),
+                            self.key_for(solver, spec),
+                        )
+                    analytic, key = found
+                else:
+                    key = self.key_for(solver, spec)
+                if not math.isfinite(analytic) or analytic <= 0.0:
+                    out.append(None)
+                    continue
+                state = self._state.get(key)
+                if state is None:
+                    state = self._state[key] = _BucketState(
+                        self.registry.counter("calibration_samples_total", solver=key.solver),
+                        self.registry.gauge("calibration_factor", **key.labels()),
+                    )
+                predicted = analytic * (state.ewma if state.samples >= self.min_samples else 1.0)
+                err_calibrated.append(abs(predicted - measured) / measured)
+                err_analytic.append(abs(analytic - measured) / measured)
+                ratio = measured / analytic
+                clipped = min(max(ratio, 1.0 / self.clip), self.clip)
+                if clipped != ratio:
+                    state.clipped += 1
+                    counter = self.registry.counter("calibration_clipped_total", solver=key.solver)
+                    increments[counter] = increments.get(counter, 0) + 1
+                state.update(clipped, self.alpha)
+                increments[state.samples_total] = increments.get(state.samples_total, 0) + 1
+                touched[key] = state
+                out.append(clipped)
+        finally:
+            for hist, errors in (
+                (self._err_calibrated, err_calibrated),
+                (self._err_analytic, err_analytic),
+            ):
+                # Equal states either way; a short queue (observe's one
+                # sample) is cheaper per call than the vectorised path.
+                if len(errors) >= _BULK_MIN:
+                    hist.observe_many(np.array(errors))
+                else:
+                    for error in errors:
+                        hist.observe(error)
+            for counter, n in increments.items():
+                counter.inc(n)
+            for state in touched.values():
+                state.factor.set(state.ewma)
+        return out
 
     def ingest(self, root: Span) -> int:
         """Consume one completed trace's ``solver:<name>`` spans.
@@ -233,6 +327,7 @@ class CalibratedEstimator:
         """
         from repro.linalg.registry import SolveSpec  # local: avoid import cycle
 
+        self._fold()
         count = 0
         for span in root.walk():
             if not span.name.startswith("solver:") or span.end is None:
@@ -268,6 +363,7 @@ class CalibratedEstimator:
         excluded the rest); traces evicted from the bounded deque before a
         call are simply missed (the cursor still advances).
         """
+        self._fold()
         with self._lock:
             cursor = self._ingest_cursor
             retained = tracer.traces_retained
@@ -285,6 +381,7 @@ class CalibratedEstimator:
     # ------------------------------------------------------------------
     def factor(self, solver: str, spec) -> Optional[float]:
         """Current correction factor, or None while the bucket is gated."""
+        self._fold()
         with self._lock:
             state = self._state.get(self.key_for(solver, spec))
             if state is None or state.samples < self.min_samples:
@@ -293,6 +390,7 @@ class CalibratedEstimator:
 
     def samples(self, solver: str, spec) -> int:
         """Observations the spec's bucket has accumulated."""
+        self._fold()
         with self._lock:
             state = self._state.get(self.key_for(solver, spec))
             return 0 if state is None else state.samples
@@ -334,6 +432,7 @@ class CalibratedEstimator:
         ``window`` restricts the comparison to the most recent samples
         (e.g. post-warm-up), using the histograms' exact retained rings.
         """
+        self._fold()
         out: Dict[str, float] = {}
         for label, hist in (
             ("calibrated", self._err_calibrated),
@@ -351,6 +450,7 @@ class CalibratedEstimator:
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Per-bucket state keyed ``solver|problem|bucket`` (for reports)."""
+        self._fold()
         with self._lock:
             return {
                 f"{k.solver}|{k.problem}|{'x'.join(map(str, k.bucket))}": {
@@ -362,6 +462,7 @@ class CalibratedEstimator:
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        self._fold()
         with self._lock:
             buckets = len(self._state)
             total = sum(s.samples for s in self._state.values())

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +61,23 @@ LabelKey = Tuple[Tuple[str, str], ...]
 def _label_key(labels: Dict[str, str]) -> LabelKey:
     """Canonical (sorted, stringified) identity of a label set."""
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def _bucket_keys(arr: np.ndarray) -> np.ndarray:
+    """:meth:`Histogram.observe`'s bucket key of every sample, vectorised.
+
+    ``np.log`` and ``math.log`` may differ in the last place, which moves a
+    key only where ``log(x) / log(GAMMA)`` sits at an integer; those few
+    samples are keyed again by ``observe``'s own ``math.log`` expression.
+    """
+    keys = np.full(arr.size, _ZERO_BUCKET, dtype=np.int64)
+    positive = np.flatnonzero((arr > 0.0) & (arr < np.inf))
+    if positive.size:
+        q = np.log(arr[positive]) / _LOG_GAMMA
+        keys[positive] = np.ceil(q)
+        for i in positive[np.abs(q - np.rint(q)) < 1e-6].tolist():
+            keys[i] = math.ceil(math.log(arr[i]) / _LOG_GAMMA)
+    return keys
 
 
 class Counter:
@@ -188,14 +205,25 @@ class Histogram:
             self._buckets[key] += count
 
     def observe_many(self, values: np.ndarray) -> None:
-        """Vectorised bulk ingest; ring, aggregates and buckets all exact."""
+        """Record every value of ``values`` in order, in one lock section.
+
+        The state afterwards equals one :meth:`observe` call per value bit
+        for bit: ring slots, count, ``sum`` as the same sequential running
+        sum, ``min``/``max`` as the first value that beat the running
+        extreme (NaN never does), and bucket keys by the same ``math.log``
+        expression, counted in sample order.
+        """
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return
-        keys = np.full(arr.size, _ZERO_BUCKET, dtype=np.int64)
-        positive = (arr > 0.0) & (arr < np.inf)
-        keys[positive] = np.ceil(np.log(arr[positive]) / _LOG_GAMMA)
-        keys, counts = np.unique(keys, return_counts=True)
+        keys = _bucket_keys(arr).tolist()
+        # Seeded in-order prefix sum: the additions ``observe`` makes, in its order.
+        total = np.empty(arr.size + 1)
+        total[1:] = arr
+        lowest = highest = None
+        seen = arr[~np.isnan(arr)]
+        if seen.size:
+            lowest, highest = seen.min(), seen.max()
         with self._lock:
             cap = self.capacity
             if arr.size >= cap:
@@ -211,11 +239,19 @@ class Histogram:
                 self._ring[start : start + split] = arr[:split]
                 self._ring[: arr.size - split] = arr[split:]
             self._count += int(arr.size)
-            self._sum += float(arr.sum())
-            self._min = min(self._min, float(arr.min()))
-            self._max = max(self._max, float(arr.max()))
-            for key, n in zip(keys.tolist(), counts.tolist()):
-                self._buckets[key] += n
+            total[0] = self._sum
+            with np.errstate(over="ignore", invalid="ignore"):  # float += is silent too
+                self._sum = float(np.add.accumulate(total)[-1])
+            # A running extreme moves only on a strict improvement, so it
+            # ends on the first sample equal to the batch's extreme (which
+            # keeps the sign of a first-seen zero).
+            if lowest is not None and lowest < self._min:
+                self._min = float(seen[np.argmax(seen == lowest)])
+            if highest is not None and highest > self._max:
+                self._max = float(seen[np.argmax(seen == highest)])
+            buckets = self._buckets
+            for key in keys:  # in sample order, as ``observe`` inserts them
+                buckets[key] += 1
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -322,6 +358,11 @@ class MetricsRegistry:
     on telemetry reset).  Gauges are left alone: they hold current state
     (queue depth, active shards, passivated sessions, calibration factors,
     SLO standing), which a reset does not change.
+
+    A writer that batches its updates registers a hook with
+    :meth:`before_read`; every read (``get``, ``series``, ``families``,
+    ``names``, ``total``, ``labelled_values``, ``label_values``) runs the
+    hooks first, so a reader never sees a series behind its writer.
     """
 
     def __init__(self, histogram_capacity: int = 4096) -> None:
@@ -329,6 +370,15 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._types: Dict[str, str] = {}
         self._metrics: "Dict[str, Dict[LabelKey, object]]" = {}
+        self._read_hooks: List[Callable[[], None]] = []
+
+    def before_read(self, hook: Callable[[], None]) -> None:
+        """Run ``hook()`` at the start of every read (outside the registry lock)."""
+        self._read_hooks.append(hook)
+
+    def _settle(self) -> None:
+        for hook in self._read_hooks:
+            hook()
 
     # ------------------------------------------------------------------
     def _get_or_create(self, kind: str, name: str, labels: Dict[str, str], factory):
@@ -364,6 +414,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def get(self, name: str, **labels: str):
         """Existing metric for (name, labels), or None."""
+        self._settle()
         with self._lock:
             series = self._metrics.get(name)
             if series is None:
@@ -372,11 +423,13 @@ class MetricsRegistry:
 
     def series(self, name: str) -> List[object]:
         """Every labelled child of one family, in first-seen order."""
+        self._settle()
         with self._lock:
             return list(self._metrics.get(name, {}).values())
 
     def label_values(self, name: str, label: str) -> List[str]:
         """Distinct values one label has taken in a family (first-seen order)."""
+        self._settle()
         out: List[str] = []
         with self._lock:
             for key in self._metrics.get(name, {}):
@@ -387,6 +440,7 @@ class MetricsRegistry:
 
     def total(self, name: str) -> float:
         """Sum of a counter/gauge family's values across label sets."""
+        self._settle()
         with self._lock:
             series = self._metrics.get(name)
             if not series:
@@ -401,6 +455,7 @@ class MetricsRegistry:
         side of per-reason / per-lane counter families, so callers need no
         shadow dict of the children they created.
         """
+        self._settle()
         out: Dict[str, float] = {}
         with self._lock:
             for key, metric in self._metrics.get(name, {}).items():
@@ -411,6 +466,7 @@ class MetricsRegistry:
 
     def families(self) -> List[Tuple[str, str, List[object]]]:
         """``(name, type, metrics)`` triples sorted by name (for exporters)."""
+        self._settle()
         with self._lock:
             return [
                 (name, self._types[name], list(self._metrics[name].values()))
@@ -418,6 +474,7 @@ class MetricsRegistry:
             ]
 
     def names(self) -> List[str]:
+        self._settle()
         with self._lock:
             return sorted(self._metrics)
 
@@ -426,6 +483,7 @@ class MetricsRegistry:
 
         Registrations and label sets survive.
         """
+        self._settle()
         with self._lock:
             for name, series in self._metrics.items():
                 if self._types[name] != "gauge":

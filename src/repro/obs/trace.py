@@ -21,6 +21,12 @@ exactly once, on first read, to add the children.  A trace evicted from the
 bounded deque or sampled out is never read, so its children are never
 built; child span ids are numbered when the tree grows.
 
+A fused batch's riders, whose roots open and close in one call, go through
+:meth:`Tracer.complete_roots`: one lock section for the whole batch, the
+same ids, counters and sampling decisions as one ``start_trace`` /
+``end_trace`` pair per rider, and each retained root kept as a small record
+that becomes its :class:`Span` on first read.
+
 Two invariants the instrumentation (and the test-suite) relies on:
 
 * child spans nest inside their parent on the simulated clock --
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 __all__ = ["Span", "Tracer", "NULL_SPAN"]
 
@@ -172,6 +178,38 @@ class _NullSpan(Span):
 NULL_SPAN = _NullSpan()
 
 
+class _ClosedRoot:
+    """A root closed by :meth:`Tracer.complete_roots`, built into a Span on read.
+
+    ``seq`` is the root's trace-id number (its span id is ``seq + 1``);
+    ``grow(root, grow_arg)``, when set, becomes the Span's deferred builder.
+    """
+
+    __slots__ = ("name", "seq", "start", "end", "status", "attributes", "end_attributes",
+                 "grow", "grow_arg")
+
+    def __init__(self, name, seq, start, end, status, attributes, end_attributes, grow, grow_arg):
+        self.name = name
+        self.seq = seq
+        self.start = start
+        self.end = end
+        self.status = status
+        self.attributes = attributes
+        self.end_attributes = end_attributes
+        self.grow = grow
+        self.grow_arg = grow_arg
+
+    def span(self) -> Span:
+        """The root exactly as ``start_trace`` + ``end_trace`` would have left it."""
+        root = Span(self.name, f"t{self.seq:08x}", f"s{self.seq + 1:08x}", None,
+                    self.start, self.attributes)
+        root.finish(self.end, status=self.status, **self.end_attributes)
+        if self.grow is not None:
+            grow, arg = self.grow, self.grow_arg
+            root._grow = lambda r: grow(r, arg)
+        return root
+
+
 class Tracer:
     """Creates spans and retains a bounded deque of completed traces.
 
@@ -212,7 +250,7 @@ class Tracer:
         self._roots_seen = 0
         self._sampled_out: set = set()
         self._active: Dict[str, Span] = {}
-        self._completed: Deque[Span] = deque(maxlen=self.max_traces)
+        self._completed: Deque[Union[Span, _ClosedRoot]] = deque(maxlen=self.max_traces)
         self.traces_started = 0
         self.traces_completed = 0
         self.traces_retained = 0
@@ -293,6 +331,56 @@ class Tracer:
                     self.traces_retained += 1
         return root
 
+    def complete_roots(
+        self,
+        name: str,
+        start: float,
+        end: float,
+        attributes: Sequence[Dict[str, object]],
+        status: str = "ok",
+        grow: Optional[Callable[[Span, object], None]] = None,
+        grow_args: Sequence[object] = (),
+        **end_attributes: object,
+    ) -> None:
+        """Open and close one root per entry of ``attributes`` in one call.
+
+        Equivalent to ``end_trace(start_trace(name, start, **attributes[i]),
+        end, status, grow=lambda r: grow(r, grow_args[i]), **end_attributes)``
+        for each ``i`` in order: the same trace and span ids, counters,
+        head-sampling decisions and shed/error retention.  It takes the
+        lock once, never registers the roots as active, and keeps each
+        retained root as a record that :meth:`traces` / :meth:`find_trace`
+        turn into its Span on first read.
+        """
+        if not self.enabled or not attributes:
+            return
+        count = len(attributes)
+        keep_all = status != "ok"
+        with self._lock:
+            seq = self._seq
+            self._seq = seq + 2 * count
+            seen = self._roots_seen
+            self._roots_seen = seen + count
+            self.traces_started += count
+            self.traces_completed += count
+            every = self.sample_every
+            completed = self._completed
+            for i, attrs in enumerate(attributes):
+                if keep_all or (seen + i) % every == 0:
+                    completed.append(_ClosedRoot(
+                        name, seq + 2 * i + 1, start, end, status, attrs, end_attributes,
+                        grow, grow_args[i] if grow is not None else None,
+                    ))
+                    self.traces_retained += 1
+
+    def _roots_locked(self) -> List[Span]:
+        """Retained roots, oldest first; records from complete_roots become Spans once."""
+        completed = self._completed
+        roots = [r.span() if type(r) is _ClosedRoot else r for r in completed]
+        completed.clear()
+        completed.extend(roots)
+        return roots
+
     def _grown(self, roots: Iterable[Span]) -> None:
         """Run each root's pending ``grow`` once, before any reader sees it.
 
@@ -311,7 +399,7 @@ class Tracer:
     def traces(self) -> List[Span]:
         """Completed traces, oldest first (bounded by ``max_traces``)."""
         with self._lock:
-            roots = list(self._completed)
+            roots = self._roots_locked()
         self._grown(roots)
         return roots
 
@@ -321,7 +409,7 @@ class Tracer:
             root = self._active.get(trace_id)
             if root is not None:
                 return root
-            for candidate in self._completed:
+            for candidate in self._roots_locked():
                 if candidate.trace_id == trace_id:
                     root = candidate
                     break

@@ -300,18 +300,20 @@ class SketchServer:
         return None
 
     def _feed_calibration(self, span_log: Optional[List[Dict[str, object]]], spec: SolveSpec) -> None:
-        """Fold a batch's successful per-solver attempts into the estimator.
+        """Queue a batch's successful per-solver attempts for the estimator.
 
         Failed hops measure a truncated run (the solver broke down partway)
         and would drag factors toward optimism, so only clean attempts
-        count.
+        count.  The estimator folds the queue in bulk before anything reads
+        it (see :meth:`CalibratedEstimator.defer`), so planning in
+        ``"active"`` mode sees the same factors as per-batch folding.
         """
         if self.calibration is None or not span_log:
             return
         for hop in span_log:
             if hop["failed"]:
                 continue
-            self.calibration.observe(
+            self.calibration.defer(
                 str(hop["solver"]),
                 spec,
                 float(hop["end"]) - float(hop["start"]),
@@ -751,6 +753,46 @@ class SketchServer:
             shard = self.scheduler.place()
         return PlacedBatch(plan=plan_, spec=spec, entry=entry, shard=shard, cache_hit=cache_hit)
 
+    def _close_rider_roots(
+        self,
+        batch: MicroBatch,
+        roots: Optional[Dict[int, Span]],
+        start: float,
+        end: float,
+        lane: str,
+        *,
+        status: str,
+        grow: Optional[Callable[..., None]] = None,
+        residuals: Optional[List[float]] = None,
+        **end_attributes: object,
+    ) -> None:
+        """End every rider's ``request`` root at ``end``, in rider order.
+
+        A root the runtime opened at admission (in ``roots``) is closed on
+        its own; the riders without one (the synchronous path) get a root
+        opened at ``start`` and closed in one :meth:`Tracer.complete_roots`
+        call.  ``grow(root, residual)`` adds a rider's spans on first read.
+        """
+        tracer = self.tracer
+        fresh: List[Dict[str, object]] = []
+        fresh_residuals: List[float] = []
+        for j, req in enumerate(batch.requests):
+            root = roots.get(req.request_id) if roots else None
+            if root is None:
+                fresh.append({"request_id": req.request_id, "lane": lane})
+                if grow is not None:
+                    fresh_residuals.append(residuals[j])
+            else:
+                tracer.end_trace(
+                    root, end, status=status,
+                    grow=partial(grow, residual=residuals[j]) if grow is not None else None,
+                    **end_attributes,
+                )
+        tracer.complete_roots(
+            "request", start, end, fresh, status=status,
+            grow=grow, grow_args=fresh_residuals, **end_attributes,
+        )
+
     def _run_placed(
         self,
         batch: MicroBatch,
@@ -830,7 +872,6 @@ class SketchServer:
         if tracing:
             # Each rider's root is opened (sync path) and closed here; the
             # spans below it grow only if the trace is read.
-            tracer = self.tracer
             lane = "ridge" if ridge else "solve"
             trace_status = "error" if result.failed else "ok"
             grow = self._request_tree_grower(
@@ -846,24 +887,19 @@ class SketchServer:
             )
         # Every rider shares the batch's latency: record them all at once.
         self.telemetry.record_request(latency, solver=executed, count=batch.size)
+        residuals = [self._column_residual(result, j, batch.size) for j in range(batch.size)]
+        if tracing:
+            self._close_rider_roots(
+                batch, roots, exec_start, exec_end + comm_seconds, lane,
+                status=trace_status, grow=grow, residuals=residuals,
+            )
         responses = []
         for j, req in enumerate(batch.requests):
-            residual = self._column_residual(result, j, batch.size)
-            if tracing:
-                root = roots.get(req.request_id) if roots else None
-                if root is None:
-                    root = tracer.start_trace(
-                        "request", exec_start, request_id=req.request_id, lane=lane
-                    )
-                tracer.end_trace(
-                    root, exec_end + comm_seconds, status=trace_status,
-                    grow=partial(grow, residual=residual),
-                )
             responses.append(
                 SolveResponse(
                     request_id=req.request_id,
                     x=self._column(result, j, batch.size),
-                    relative_residual=residual,
+                    relative_residual=residuals[j],
                     simulated_seconds=latency,
                     compute_seconds=compute_seconds,
                     comm_seconds=comm_seconds,
@@ -909,15 +945,13 @@ class SketchServer:
         if lam:
             extra["regularization"] = lam
         now = self.pool.min_load()
+        if self.tracer.enabled:
+            self._close_rider_roots(
+                batch, roots, now, now, "ridge" if lam else "solve",
+                status="error", error=type(exc).__name__,
+            )
         responses = []
         for req in batch.requests:
-            if self.tracer.enabled:
-                root = roots.get(req.request_id) if roots else None
-                if root is None:
-                    root = self.tracer.start_trace(
-                        "request", now, request_id=req.request_id, lane="ridge" if lam else "solve"
-                    )
-                self.tracer.end_trace(root, now, status="error", error=type(exc).__name__)
             responses.append(
                 SolveResponse(
                     request_id=req.request_id,

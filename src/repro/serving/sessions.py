@@ -343,7 +343,7 @@ class DurableSessionManager:
         durability = self._durability
         if durability is not None and len(batch[0]):
             payload = self._encode_batch(session.durable_seq, *batch)
-            durability.store.append_wal(self._key(session.session_id), frame(payload))
+            durability.store.append_wal(self._key(session.session_id), frame(payload, record=True))
             session.durable_seq += 1
             session.wal_batches += 1
             self._server.telemetry.record_wal_append(len(payload))

@@ -207,6 +207,39 @@ def test_corrupt_wal_frame_stops_replay_at_the_flip():
         replay_wal(flip_byte(blob), strict=True)
 
 
+def _full_pass_frame(payload: bytes) -> bytes:
+    return struct.pack("<II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 300])
+def test_record_frame_equals_the_full_pass_frame(rows):
+    """A codec record's frame CRC comes from its stored CRC, byte for byte."""
+    from repro.durability import encode_wal_batch
+
+    rng = np.random.default_rng(rows)
+    records = [
+        encode_wal_batch(rows, rng.standard_normal((rows, 5)), rng.standard_normal(rows)),
+        encode_record("test.kind", {"rows": rows}, {"empty": np.zeros((0, 3)), "x": np.arange(rows)}),
+        encode_record("test.kind", {}, {}),
+    ]
+    for payload in records:
+        assert frame(payload, record=True) == _full_pass_frame(payload) == frame(payload)
+
+
+@pytest.mark.parametrize("payload", [b"", b"abc", b"first", bytes(range(256)) * 3])
+def test_non_record_payload_keeps_its_full_crc(payload):
+    assert frame(payload) == _full_pass_frame(payload)
+    assert replay_wal(frame(payload)).payloads == [payload]
+
+
+def test_flipped_record_byte_is_caught_at_replay():
+    payload = encode_record("test.kind", {"n": 2}, {"x": np.arange(64.0)})
+    blob = frame(payload, record=True) + frame(payload, record=True)
+    for index in (-1, -5, len(blob) // 2 + 20, -len(payload) + 1):
+        replay = replay_wal(flip_byte(blob, index))
+        assert replay.payloads == [payload] and replay.reason == "checksum"
+
+
 # ---------------------------------------------------------------------------
 # server-level graceful degradation
 # ---------------------------------------------------------------------------

@@ -143,6 +143,46 @@ def _histogram_state(hist):
     return hist._ring.tobytes(), hist.count, floats, dict(hist._buckets)
 
 
+def _boundary_values():
+    """Samples at and one ulp around log-bucket edges ``GAMMA**k``."""
+    gamma = (1.0 + ALPHA) / (1.0 - ALPHA)
+    edges = np.array([gamma**k for k in range(-300, 301, 7)])
+    return np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+
+
+_SPECIAL_BATCHES = {
+    "nan_first": np.array([np.nan, 1.0, 2.0]),
+    "all_nan": np.array([np.nan, np.nan]),
+    "infinities": np.array([3.0, np.inf, -np.inf, np.nan, -np.inf, np.inf]),
+    "signed_zeros": np.array([0.0, -0.0, 5.0, -0.0, 0.0]),
+    "zero_then_negative_zero": np.array([0.0, -0.0]),
+    "negative_zero_then_zero": np.array([-0.0, 0.0]),
+    "negatives": np.array([-2.0, -1e-300, -7.5, 4.0, -7.5]),
+    "boundaries": _boundary_values(),
+    "long_sum": np.random.default_rng(4).random(1000) / 1000.0,
+}
+
+
+@pytest.mark.parametrize("prefill", [(), (0.0,), (-0.0, 9.0), (np.nan, -3.0, 1e9)])
+@pytest.mark.parametrize("batch", sorted(_SPECIAL_BATCHES))
+@pytest.mark.parametrize("capacity", [4, 4096])
+def test_histogram_observe_many_equals_repeated_observe_bit_for_bit(batch, prefill, capacity):
+    """Ring, count, sum (the same running sum), min/max (NaN skipped, first
+    zero's sign kept) and bucket keys (in first-seen order) equal one
+    ``observe`` per sample."""
+    values = _SPECIAL_BATCHES[batch]
+    bulk, looped = Histogram(capacity=capacity), Histogram(capacity=capacity)
+    for h in (bulk, looped):
+        for x in prefill:
+            h.observe(x)
+    bulk.observe_many(values)
+    for x in values:
+        looped.observe(x)
+    assert _histogram_state(bulk) == _histogram_state(looped)
+    assert list(bulk._buckets) == list(looped._buckets)  # first-seen order too
+    assert np.array([bulk.min, bulk.max]).tobytes() == np.array([looped.min, looped.max]).tobytes()
+
+
 @pytest.mark.parametrize(
     "prefill, count",
     [(0, 1), (0, 5), (5, 8), (13, 7), (3, 16), (9, 40)],
