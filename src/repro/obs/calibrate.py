@@ -56,8 +56,6 @@ __all__ = ["CalibratedEstimator", "CalibrationKey", "FOLD_BOUND", "shape_bucket"
 #: writer's side, so the deferred work is amortised within the run instead
 #: of waiting for the next read.
 FOLD_BOUND = 256
-#: Fewest errors a fold hands a histogram in one ``observe_many`` call.
-_BULK_MIN = 16
 
 
 def shape_bucket(d: int, n: int, nrhs: int = 1) -> Tuple[int, int, int]:
@@ -247,10 +245,9 @@ class CalibratedEstimator:
         The pre-update prediction, clipping and EWMA run per sample, as in
         :meth:`observe`; each distinct ``(solver, spec, device)`` has its
         analytic estimate and key looked up once.  The registry gets one
-        bulk call per error histogram (per-sample calls below
-        ``_BULK_MIN`` samples), one ``inc(n)`` per counter and each touched
-        factor gauge its final value, which equals the per-sample updates
-        bit for bit (the counters hold integers).
+        ``observe_many`` per error histogram, one ``inc(n)`` per counter and
+        each touched factor gauge its final value, which equals the
+        per-sample updates bit for bit (the counters hold integers).
         """
         pending, self._pending = self._pending, []
         out: List[Optional[float]] = []
@@ -299,17 +296,8 @@ class CalibratedEstimator:
                 touched[key] = state
                 out.append(clipped)
         finally:
-            for hist, errors in (
-                (self._err_calibrated, err_calibrated),
-                (self._err_analytic, err_analytic),
-            ):
-                # Equal states either way; a short queue (observe's one
-                # sample) is cheaper per call than the vectorised path.
-                if len(errors) >= _BULK_MIN:
-                    hist.observe_many(np.array(errors))
-                else:
-                    for error in errors:
-                        hist.observe(error)
+            self._err_calibrated.observe_many(np.array(err_calibrated))
+            self._err_analytic.observe_many(np.array(err_analytic))
             for counter, n in increments.items():
                 counter.inc(n)
             for state in touched.values():

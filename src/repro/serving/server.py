@@ -768,30 +768,30 @@ class SketchServer:
     ) -> None:
         """End every rider's ``request`` root at ``end``, in rider order.
 
-        A root the runtime opened at admission (in ``roots``) is closed on
-        its own; the riders without one (the synchronous path) get a root
-        opened at ``start`` and closed in one :meth:`Tracer.complete_roots`
-        call.  ``grow(root, residual)`` adds a rider's spans on first read.
+        The synchronous path (no ``roots``) opens each rider's root at
+        ``start`` and closes them all in one :meth:`Tracer.complete_roots`
+        call.  The runtime opened its riders' roots at admission; each is
+        closed on its own (a rider admitted while tracing was off gets a
+        root opened at ``start``).  ``grow(root, residual)`` adds a rider's
+        spans on first read.
         """
         tracer = self.tracer
-        fresh: List[Dict[str, object]] = []
-        fresh_residuals: List[float] = []
+        if not roots:
+            tracer.complete_roots(
+                "request", start, end,
+                [{"request_id": req.request_id, "lane": lane} for req in batch.requests],
+                status=status, grow=grow, grow_args=residuals or (), **end_attributes,
+            )
+            return
         for j, req in enumerate(batch.requests):
-            root = roots.get(req.request_id) if roots else None
+            root = roots.get(req.request_id)
             if root is None:
-                fresh.append({"request_id": req.request_id, "lane": lane})
-                if grow is not None:
-                    fresh_residuals.append(residuals[j])
-            else:
-                tracer.end_trace(
-                    root, end, status=status,
-                    grow=partial(grow, residual=residuals[j]) if grow is not None else None,
-                    **end_attributes,
-                )
-        tracer.complete_roots(
-            "request", start, end, fresh, status=status,
-            grow=grow, grow_args=fresh_residuals, **end_attributes,
-        )
+                root = tracer.start_trace("request", start, request_id=req.request_id, lane=lane)
+            tracer.end_trace(
+                root, end, status=status,
+                grow=partial(grow, residual=residuals[j]) if grow is not None else None,
+                **end_attributes,
+            )
 
     def _run_placed(
         self,

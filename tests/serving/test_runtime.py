@@ -440,3 +440,32 @@ def test_concurrent_submitters_all_complete(problem):
         assert len(results) == 32
         assert len({r.request_id for r in results}) == 32
         assert all(r.relative_residual < 0.05 for r in results)
+
+
+# ---------------------------------------------------------------------------
+# request roots of a fused runtime batch
+# ---------------------------------------------------------------------------
+def test_runtime_batch_closes_admitted_and_fresh_roots_in_rider_order(problem):
+    # Riders admitted while tracing was off have no admission root; the
+    # batch opens theirs at execution and closes every root in rider order.
+    a, b = problem
+    runtime = AsyncSketchServer(shards=1, workers=1, seed=0)
+    try:
+        tracer = runtime.tracer
+        runtime.pause()
+        futures = []
+        for traced in (False, True, False, True):
+            tracer.enabled = traced
+            futures.append(runtime.submit(a, b))
+        tracer.enabled = True
+        runtime.resume()
+        responses = [f.result(timeout=30.0) for f in futures]
+        assert [r.batch_size for r in responses] == [4] * 4
+        roots = tracer.traces()
+        assert [t.attributes["request_id"] for t in roots] == [r.request_id for r in responses]
+        assert [t.find("admission") is not None for t in roots] == [False, True, False, True]
+        assert all(t.is_complete() and t.status == "ok" for t in roots)
+        assert tracer.traces_started == tracer.traces_completed == 4
+        assert tracer.active_count() == 0
+    finally:
+        runtime.stop()
