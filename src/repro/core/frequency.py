@@ -138,6 +138,19 @@ def _integral_counters(counters: np.ndarray, items_seen: int) -> bool:
     )
 
 
+def _restored_integral(table, counters: np.ndarray, items_seen: int) -> bool:
+    """:func:`_integral_counters` of a level just restored from ``table``.
+
+    An integer-typed snapshot table (an int32 checkpoint record) holds no
+    fraction and no ``-0.0`` by construction, so only its bound is checked.
+    """
+    if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
+        return table.size == 0 or (
+            int(table.max()) <= items_seen and -int(table.min()) <= items_seen
+        )
+    return _integral_counters(counters, items_seen)
+
+
 class FrequencySketch:
     """``depth x width`` signed-counter table answering frequency queries.
 
@@ -548,7 +561,7 @@ class FrequencySketch:
             raise ValueError("numeric snapshot is missing its table payload")
         self._items_seen = int(state["items_seen"])
         if self.numeric:
-            self._integral = _integral_counters(self._table.data, self._items_seen)
+            self._integral = _restored_integral(tab, self._table.data, self._items_seen)
         itemsize = self._dtype.itemsize
         self._ex.launch(
             KernelRequest(
@@ -750,8 +763,7 @@ class ExactFrequencyLevel:
             raise ValueError("numeric snapshot is missing its counts payload")
         self._items_seen = int(state["items_seen"])
         if self.numeric:
-            counts = self._counts.data
-            self._integral = _integral_counters(counts, self._items_seen)
+            self._integral = _restored_integral(tab, self._counts.data, self._items_seen)
         nbytes = float(self._domain) * self._dtype.itemsize
         self._charge("frequency_exact_restore", KernelClass.STREAM, 0.0, nbytes, 0.0)
 

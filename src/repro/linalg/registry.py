@@ -556,10 +556,22 @@ def canonical_solver_name(name: str) -> str:
     )
 
 
+#: Bumped by every :func:`register_solver`, so a memoised routing decision
+#: (see ``SketchServer._plan_batch``) can tell that the candidates changed.
+_VERSION = 0
+
+
 def register_solver(solver: RegisteredSolver) -> RegisteredSolver:
     """Add (or replace) a solver in the registry; returns it for chaining."""
+    global _VERSION
     _REGISTRY[solver.name] = solver
+    _VERSION += 1
     return solver
+
+
+def registry_version() -> int:
+    """How many :func:`register_solver` calls the registry has seen."""
+    return _VERSION
 
 
 def register_alias(canonical: str, *spellings: str) -> None:

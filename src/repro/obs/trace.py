@@ -25,7 +25,11 @@ A fused batch's riders, whose roots open and close in one call, go through
 :meth:`Tracer.complete_roots`: one lock section for the whole batch, the
 same ids, counters and sampling decisions as one ``start_trace`` /
 ``end_trace`` pair per rider, and each retained root kept as a small record
-that becomes its :class:`Span` on first read.
+that becomes its :class:`Span` on first read.  A root that must take its
+ids when its request is admitted but closes with its batch is *reserved*
+(:meth:`Tracer.reserve_root`): the ids of the root and of its first event
+and the head-sampling decision are settled then, no Span is built, and the
+batch's :meth:`Tracer.complete_roots` closes it with the others.
 
 Two invariants the instrumentation (and the test-suite) relies on:
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["Span", "Tracer", "NULL_SPAN"]
 
@@ -178,31 +182,54 @@ class _NullSpan(Span):
 NULL_SPAN = _NullSpan()
 
 
+#: A root reserved by :meth:`Tracer.reserve_root`, as the caller keeps it:
+#: ``(seq, start, attributes, event, event_attributes)``.
+Reservation = Tuple[int, float, Dict[str, object], str, Dict[str, object]]
+
+
+def _root_span(
+    name: str, seq: int, start: float, attributes: Dict[str, object],
+    event: Optional[Tuple[str, Dict[str, object]]] = None,
+) -> Span:
+    """An open root with trace-id number ``seq`` (span id ``seq + 1``).
+
+    ``event = (name, attributes)`` adds the zero-duration child at ``start``
+    that :meth:`Tracer.event` would have added, with span id ``seq + 2``.
+    """
+    root = Span(name, f"t{seq:08x}", f"s{seq + 1:08x}", None, start, attributes)
+    if event is not None:
+        child = Span(event[0], root.trace_id, f"s{seq + 2:08x}", root.span_id, root.start, event[1])
+        root.children.append(child.finish(root.start))
+    return root
+
+
 class _ClosedRoot:
     """A root closed by :meth:`Tracer.complete_roots`, built into a Span on read.
 
     ``seq`` is the root's trace-id number (its span id is ``seq + 1``);
+    ``event`` is a reserved root's first child (see :func:`_root_span`);
     ``grow(root, grow_arg)``, when set, becomes the Span's deferred builder.
     """
 
-    __slots__ = ("name", "seq", "start", "end", "status", "attributes", "end_attributes",
-                 "grow", "grow_arg")
+    __slots__ = ("name", "seq", "start", "end", "status", "attributes", "event",
+                 "end_attributes", "grow", "grow_arg")
 
-    def __init__(self, name, seq, start, end, status, attributes, end_attributes, grow, grow_arg):
+    def __init__(self, name, seq, start, end, status, attributes, event, end_attributes,
+                 grow, grow_arg):
         self.name = name
         self.seq = seq
         self.start = start
         self.end = end
         self.status = status
         self.attributes = attributes
+        self.event = event
         self.end_attributes = end_attributes
         self.grow = grow
         self.grow_arg = grow_arg
 
     def span(self) -> Span:
         """The root exactly as ``start_trace`` + ``end_trace`` would have left it."""
-        root = Span(self.name, f"t{self.seq:08x}", f"s{self.seq + 1:08x}", None,
-                    self.start, self.attributes)
+        root = _root_span(self.name, self.seq, self.start, self.attributes, self.event)
         root.finish(self.end, status=self.status, **self.end_attributes)
         if self.grow is not None:
             grow, arg = self.grow, self.grow_arg
@@ -250,6 +277,8 @@ class Tracer:
         self._roots_seen = 0
         self._sampled_out: set = set()
         self._active: Dict[str, Span] = {}
+        #: Reserved roots not yet closed: seq -> kept by head sampling.
+        self._reserved: Dict[int, bool] = {}
         self._completed: Deque[Union[Span, _ClosedRoot]] = deque(maxlen=self.max_traces)
         self.traces_started = 0
         self.traces_completed = 0
@@ -331,47 +360,100 @@ class Tracer:
                     self.traces_retained += 1
         return root
 
+    def reserve_root(self) -> Optional[int]:
+        """Reserve a root that opens now but is built when it closes.
+
+        Takes the ids ``start_trace`` and one :meth:`event` under the root
+        would take, counts the root in ``traces_started`` and makes its
+        head-sampling decision, but builds no Span.  Returns the root's
+        trace-id number ``seq`` (``None`` when tracing is off); the caller
+        keeps it in a :data:`Reservation` for :meth:`complete_roots`, or
+        for :meth:`open_reserved` when the root needs a live Span after all.
+        """
+        if not self.enabled:
+            return None
+        with self._lock:
+            seq = self._seq + 1
+            self._seq = seq + 2
+            self._reserved[seq] = self._roots_seen % self.sample_every == 0
+            self._roots_seen += 1
+            self.traces_started += 1
+        return seq
+
+    def open_reserved(self, name: str, reservation: Reservation) -> Span:
+        """A reserved root as the live Span ``start_trace`` + ``event`` would have made.
+
+        The root becomes active, as if opened at its reservation, so
+        :meth:`start_span`, :meth:`event` and :meth:`end_trace` carry on
+        from there.  A reservation dropped by :meth:`clear` yields a Span
+        that :meth:`end_trace` does not count.
+        """
+        seq, start, attributes, event, event_attributes = reservation
+        root = _root_span(name, seq, start, attributes, (event, event_attributes))
+        with self._lock:
+            keep = self._reserved.pop(seq, None)
+            if keep is not None:
+                self._active[root.trace_id] = root
+                if not keep:
+                    self._sampled_out.add(root.trace_id)
+        return root
+
     def complete_roots(
         self,
         name: str,
         start: float,
         end: float,
-        attributes: Sequence[Dict[str, object]],
+        roots: Sequence[Union[Dict[str, object], Reservation]],
         status: str = "ok",
         grow: Optional[Callable[[Span, object], None]] = None,
         grow_args: Sequence[object] = (),
         **end_attributes: object,
     ) -> None:
-        """Open and close one root per entry of ``attributes`` in one call.
+        """Close one root per entry of ``roots`` at ``end``, in one call.
 
-        Equivalent to ``end_trace(start_trace(name, start, **attributes[i]),
-        end, status, grow=lambda r: grow(r, grow_args[i]), **end_attributes)``
-        for each ``i`` in order: the same trace and span ids, counters,
-        head-sampling decisions and shed/error retention.  It takes the
-        lock once, never registers the roots as active, and keeps each
-        retained root as a record that :meth:`traces` / :meth:`find_trace`
-        turn into its Span on first read.
+        An attribute dict opens its root at ``start`` now: the entry is
+        equivalent to ``end_trace(start_trace(name, start, **roots[i]),
+        end, status, grow=lambda r: grow(r, grow_args[i]), **end_attributes)``.
+        A :data:`Reservation` closes the root :meth:`reserve_root` opened at
+        its own start, with its reserved ids and sampling decision and its
+        event as first child.  Either way the trace and span ids, counters,
+        head-sampling decisions and shed/error retention equal those of the
+        per-root calls in order.  It takes the lock once, never registers
+        the roots as active, and keeps each retained root as a record that
+        :meth:`traces` / :meth:`find_trace` turn into its Span on first read.
         """
-        if not self.enabled or not attributes:
+        if not self.enabled or not roots:
             return
-        count = len(attributes)
         keep_all = status != "ok"
         with self._lock:
-            seq = self._seq
-            self._seq = seq + 2 * count
-            seen = self._roots_seen
-            self._roots_seen = seen + count
-            self.traces_started += count
-            self.traces_completed += count
-            every = self.sample_every
-            completed = self._completed
-            for i, attrs in enumerate(attributes):
-                if keep_all or (seen + i) % every == 0:
+            seq, seen, every = self._seq, self._roots_seen, self.sample_every
+            reserved, completed = self._reserved, self._completed
+            opened = closed = retained = 0
+            for i, entry in enumerate(roots):
+                if type(entry) is dict:
+                    root_seq = seq + 1
+                    seq += 2
+                    keep = (seen + opened) % every == 0
+                    opened += 1
+                    root_start, attributes, event = start, entry, None
+                else:
+                    root_seq, root_start, attributes = entry[0], entry[1], entry[2]
+                    keep = reserved.pop(root_seq, None)
+                    if keep is None:
+                        continue  # dropped by clear(), like an active root
+                    event = (entry[3], entry[4])
+                closed += 1
+                if keep_all or keep:
                     completed.append(_ClosedRoot(
-                        name, seq + 2 * i + 1, start, end, status, attrs, end_attributes,
-                        grow, grow_args[i] if grow is not None else None,
+                        name, root_seq, root_start, end, status, attributes, event,
+                        end_attributes, grow, grow_args[i] if grow is not None else None,
                     ))
-                    self.traces_retained += 1
+                    retained += 1
+            self._seq = seq
+            self._roots_seen = seen + opened
+            self.traces_started += opened
+            self.traces_completed += closed
+            self.traces_retained += retained
 
     def _roots_locked(self) -> List[Span]:
         """Retained roots, oldest first; records from complete_roots become Spans once."""
@@ -418,12 +500,14 @@ class Tracer:
         return root
 
     def active_count(self) -> int:
+        """Open traces: started and not yet ended, reserved roots included."""
         with self._lock:
-            return len(self._active)
+            return len(self._active) + len(self._reserved)
 
     def clear(self) -> None:
         """Drop all retained traces (counters survive, like a metrics reset)."""
         with self._lock:
             self._active.clear()
+            self._reserved.clear()
             self._completed.clear()
             self._sampled_out.clear()

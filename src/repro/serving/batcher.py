@@ -35,9 +35,9 @@ class MicroBatch:
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("a micro-batch needs at least one request")
-        first = self.requests[0]
+        key = self.requests[0].group_key()
         for req in self.requests[1:]:
-            if req.group_key() != first.group_key():
+            if req.group_key() != key:
                 raise ValueError("all requests in a micro-batch must share a group key")
 
     @property

@@ -59,6 +59,7 @@ Quick start::
 
 from __future__ import annotations
 
+import _thread
 import inspect
 import threading
 from collections import deque
@@ -77,7 +78,7 @@ from repro.serving.requests import (
     SolveRequest,
     SolveResponse,
 )
-from repro.obs.trace import Span
+from repro.obs.trace import Reservation, Span
 from repro.serving.batcher import MicroBatcher
 from repro.serving.server import SESSION_MANAGERS, ServerConfig, SketchServer
 from repro.serving.sessions import declare_session_endpoints
@@ -137,28 +138,52 @@ class RuntimeFuture:
     and either returns the response or raises the
     :class:`~repro.serving.requests.AdmissionError` subclass explaining why
     the request was not served.
+
+    Waiters block on a raw lock that is held from construction until the
+    request completes; each waiter that gets it releases it at once, so
+    every waiter wakes.
     """
 
     def __init__(self, lane: str, request_id: int) -> None:
         self.lane = lane
         self.request_id = request_id
-        self._event = threading.Event()
+        self._done = False
+        self._pending = _thread.allocate_lock()
+        self._pending.acquire()
         self._response = None
         self._error: Optional[BaseException] = None
 
     # -- dispatcher side ------------------------------------------------
     def _resolve(self, response) -> None:
         self._response = response
-        self._event.set()
+        self._complete()
 
     def _reject(self, error: BaseException) -> None:
         self._error = error
-        self._event.set()
+        self._complete()
+
+    def _complete(self) -> None:
+        if not self._done:
+            self._done = True
+            self._pending.release()
 
     # -- caller side ----------------------------------------------------
+    def _wait(self, timeout: Optional[float]) -> None:
+        if self._done:
+            return
+        if timeout is None:
+            acquired = self._pending.acquire()
+        elif timeout > 0:
+            acquired = self._pending.acquire(True, timeout)
+        else:
+            acquired = self._pending.acquire(False)
+        if not acquired:
+            raise TimeoutError("request still in flight")
+        self._pending.release()  # wake the next waiter
+
     def done(self) -> bool:
         """Whether the request has completed or been shed."""
-        return self._event.is_set()
+        return self._done
 
     @property
     def shed(self) -> bool:
@@ -167,14 +192,12 @@ class RuntimeFuture:
 
     def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
         """The typed error the request failed with, or None on success."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("request still in flight")
+        self._wait(timeout)
         return self._error
 
     def result(self, timeout: Optional[float] = None):
         """Block for the response; raises the typed error if the request was shed."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("request still in flight")
+        self._wait(timeout)
         if self._error is not None:
             raise self._error
         return self._response
@@ -190,12 +213,19 @@ class RuntimeFuture:
 class _LaneItem:
     """One admitted request's record: a batched solve/ridge request (keyed
     by request id; the request itself rides in its lane's MicroBatcher) or
-    a session append/query (queued per session, carrying its bound call)."""
+    a session append/query (queued per session, carrying its bound call).
+
+    With tracing on, a session call carries its open trace ``root``; a
+    batched request carries only its root's ``reservation`` (ids, sampling
+    decision and admission attributes), which its batch closes with the
+    other riders' in one tracer call.
+    """
 
     admitted_at: float
     future: RuntimeFuture
     payload: Tuple = ()
-    root: Optional[Span] = None  # the request's trace root (None when tracing is off)
+    root: Optional[Span] = None
+    reservation: Optional[Reservation] = None
 
 
 class AsyncSketchServer:
@@ -382,9 +412,12 @@ class AsyncSketchServer:
         (``request_id=None`` draws the next id from the server's stream, so
         a rejected request consumes none) and its trace root.  The root
         carries the queue context (admission event + depth) that the
-        serving layer cannot see; the dispatcher later threads it into the
-        server so plan/batch/solve spans nest under it, and whoever decides
-        the request's fate (response, shed, error) ends the trace.
+        serving layer cannot see.  A session call's root opens here and
+        its session spans nest under it.  A batched request's root is only
+        reserved (:meth:`~repro.obs.trace.Tracer.reserve_root`): its batch
+        closes every rider's root in one tracer call, and a shed or failed
+        dispatch opens it to end it.  Whoever decides the request's fate
+        (response, shed, error) ends the trace.
         """
         if self._stop:
             raise RuntimeError("runtime is stopped")
@@ -402,28 +435,42 @@ class AsyncSketchServer:
         if request_id is None:
             request_id = self.server._next_id
             self.server._next_id += 1
-        tracer, root = self.tracer, None
+        item = _LaneItem(admitted_at, RuntimeFuture(lane, request_id), payload)
+        tracer = self.tracer
         if tracer.enabled:
-            root = tracer.start_trace(
-                "request", admitted_at, request_id=request_id, lane=lane, **attrs
-            )
-            tracer.event("admission", root, admitted_at, queue_depth=depth + 1)
-        return _LaneItem(admitted_at, RuntimeFuture(lane, request_id), payload, root)
+            if lane == "stream":
+                item.root = tracer.start_trace(
+                    "request", admitted_at, request_id=request_id, lane=lane, **attrs
+                )
+                tracer.event("admission", item.root, admitted_at, queue_depth=depth + 1)
+            else:
+                item.reservation = (
+                    tracer.reserve_root(), admitted_at,
+                    {"request_id": request_id, "lane": lane, **attrs},
+                    "admission", {"queue_depth": depth + 1},
+                )
+        return item
 
-    def _end_root_shed(self, root: Optional[Span], reason: str, at: float) -> None:
+    def _live_root(self, item: _LaneItem) -> Optional[Span]:
+        """The item's trace root as an open Span (None when it has none or tracing is off)."""
+        if not self.tracer.enabled:
+            return None
+        if item.reservation is not None:
+            return self.tracer.open_reserved("request", item.reservation)
+        return item.root
+
+    def _end_root_shed(self, item: _LaneItem, reason: str, at: float) -> None:
         """Terminal ``shed`` span + trace end for a request that won't run."""
-        tracer = self.tracer
-        if root is None or not tracer.enabled:
-            return
-        tracer.event("shed", root, at, status="shed", reason=reason)
-        tracer.end_trace(root, at, status="shed")
+        root = self._live_root(item)
+        if root is not None:
+            self.tracer.event("shed", root, at, status="shed", reason=reason)
+            self.tracer.end_trace(root, at, status="shed")
 
-    def _end_root_error(self, root: Optional[Span], error: BaseException, at: float) -> None:
+    def _end_root_error(self, item: _LaneItem, error: BaseException, at: float) -> None:
         """Terminal trace end for a request whose dispatch raised."""
-        tracer = self.tracer
-        if root is None or not tracer.enabled:
-            return
-        tracer.end_trace(root, at, status="error", error=type(error).__name__)
+        root = self._live_root(item)
+        if root is not None:
+            self.tracer.end_trace(root, at, status="error", error=type(error).__name__)
 
     def submit(
         self,
@@ -578,13 +625,17 @@ class AsyncSketchServer:
 
     def _dispatch_batch(self, lane: str, batch) -> None:
         items: Dict[int, _LaneItem] = {}
-        roots: Dict[int, Span] = {}
+        roots: Dict[int, Reservation] = {}
         try:
             with self._lock:
                 items = {
                     req.request_id: self._requests.pop(req.request_id) for req in batch.requests
                 }
-                roots = {rid: item.root for rid, item in items.items() if item.root is not None}
+                roots = {
+                    rid: item.reservation
+                    for rid, item in items.items()
+                    if item.reservation is not None
+                }
                 admitted_at = min(item.admitted_at for item in items.values())
                 planned = self.server._plan_batch(batch)
                 budget = batch.requests[0].latency_budget
@@ -617,7 +668,7 @@ class AsyncSketchServer:
         except (ValueError, np.linalg.LinAlgError) as exc:
             # The batch's input made the plan or the solve raise (a NaN trips
             # the spectrum probe): answer each rider with the failed response
-            # the synchronous server gives, closing its runtime-opened root.
+            # the synchronous server gives, closing its runtime-reserved root.
             with self._lock:
                 for resp in self.server._failed_batch(batch, exc, roots=roots):
                     items.pop(resp.request_id).future._resolve(resp)
@@ -628,7 +679,7 @@ class AsyncSketchServer:
             with self._lock:
                 now = self._virtual_now_locked()
                 for item in items.values():
-                    self._end_root_error(item.root, exc, now)
+                    self._end_root_error(item, exc, now)
                     item.future._reject(exc)
 
     def _shed_batch_locked(
@@ -651,7 +702,7 @@ class AsyncSketchServer:
                 projected_seconds=projected,
                 budget_seconds=budget,
             )
-            self._end_root_shed(item.root, "deadline", now)
+            self._end_root_shed(item, "deadline", now)
             item.future._reject(error)
 
     # -- stream lane ----------------------------------------------------
@@ -674,7 +725,7 @@ class AsyncSketchServer:
                 self.tracer.end_trace(item.root, done_at)
             item.future._resolve(result)
         except Exception as exc:
-            self._end_root_error(item.root, exc, item.admitted_at)
+            self._end_root_error(item, exc, item.admitted_at)
             item.future._reject(exc)
         finally:
             with self._work:
@@ -694,7 +745,7 @@ class AsyncSketchServer:
                 self.telemetry.record_shed(lane, reason, count=batch.size)
                 for req in batch.requests:
                     item = self._requests.pop(req.request_id)
-                    self._end_root_shed(item.root, reason, now)
+                    self._end_root_shed(item, reason, now)
                     item.future._reject(
                         AdmissionError(
                             f"request {req.request_id} shed: {reason}",
@@ -705,7 +756,7 @@ class AsyncSketchServer:
         for session_id, queue in self._stream_queues.items():
             for item in queue:
                 self.telemetry.record_shed("stream", reason)
-                self._end_root_shed(item.root, reason, now)
+                self._end_root_shed(item, reason, now)
                 item.future._reject(
                     AdmissionError(f"stream work shed: {reason}", lane="stream")
                 )

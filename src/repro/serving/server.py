@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -49,7 +48,7 @@ from repro.gpu.executor import GPUExecutor
 from repro.gpu.pool import ExecutorPool
 from repro.linalg.lstsq import LeastSquaresResult
 from repro.linalg.planner import SolvePlan, execute_plan, normalize_policy, plan
-from repro.linalg.registry import SolveSpec, get_solver
+from repro.linalg.registry import SolveSpec, get_solver, registry_version
 from repro.serving.batcher import MicroBatch, MicroBatcher
 from repro.serving.cache import (
     CacheEntry,
@@ -68,12 +67,18 @@ from repro.serving.requests import (
 )
 from repro.durability.store import DurabilityConfig
 from repro.obs.calibrate import CalibratedEstimator
-from repro.obs.trace import Span, Tracer
+from repro.obs.metrics import Counter
+from repro.obs.trace import Reservation, Span, Tracer
 from repro.serving.scheduler import ShardScheduler
 from repro.serving.frequency import FrequencySessionManager
 from repro.serving.sessions import RestoreReport, SessionTable, declare_session_endpoints
 from repro.serving.streaming import StreamingSessionManager
 from repro.serving.telemetry import ServingTelemetry
+
+
+#: Bound on the probe-free plans one server memoises (see
+#: :meth:`SketchServer._plan_batch`); the memo is emptied when it fills.
+PLAN_MEMO_CAP = 256
 
 
 @dataclass
@@ -273,6 +278,7 @@ class SketchServer:
             if config.calibration != "off"
             else None
         )
+        self._cache_counters: Dict[str, Counter] = {}
         self.cache.listener = self._on_cache_event
         self._batcher = MicroBatcher(max_batch=config.max_batch)
         self.streams = StreamingSessionManager(self)
@@ -285,13 +291,25 @@ class SketchServer:
         # (kappa, sigma_max) per live matrix object (weakly referenced -- see
         # _spectrum_estimate) so hot same-matrix traffic plans for free.
         self._cond_cache: Dict[Tuple, Tuple] = {}
+        # Probe-free plans by (spec, policy, preferred solver, registry
+        # version); see _plan_batch.  Emptied at PLAN_MEMO_CAP entries.
+        self._plans: Dict[Tuple, SolvePlan] = {}
 
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
     def _on_cache_event(self, event: str, key: Tuple) -> None:
-        """Operator-cache listener: land hit/miss/store/evict in the registry."""
-        self.metrics.counter("serving_cache_events_total", event=event).inc()
+        """Operator-cache listener: land hit/miss/store/evict in the registry.
+
+        Each event kind's counter is resolved once, on its first event, so
+        an export lists only the kinds that happened.
+        """
+        counter = self._cache_counters.get(event)
+        if counter is None:
+            counter = self._cache_counters[event] = self.metrics.counter(
+                "serving_cache_events_total", event=event
+            )
+        counter.inc()
 
     def _cost_source(self):
         """Planner cost hook: calibrated costs only in ``"active"`` mode."""
@@ -694,16 +712,30 @@ class SketchServer:
         # Fixed routing runs the batch's solver; a ridge request's pinned
         # solver is also a preference under the adaptive policies.
         preferred = batch.solver if ridge or policy == "fixed" else None
+        matrix = batch.a if probes and known is None else None
+        cost_source = self._cost_source()
+        # Without a probe or calibrated costs a plan is a pure function of
+        # the spec, the routing and the registered solvers: reuse it.
+        memo_key = None
+        if matrix is None and cost_source is None:
+            memo_key = (spec, policy, preferred, registry_version())
+            plan_ = self._plans.get(memo_key)
+            if plan_ is not None:
+                return plan_, spec
         plan_ = plan(
-            batch.a if probes and known is None else None,
+            matrix,
             spec,
             policy=policy,
             solver=preferred or None,
             device=self.config.device,
-            cost_source=self._cost_source(),
+            cost_source=cost_source,
         )
         if plan_.probe is not None:
             self._remember_spectrum(batch.a, (plan_.cond_estimate, plan_.probe[0]))
+        elif memo_key is not None:
+            if len(self._plans) >= PLAN_MEMO_CAP:
+                self._plans.clear()
+            self._plans[memo_key] = plan_
         return plan_, spec
 
     def _shard_operator(self, key: Tuple, shard: int) -> "SketchOperator":
@@ -756,7 +788,7 @@ class SketchServer:
     def _close_rider_roots(
         self,
         batch: MicroBatch,
-        roots: Optional[Dict[int, Span]],
+        roots: Optional[Dict[int, Reservation]],
         start: float,
         end: float,
         lane: str,
@@ -766,32 +798,23 @@ class SketchServer:
         residuals: Optional[List[float]] = None,
         **end_attributes: object,
     ) -> None:
-        """End every rider's ``request`` root at ``end``, in rider order.
+        """End every rider's ``request`` root at ``end``, in rider order, in one tracer call.
 
-        The synchronous path (no ``roots``) opens each rider's root at
-        ``start`` and closes them all in one :meth:`Tracer.complete_roots`
-        call.  The runtime opened its riders' roots at admission; each is
-        closed on its own (a rider admitted while tracing was off gets a
-        root opened at ``start``).  ``grow(root, residual)`` adds a rider's
-        spans on first read.
+        ``roots`` maps request ids to the roots the runtime reserved at
+        admission (:meth:`Tracer.reserve_root`); every other rider (the
+        synchronous path, or a rider admitted while tracing was off) gets
+        a root opened at ``start``.  ``grow(root, residual)`` adds a
+        rider's spans on first read.
         """
-        tracer = self.tracer
-        if not roots:
-            tracer.complete_roots(
-                "request", start, end,
-                [{"request_id": req.request_id, "lane": lane} for req in batch.requests],
-                status=status, grow=grow, grow_args=residuals or (), **end_attributes,
-            )
-            return
-        for j, req in enumerate(batch.requests):
-            root = roots.get(req.request_id)
-            if root is None:
-                root = tracer.start_trace("request", start, request_id=req.request_id, lane=lane)
-            tracer.end_trace(
-                root, end, status=status,
-                grow=partial(grow, residual=residuals[j]) if grow is not None else None,
-                **end_attributes,
-            )
+        roots = roots or {}
+        self.tracer.complete_roots(
+            "request", start, end,
+            [
+                roots.get(req.request_id) or {"request_id": req.request_id, "lane": lane}
+                for req in batch.requests
+            ],
+            status=status, grow=grow, grow_args=residuals or (), **end_attributes,
+        )
 
     def _run_placed(
         self,
@@ -799,7 +822,7 @@ class SketchServer:
         placed: "PlacedBatch",
         *,
         admitted_at: Optional[float] = None,
-        roots: Optional[Dict[int, Span]] = None,
+        roots: Optional[Dict[int, Reservation]] = None,
     ) -> List[SolveResponse]:
         """Execute a placed micro-batch and fan out the responses.
 
@@ -810,8 +833,8 @@ class SketchServer:
         synchronous server: a request's latency is its batch's compute plus
         the result transfer) to queue-inclusive (the concurrent runtime:
         everything from admission to completion, queueing delay included).
-        ``roots`` maps request ids to runtime-created trace roots; without
-        it each rider's trace starts at execution.
+        ``roots`` maps request ids to trace roots the runtime reserved at
+        admission; without it each rider's trace starts at execution.
         """
         plan_, spec, entry, shard = placed.plan, placed.spec, placed.entry, placed.shard
         executor = self.pool[shard]
@@ -932,12 +955,13 @@ class SketchServer:
             return self._failed_batch(batch, exc)
 
     def _failed_batch(
-        self, batch: MicroBatch, exc: Exception, roots: Optional[Dict[int, Span]] = None
+        self, batch: MicroBatch, exc: Exception, roots: Optional[Dict[int, Reservation]] = None
     ) -> List[SolveResponse]:
         """Failed responses (``x=None``, ``extra["failure_reason"]``) for a batch that raised.
 
-        ``roots`` maps request ids to runtime-created trace roots, which are
-        closed with error status; other riders get a fresh error trace.
+        ``roots`` maps request ids to trace roots the runtime reserved at
+        admission, which are closed with error status; other riders get a
+        fresh error trace.
         """
         self.telemetry.record_failure(batch.size)
         lam = batch.requests[0].regularization

@@ -210,6 +210,27 @@ def test_restored_integral_flag_matches_the_decoded_table(payload, need_ranges):
         assert level.integral == _integral_counters(_counters(level), items_seen) == expected
 
 
+@pytest.mark.parametrize("need_ranges", [True, False], ids=["hierarchical", "flat"])
+def test_int32_and_float64_records_of_one_engine_restore_alike(need_ranges):
+    """An int32 table skips the fraction and ``-0.0`` checks on restore; its
+    engine must come back exactly like one restored from float64 counters."""
+    plan, engine = _engine(need_ranges)
+    _unit(engine, None)
+    record = decode_record(serialize_frequency_session(engine, plan, SEED, {}))
+    assert {arr.dtype.str for arr in record.arrays.values()} == {"<i4"}
+    as_float = {name: arr.astype(np.float64) for name, arr in record.arrays.items()}
+    restored = [
+        deserialize_frequency_session(encode_record(FREQUENCY_SESSION_KIND, record.meta, arrays))[0]
+        for arrays in (record.arrays, as_float)
+    ]
+    from_int, from_float = (_levels(r) for r in restored)
+    assert [level.integral for level in from_int] == [level.integral for level in from_float]
+    assert all(level.integral for level in from_int)
+    for mine, theirs in zip(from_int, from_float):
+        assert _counters(mine).tobytes() == _counters(theirs).tobytes()
+    assert _answers(restored[0]) == _answers(restored[1]) == _answers(engine)
+
+
 def test_unit_weight_session_restores_through_the_server():
     store = MemoryCheckpointStore()
     server = SketchServer(shards=2, seed=0, durability=DurabilityConfig(store=store))

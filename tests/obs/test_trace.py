@@ -223,3 +223,79 @@ def test_concurrent_readers_never_see_a_half_grown_tree():
     assert len(seen) == 2
     for traces in seen:
         assert [s.name for s in traces[0].walk()] == ["request", "queue", "solve"]
+
+
+def _per_call_roots(tracer):
+    """Reference: every root opened by ``start_trace`` + an admission event."""
+    def grow(root, residual):
+        tracer.start_span("solve", root, 6.0).finish(9.0, residual=residual)
+
+    admitted = []
+    for i in range(5):
+        root = tracer.start_trace("request", float(i), request_id=i)
+        tracer.event("admission", root, float(i), queue_depth=i + 1)
+        admitted.append(root)
+    fresh = tracer.start_trace("request", 5.0, request_id=100)
+    for root, residual in zip((admitted[0], fresh, admitted[1]), (0.1, 0.2, 0.3)):
+        tracer.end_trace(root, 10.0, grow=lambda r, res=residual: grow(r, res))
+    tracer.event("shed", admitted[2], 11.0, status="shed", reason="deadline")
+    tracer.end_trace(admitted[2], 11.0, status="shed")
+    for root in admitted[3:]:
+        tracer.end_trace(root, 12.0, status="error", error="ValueError")
+
+
+def _reserved_roots(tracer):
+    """The same trees: roots reserved at admission, closed per batch."""
+    def grow(root, residual):
+        tracer.start_span("solve", root, 6.0).finish(9.0, residual=residual)
+
+    admitted = [
+        (tracer.reserve_root(), float(i), {"request_id": i}, "admission", {"queue_depth": i + 1})
+        for i in range(5)
+    ]
+    tracer.complete_roots(
+        "request", 5.0, 10.0, [admitted[0], {"request_id": 100}, admitted[1]],
+        grow=grow, grow_args=[0.1, 0.2, 0.3],
+    )
+    shed = tracer.open_reserved("request", admitted[2])
+    tracer.event("shed", shed, 11.0, status="shed", reason="deadline")
+    tracer.end_trace(shed, 11.0, status="shed")
+    tracer.complete_roots("request", 12.0, 12.0, admitted[3:], status="error", error="ValueError")
+
+
+def _snapshot(tracer):
+    return (
+        [t.as_dict() for t in tracer.traces()],
+        tracer.traces_started, tracer.traces_completed, tracer.traces_retained,
+        tracer.active_count(),
+    )
+
+
+@pytest.mark.parametrize("sample_every", [1, 2, 3])
+def test_reserved_roots_close_like_per_call_roots(sample_every):
+    reference, reserved = Tracer(sample_every=sample_every), Tracer(sample_every=sample_every)
+    _per_call_roots(reference)
+    _reserved_roots(reserved)
+    assert _snapshot(reserved) == _snapshot(reference)
+    assert reserved.traces_started == reserved.traces_completed == 6
+
+
+def test_reserved_roots_count_as_active_until_closed_or_cleared():
+    tracer = Tracer()
+    first = (tracer.reserve_root(), 0.0, {}, "admission", {})
+    second = (tracer.reserve_root(), 0.0, {}, "admission", {})
+    assert tracer.active_count() == 2 and tracer.traces_started == 2
+    tracer.complete_roots("request", 0.0, 1.0, [first])
+    assert tracer.active_count() == 1 and tracer.traces_completed == 1
+    tracer.clear()
+    assert tracer.active_count() == 0
+    # A reservation dropped by clear() closes uncounted, like an active root.
+    tracer.complete_roots("request", 0.0, 1.0, [second])
+    tracer.end_trace(tracer.open_reserved("request", second), 1.0)
+    assert tracer.traces_completed == 1 and tracer.traces() == []
+
+
+def test_disabled_tracer_reserves_nothing():
+    tracer = Tracer(enabled=False)
+    assert tracer.reserve_root() is None
+    assert tracer.active_count() == 0 and tracer.traces_started == 0

@@ -210,3 +210,56 @@ class TestFallbackTelemetry:
             server.submit(a, b)
         server.flush()
         assert server.stats()["failed_requests"] == 4.0
+
+
+class TestPlanMemo:
+    """Probe-free batch plans are reused; probed or calibrated ones are not."""
+
+    @pytest.fixture
+    def plan_calls(self, monkeypatch):
+        import repro.serving.server as server_module
+
+        calls = []
+        real = server_module.plan
+
+        def counted(a, spec, **kwargs):
+            calls.append(a is not None)
+            return real(a, spec, **kwargs)
+
+        monkeypatch.setattr(server_module, "plan", counted)
+        return calls
+
+    def test_fixed_policy_plans_each_batch_shape_once(self, easy, plan_calls):
+        a, b = easy
+        server = SketchServer(shards=1, seed=0)
+        first = server.solve(a, b)
+        again = server.solve(a, 2.0 * b)
+        assert plan_calls == [False]
+        assert again.extra["planned"] == first.extra["planned"]
+        server.solve(a, b, solver="qr")  # another routing: planned afresh
+        assert plan_calls == [False, False]
+
+    def test_adaptive_plans_reuse_once_the_spectrum_is_known(self, easy, plan_calls):
+        a, b = easy
+        server = SketchServer(policy="adaptive", shards=1, seed=0)
+        responses = [server.solve(a, b) for _ in range(3)]
+        # The probing plan is never memoised; the first probe-free one is.
+        assert plan_calls == [True, False]
+        assert len({r.extra["planned"] for r in responses}) == 1
+
+    def test_active_calibration_plans_every_batch(self, easy, plan_calls):
+        a, b = easy
+        server = SketchServer(policy="adaptive", calibration="active", shards=1, seed=0)
+        for _ in range(3):
+            server.solve(a, b)
+        assert plan_calls == [True, False, False]
+
+    def test_a_registered_solver_invalidates_memoised_plans(self, easy, plan_calls):
+        from repro.linalg.registry import get_solver, register_solver
+
+        a, b = easy
+        server = SketchServer(shards=1, seed=0)
+        server.solve(a, b)
+        register_solver(get_solver("sketch_and_solve"))  # same solver, new registry version
+        server.solve(a, b)
+        assert plan_calls == [False, False]

@@ -8,6 +8,7 @@ future semantics and per-session ordering.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.serving import (
     MicroBatcher,
     QueueFullError,
     RuntimeConfig,
+    RuntimeFuture,
     ServerConfig,
     SketchServer,
     SolveRequest,
@@ -157,6 +159,63 @@ def test_future_semantics(problem):
         assert response.request_id == future.request_id
         # result() is idempotent.
         assert future.result() is response
+
+
+@pytest.mark.parametrize("outcome", ["resolved", "rejected"])
+def test_future_wakes_every_waiter(outcome):
+    """Eight waiters on each of 50 futures, with thread switches forced often."""
+    error = DeadlineExceededError("late", lane="solve", request_id=7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            future = RuntimeFuture("solve", 7)
+            ready = threading.Barrier(9)
+            seen = []
+
+            def waiter(i):
+                ready.wait()
+                wait = future.result if i % 2 else future.exception
+                try:
+                    seen.append(wait(timeout=30.0))
+                except DeadlineExceededError as exc:
+                    seen.append(exc)
+
+            threads = [threading.Thread(target=waiter, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            ready.wait()
+            if outcome == "resolved":
+                future._resolve("response")
+                expected = ["response", None]
+            else:
+                future._reject(error)
+                expected = [error]
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 8 and set(map(id, seen)) <= set(map(id, expected))
+            assert future.done() and future.shed == (outcome == "rejected")
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_future_waits_time_out_while_in_flight(problem):
+    a, b = problem
+    runtime = AsyncSketchServer(shards=1, workers=1, seed=0)
+    try:
+        runtime.pause()
+        future = runtime.submit(a, b)
+        for wait in (future.result, future.exception):
+            for timeout in (0.05, 0.0, -1.0):
+                with pytest.raises(TimeoutError):
+                    wait(timeout=timeout)
+        assert not future.done()
+        runtime.resume()
+        assert future.result(timeout=30.0).request_id == future.request_id
+        assert future.exception(timeout=0.0) is None and future.done()
+    finally:
+        runtime.stop()
 
 
 def test_future_resolves_with_a_failed_response_when_every_link_raises(problem):
